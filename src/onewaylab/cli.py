@@ -12,6 +12,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 import time
 from fractions import Fraction
@@ -39,8 +40,9 @@ def _parse_param(text: str):
         return int(text)
     try:
         return _angle_value(text)
-    except ValueError as exc:
-        raise SystemExit(f"error: bad parameter {text!r}: {exc}")
+    except (ValueError, ZeroDivisionError) as exc:
+        print(f"error: bad parameter {text!r}: {exc}", file=sys.stderr)
+        raise SystemExit(2)
 
 
 def _angle_value(text: str):
@@ -54,6 +56,8 @@ def _angle_value(text: str):
         frac = Fraction(body) if body else Fraction(1)
         return -frac if negative else frac
     value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("angle is not a finite number")
     return -value if negative else value
 
 
@@ -101,23 +105,32 @@ def _input_state(spec: str | None, n_inputs: int):
         amplitudes = [complex(part) for part in spec.split(",")]
     except ValueError:
         raise SystemExit(f"error: cannot read input state {spec!r}")
-    return np.asarray(amplitudes, dtype=complex)
+    state = np.asarray(amplitudes, dtype=complex)
+    if state.size != 2**n_inputs:
+        raise simulate.SimulationError(
+            f"input state must have {2 ** n_inputs} amplitudes, got {state.size}"
+        )
+    if not (np.isfinite(state).all() and state.any()):
+        raise simulate.SimulationError("input state must be finite and nonzero")
+    return state
 
 
 def cmd_simulate(args) -> int:
     doc = _load(args.file)
     pattern = doc.pattern
     state = _input_state(args.input, len(pattern.inputs))
-    branches = simulate.run_all_branches(pattern, state)
     if args.branches:
+        branches = simulate.run_all_branches(pattern, state)
         print(simulate.format_branch_report(pattern, branches))
-    deterministic = simulate.is_deterministic(pattern)
-    print(f"deterministic: {'yes' if deterministic else 'no'}")
-    if deterministic:
-        u = simulate.extract_unitary(pattern, check_deterministic=False)
-        print("unitary:")
-        for row in u:
-            print("  " + "  ".join(f"{a.real:+.9f}{a.imag:+.9f}j" for a in row))
+    try:
+        u = simulate.extract_unitary(pattern)
+    except simulate.NotDeterministicError:
+        print("deterministic: no")
+        return 0
+    print("deterministic: yes")
+    print("unitary:")
+    for row in u:
+        print("  " + "  ".join(f"{a.real:+.9f}{a.imag:+.9f}j" for a in row))
     return 0
 
 

@@ -22,6 +22,7 @@ radians; signals are sums like ``1 + s[1] + s[2]``.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -152,6 +153,19 @@ class _Parser:
             self.fail(f"expected an integer, found {tok.text!r}", tok)
         return int(tok.text)
 
+    def denominator(self) -> int:
+        tok = self.peek()
+        den = self.integer()
+        if den == 0:
+            self.fail("angle denominator is zero", tok)
+        return den
+
+    def radians(self, negative: bool, tok: _Token) -> Angle:
+        value = float(tok.text)
+        if not math.isfinite(value):
+            self.fail(f"angle {tok.text!r} is not a finite number", tok)
+        return Angle.from_radians(-value if negative else value)
+
     def angle(self) -> Angle:
         """``0`` | ``[-]pi`` | ``[-]p/q pi`` | ``[-]p pi`` | ``[-]pi/q`` | float radians."""
         negative = False
@@ -161,14 +175,13 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "float":
             self.next()
-            value = float(tok.text)
-            return Angle.from_radians(-value if negative else value)
+            return self.radians(negative, tok)
         if tok.text == "pi":
             self.next()
             num, den = 1, 1
             if self.peek().text == "/":
                 self.next()
-                den = self.integer()
+                den = self.denominator()
             frac = Fraction(num, den)
             return Angle.exact(-frac if negative else frac)
         if tok.kind == "word" and tok.text.isdigit():
@@ -177,7 +190,7 @@ class _Parser:
             den = 1
             if self.peek().text == "/":
                 self.next()
-                den = self.integer()
+                den = self.denominator()
             if self.peek().text == "pi":
                 self.next()
                 frac = Fraction(num, den)
@@ -186,7 +199,7 @@ class _Parser:
                 self.fail("fractional angle must be followed by 'pi'", tok)
             if num == 0:
                 return Angle.exact(0)
-            return Angle.from_radians(float(-num if negative else num))
+            return self.radians(negative, tok)
         found = tok.text or "end of input"
         self.fail(f"expected an angle, found {found!r}", tok)
 

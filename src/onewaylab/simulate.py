@@ -1,14 +1,30 @@
 """Branch-by-branch state-vector execution of measurement patterns.
 
-States are kept unnormalized: projecting on a measurement outcome simply
-scales the vector, and the branch probability is the squared-norm ratio.
-Qubit axes follow ``live`` order (inputs first, then prepared qubits in
-label order), big-endian in flat indexing.
+One recursive walk answers every question asked of a pattern.  On each
+branch it carries an unnormalized tensor of shape ``(rows, 2, ..., 2)``
+whose leading axis batches input vectors: a walk over the input basis
+yields every branch's whole linear map (``branch_maps``), and a walk with
+one row runs one input state (``run_all_branches``).  The declared inputs
+hold the first qubit axes from the start.  Every other qubit joins the
+tensor as |+> when a command first touches it, which is the paper's N_i,
+and leaves it when it is measured; outputs that no command touches join at
+the end, and the result is transposed to the declared output order.  Which
+qubits are live after each command does not depend on the branch, so the
+axes, and the peak state size, are worked out once before the walk starts.
+
+Projecting on a measurement outcome simply scales the tensor, and a
+branch's probability is its squared-norm ratio to the input's.
+
+``prepare``, ``step`` and ``run_branch`` are the eager reference the walk is
+tested against: they prepare the whole space up front, with qubit axes in
+``live_order`` (inputs first, then prepared qubits in label order),
+big-endian in flat indexing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import cmath
+from dataclasses import dataclass
 from functools import lru_cache
 from math import sqrt
 
@@ -19,6 +35,7 @@ from .patterns import Pattern, PatternError, validate
 from .signals import Qubit, qubit_key
 
 _INV_SQRT2 = 1.0 / sqrt(2.0)
+_PLUS = np.full(2, _INV_SQRT2, dtype=complex)
 
 # Branches whose squared norm falls below this fraction of the input's are
 # zero up to rounding and are not explored.
@@ -28,9 +45,25 @@ _BRANCH_CUTOFF = 1e-24
 # the pre-measurement norm.
 _NORM_RTOL = 1e-12
 
+# The largest state, in amplitudes, that a simulation may allocate: 2^24
+# complex amplitudes are 256 MiB.  Checked before anything is allocated.
+MAX_AMPLITUDES = 1 << 24
+
 
 class SimulationError(RuntimeError):
     pass
+
+
+class NotDeterministicError(SimulationError):
+    """The pattern's branches disagree, so it implements no single unitary."""
+
+
+def _check_width(width: int) -> None:
+    if 2**width > MAX_AMPLITUDES:
+        raise SimulationError(
+            f"the state would be {width} qubits wide (2^{width} amplitudes), "
+            f"over the limit of {MAX_AMPLITUDES} amplitudes"
+        )
 
 
 @dataclass
@@ -56,12 +89,32 @@ class ComputationState:
 
 @dataclass(frozen=True)
 class Branch:
-    """One completed execution branch."""
+    """One completed execution branch.
+
+    ``outcomes`` are as signals read them, after shifts; ``output`` is over
+    the declared outputs; ``live`` lists the surviving qubits in
+    ``live_order``.
+    """
 
     outcomes: dict
     probability: float
     output: np.ndarray
     live: tuple
+
+
+@dataclass(frozen=True)
+class BranchMap:
+    """One surviving branch of a walk over the input basis.
+
+    ``raw`` holds the outcomes as measured, ``outcomes`` the same after
+    shifts.  ``matrix`` is the branch's unnormalized linear map, of shape
+    ``(2**outputs, 2**inputs)``: column k is the branch's output on basis
+    input k, and its squared norm is that input's branch probability.
+    """
+
+    raw: dict
+    outcomes: dict
+    matrix: np.ndarray
 
 
 def _aux_order(pattern: Pattern) -> list:
@@ -78,27 +131,32 @@ def output_order(pattern: Pattern) -> tuple:
     return tuple(pattern.outputs)
 
 
+def _input_vector(pattern: Pattern, input_state) -> np.ndarray:
+    """A fresh flat input vector; ``None`` means |0...0>."""
+    n_in = len(pattern.inputs)
+    if input_state is None:
+        vec = np.zeros(2**n_in, dtype=complex)
+        vec[0] = 1.0
+        return vec
+    vec = np.array(input_state, dtype=complex).reshape(-1)
+    if vec.shape != (2**n_in,):
+        raise SimulationError(
+            f"input state must have {2 ** n_in} amplitudes, got {vec.size}"
+        )
+    return vec
+
+
 def prepare(pattern: Pattern, input_state=None) -> ComputationState:
     """Initial state: the input vector tensored with |+> on each prepared qubit.
 
     ``input_state`` is a flat vector over the declared inputs (big-endian),
     defaulting to |0...0>; patterns with no inputs take ``None`` only.
     """
-    n_in = len(pattern.inputs)
-    if input_state is None:
-        vec = np.zeros(2**n_in, dtype=complex)
-        vec[0] = 1.0
-    else:
-        vec = np.asarray(input_state, dtype=complex).reshape(-1)
-        if vec.shape != (2**n_in,):
-            raise SimulationError(
-                f"input state must have {2 ** n_in} amplitudes, got {vec.size}"
-            )
-    aux = _aux_order(pattern)
-    plus = np.full(2, _INV_SQRT2, dtype=complex)
-    tensor = vec.reshape((2,) * n_in)
-    for _ in aux:
-        tensor = np.multiply.outer(tensor, plus)
+    _check_width(len(pattern.space))
+    vec = _input_vector(pattern, input_state)
+    tensor = vec.reshape((2,) * len(pattern.inputs))
+    for _ in _aux_order(pattern):
+        tensor = np.multiply.outer(tensor, _PLUS)
     return ComputationState(tensor, live_order(pattern), {})
 
 
@@ -172,83 +230,187 @@ def run_branch(pattern: Pattern, outcomes_plan, input_state=None) -> Branch:
     """Execute one branch with measurement outcomes forced from a plan.
 
     ``outcomes_plan`` maps measured qubits to bits.  The returned probability
-    is what that branch would occur with under real measurement.
+    is what that branch would occur with under real measurement.  This is
+    the eager reference: ``prepare`` then ``step``, with every measurement
+    forced.
     """
     state = prepare(pattern, input_state)
     start_norm2 = state.norm_squared()
     if start_norm2 == 0.0:
         raise SimulationError("input state is the zero vector")
     for cmd in pattern.commands:
-        if isinstance(cmd, Entangle):
-            _apply_cz(state, cmd)
-        elif isinstance(cmd, Measure):
+        if isinstance(cmd, Measure):
             state = _project(state, cmd, outcomes_plan[cmd.qubit])
-        elif isinstance(cmd, (CorrectX, CorrectZ)):
-            _apply_correction(state, cmd)
-        elif isinstance(cmd, Shift):
-            state.outcomes[cmd.qubit] ^= cmd.signal.evaluate(state.outcomes)
         else:
-            raise SimulationError(f"cannot execute {cmd!r}")
+            (state,) = step(state, cmd)
     prob = state.norm_squared() / start_norm2
     return Branch(state.outcomes, prob, _reorder_to_outputs(state, pattern), state.live)
 
 
-def run_all_branches(
-    pattern: Pattern, input_state=None, *, _validated: bool = False
-) -> list[Branch]:
-    """Explore every measurement branch with nonzero probability.
+def _ones_at(axes) -> tuple:
+    """Index selecting the |1> half of each of ``axes``."""
+    idx = [slice(None)] * (max(axes) + 1)
+    for a in axes:
+        idx[a] = 1
+    return tuple(idx)
 
-    Checks on the way that each measurement conserves norm across its two
-    outcomes, and that branch probabilities sum to 1.
+
+@dataclass(frozen=True)
+class _Layout:
+    """The walk's axis bookkeeping, the same on every branch.
+
+    The ``inputs`` qubits hold axes 1, 2, ... from the start (axis 0 is
+    the batch).  ``steps`` holds, per command, how many qubits join as |+>
+    just before it and the index of its qubits' |1> halves.  ``tail``
+    qubits join at the end, and ``perm`` then puts the axes in output order.
     """
-    if not _validated:
-        report = validate(pattern)
-        if not report.ok:
-            raise PatternError(f"cannot run an invalid pattern: {report}")
-    initial = prepare(pattern, input_state)
-    start_norm2 = initial.norm_squared()
-    if start_norm2 == 0.0:
-        raise SimulationError("input state is the zero vector")
-    cutoff = _BRANCH_CUTOFF * start_norm2
-    branches: list[Branch] = []
 
-    def go(state: ComputationState, pos: int) -> None:
-        for i in range(pos, len(pattern.commands)):
-            cmd = pattern.commands[i]
+    inputs: int
+    steps: tuple
+    tail: int
+    perm: tuple
+
+
+def _layout(pattern: Pattern, rows: int) -> _Layout:
+    """Validate ``pattern`` and lay out a walk over ``rows`` input rows.
+
+    Raises before anything is allocated when the peak state, live qubits
+    plus input-batch bits, would exceed ``MAX_AMPLITUDES``.
+    """
+    report = validate(pattern)
+    if not report.ok:
+        raise PatternError(f"cannot run an invalid pattern: {report}")
+    live = list(pattern.inputs)
+    peak = len(live)
+    steps = []
+    for cmd in pattern.commands:
+        if isinstance(cmd, Entangle):
+            targets = (cmd.i, cmd.j)
+        elif isinstance(cmd, Shift):
+            targets = ()
+        else:
+            targets = (cmd.qubit,)
+        fresh = [q for q in targets if q not in live]
+        live += fresh
+        peak = max(peak, len(live))
+        where = _ones_at([1 + live.index(q) for q in targets]) if targets else None
+        steps.append((cmd, len(fresh), where))
+        if isinstance(cmd, Measure):
+            live.remove(cmd.qubit)
+    tail = [q for q in pattern.outputs if q not in live]
+    live += tail
+    _check_width(max(peak, len(live)) + (rows - 1).bit_length())
+    perm = (0,) + tuple(1 + live.index(q) for q in pattern.outputs)
+    return _Layout(len(pattern.inputs), tuple(steps), len(tail), perm)
+
+
+def _row_norms(tensor: np.ndarray) -> np.ndarray:
+    """Squared norm of each row (leading-axis slice) of a complex tensor."""
+    flat = np.ascontiguousarray(tensor).reshape(tensor.shape[0], -1).view(np.float64)
+    return np.einsum("ij,ij->i", flat, flat)
+
+
+def _walk(layout: _Layout, batch: np.ndarray):
+    """Every branch of a laid-out pattern run on the rows of ``batch``.
+
+    ``batch`` is a fresh ``(rows, 2**inputs)`` array; it is used as the
+    walk's starting tensor.  Returns the surviving branches as
+    ``(raw, outcomes, out, norms)`` with ``out`` of shape
+    ``(rows, 2**outputs)`` and ``norms`` its rows' squared norms, together
+    with the input rows' squared norms.  A subtree is dropped only when
+    every row is below the cutoff.  Checks norm conservation at each
+    measurement and that each row's branch probabilities sum to 1.
+    """
+    rows = batch.shape[0]
+    start = _row_norms(batch)
+    if not start.all():
+        raise SimulationError("input state is the zero vector")
+    cutoff = _BRANCH_CUTOFF * start
+    steps, perm = layout.steps, layout.perm
+    leaves = []
+
+    def go(tensor, raw, outcomes, pos):
+        for i in range(pos, len(steps)):
+            cmd, joins, where = steps[i]
+            for _ in range(joins):
+                tensor = tensor[..., None] * _PLUS
             if isinstance(cmd, Entangle):
-                _apply_cz(state, cmd)
+                tensor[where] *= -1.0
             elif isinstance(cmd, Measure):
-                pre = state.norm_squared()
-                lo = _project(state, cmd, 0)
-                hi = _project(state, cmd, 1)
-                total = lo.norm_squared() + hi.norm_squared()
-                if abs(total - pre) > _NORM_RTOL * max(pre, 1.0):
+                s_val = cmd.s.evaluate(outcomes)
+                t_val = cmd.t.evaluate(outcomes)
+                angle = (-1.0) ** s_val * cmd.angle.radians + t_val * np.pi
+                zero = tensor[where[:-1] + (0,)] * _INV_SQRT2
+                one = tensor[where] * (cmath.exp(-1j * angle) * _INV_SQRT2)
+                lo, hi = zero + one, zero - one
+                pre, n_lo, n_hi = _row_norms(tensor), _row_norms(lo), _row_norms(hi)
+                error = np.abs(n_lo + n_hi - pre) - _NORM_RTOL * np.maximum(pre, 1.0)
+                if (error > 0).any():
+                    k = int(np.argmax(error))
                     raise SimulationError(
                         f"norm not conserved at measurement of {cmd.qubit!r}: "
-                        f"{pre} -> {total}"
+                        f"{pre[k]} -> {n_lo[k] + n_hi[k]}"
                     )
-                if hi.norm_squared() > cutoff:
-                    go(hi, i + 1)
-                if lo.norm_squared() > cutoff:
-                    go(lo, i + 1)
+                q = cmd.qubit
+                if (n_hi > cutoff).any():
+                    go(hi, {**raw, q: 1}, {**outcomes, q: 1}, i + 1)
+                if (n_lo > cutoff).any():
+                    go(lo, {**raw, q: 0}, {**outcomes, q: 0}, i + 1)
                 return
-            elif isinstance(cmd, (CorrectX, CorrectZ)):
-                _apply_correction(state, cmd)
+            elif isinstance(cmd, CorrectX):
+                if cmd.signal.evaluate(outcomes):
+                    # the qubit's axis is the last one ``where`` names
+                    tensor = np.flip(tensor, axis=len(where) - 1)
+            elif isinstance(cmd, CorrectZ):
+                if cmd.signal.evaluate(outcomes):
+                    tensor[where] *= -1.0
             elif isinstance(cmd, Shift):
-                state.outcomes[cmd.qubit] ^= cmd.signal.evaluate(state.outcomes)
+                outcomes[cmd.qubit] ^= cmd.signal.evaluate(outcomes)
             else:
                 raise SimulationError(f"cannot execute {cmd!r}")
-        prob = state.norm_squared() / start_norm2
-        branches.append(
-            Branch(state.outcomes, prob, _reorder_to_outputs(state, pattern), state.live)
-        )
+        for _ in range(layout.tail):
+            tensor = tensor[..., None] * _PLUS
+        out = np.transpose(tensor, perm).reshape(rows, -1)
+        leaves.append((raw, outcomes, out, _row_norms(out)))
 
-    go(initial, 0)
+    go(batch.reshape((rows,) + (2,) * layout.inputs), {}, {}, 0)
+    total = sum((leaf[3] for leaf in leaves), np.zeros(rows)) / start
+    gap = np.abs(total - 1.0)
+    if not (gap <= 1e-9).all():
+        raise SimulationError(f"branch probabilities sum to {total[np.argmax(gap)]}, not 1")
+    return leaves, start
+
+
+def run_all_branches(pattern: Pattern, input_state=None) -> list[Branch]:
+    """Explore every measurement branch with nonzero probability.
+
+    One walk with a single input row.  Checks on the way that each
+    measurement conserves norm across its two outcomes, and that branch
+    probabilities sum to 1.  Branches come sorted by their outcome bits
+    over the measured qubits in label order.
+    """
+    layout = _layout(pattern, 1)
+    leaves, start = _walk(layout, _input_vector(pattern, input_state)[None, :])
+    live = tuple(q for q in live_order(pattern) if q in pattern.output_set)
+    branches = [
+        Branch(outcomes, float(norms[0] / start[0]), out[0], live)
+        for _, outcomes, out, norms in leaves
+    ]
     branches.sort(key=lambda b: tuple(b.outcomes[q] for q in sorted(b.outcomes, key=qubit_key)))
-    total_prob = sum(b.probability for b in branches)
-    if abs(total_prob - 1.0) > 1e-9:
-        raise SimulationError(f"branch probabilities sum to {total_prob}, not 1")
     return branches
+
+
+def branch_maps(pattern: Pattern) -> list[BranchMap]:
+    """Every surviving branch's linear map, from one walk over the input basis.
+
+    The walk runs all basis inputs at once, so it checks what
+    ``run_all_branches`` checks on each of them, and drops a subtree only
+    when it vanishes on every basis input.
+    """
+    dim = 2 ** len(pattern.inputs)
+    layout = _layout(pattern, dim)
+    leaves, _ = _walk(layout, np.eye(dim, dtype=complex))
+    return [BranchMap(raw, outcomes, out.T) for raw, outcomes, out, _ in leaves]
 
 
 @lru_cache(maxsize=None)
@@ -278,65 +440,60 @@ def _all_collinear(vectors: list[np.ndarray], tol: float = _COLLINEAR_TOL) -> bo
     return True
 
 
+def _maps_deterministic(maps: list[BranchMap], dim: int, tol: float) -> bool:
+    """Whether every probe's non-vanishing branch outputs are collinear.
+
+    The probes are every basis input plus a fixed set of pseudorandom ones;
+    an output is dropped, as a vanishing branch, when its squared norm is at
+    most the cutoff times the probe's.
+    """
+    stacked = np.stack([m.matrix for m in maps])
+    for probe in (*np.eye(dim, dtype=complex), *_pseudorandom_states(dim)):
+        outputs = stacked @ probe
+        kept = outputs[_row_norms(outputs) > _BRANCH_CUTOFF * np.vdot(probe, probe).real]
+        if not _all_collinear(kept, tol):
+            return False
+    return True
+
+
 def is_deterministic(pattern: Pattern, tol: float = _COLLINEAR_TOL) -> bool:
     """True when all branches produce the same output state up to phase.
 
-    Probes every basis input plus a fixed set of pseudorandom inputs; branch
-    maps are linear, so agreement on a spanning set is agreement everywhere.
+    Probes every basis input plus a fixed set of pseudorandom inputs, applied
+    to the branch maps of one walk; branch maps are linear, so agreement on
+    a spanning set is agreement everywhere.
     """
-    report = validate(pattern)
-    if not report.ok:
-        raise PatternError(f"cannot run an invalid pattern: {report}")
-    dim = 2 ** len(pattern.inputs)
-    probes = [np.eye(dim, dtype=complex)[k] for k in range(dim)]
-    probes += _pseudorandom_states(dim)
-    for probe in probes:
-        states = [
-            b.output for b in run_all_branches(pattern, probe, _validated=True)
-        ]
-        if not _all_collinear(states, tol):
-            return False
-    return True
+    return _maps_deterministic(branch_maps(pattern), 2 ** len(pattern.inputs), tol)
 
 
 def extract_unitary(pattern: Pattern, check_deterministic: bool = True) -> np.ndarray:
     """The unitary (isometry) a deterministic pattern implements, column by column.
 
-    One fixed outcome assignment is forced for every basis input so that the
-    columns come from a single linear branch map; each column is then
-    normalized.  Raises for patterns that are not deterministic (unless the
-    check is skipped) or whose columns do not form an isometry.
+    The columns come from a single branch map: the first, in order of raw
+    outcome bits over the measured qubits in label order, that does not
+    vanish on basis input 0.  Each column is then normalized.  Raises
+    ``NotDeterministicError`` for patterns that are not deterministic
+    (unless the check is skipped), and ``SimulationError`` when the forced
+    branch vanishes on some basis input or its columns do not form an
+    isometry.
     """
-    if check_deterministic and not is_deterministic(pattern):
-        raise SimulationError("pattern is not deterministic: no single unitary exists")
-    n_in, n_out = len(pattern.inputs), len(pattern.outputs)
-    dim_in, dim_out = 2**n_in, 2**n_out
-    measured = sorted(
-        {c.qubit for c in pattern.commands if isinstance(c, Measure)}, key=qubit_key
-    )
-    basis = np.eye(dim_in, dtype=complex)
-
-    plan = None
-    for bits in range(2 ** len(measured)):
-        candidate = {
-            q: (bits >> (len(measured) - 1 - k)) & 1 for k, q in enumerate(measured)
-        }
-        branch = run_branch(pattern, candidate, basis[0])
-        if branch.probability > _BRANCH_CUTOFF:
-            plan = candidate
+    maps = branch_maps(pattern)
+    dim_in = 2 ** len(pattern.inputs)
+    if check_deterministic and not _maps_deterministic(maps, dim_in, _COLLINEAR_TOL):
+        raise NotDeterministicError("pattern is not deterministic: no single unitary exists")
+    measured = sorted(pattern.measured, key=qubit_key)
+    for branch in sorted(maps, key=lambda m: tuple(m.raw[q] for q in measured)):
+        norms = _row_norms(branch.matrix.T)
+        if norms[0] > _BRANCH_CUTOFF:
             break
-    if plan is None:
+    else:
         raise SimulationError("no branch with nonzero probability found")
-
-    columns = []
     for k in range(dim_in):
-        branch = run_branch(pattern, plan, basis[k])
-        if branch.probability <= _BRANCH_CUTOFF:
+        if norms[k] <= _BRANCH_CUTOFF:
             raise SimulationError(
                 f"forced branch vanishes on basis input {k}; pattern not deterministic"
             )
-        columns.append(branch.output / np.linalg.norm(branch.output))
-    u = np.column_stack(columns)
+    u = branch.matrix / np.sqrt(norms)
     gram = u.conj().T @ u
     if not np.allclose(gram, np.eye(dim_in), atol=1e-9):
         raise SimulationError("extracted columns are not orthonormal")

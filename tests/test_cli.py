@@ -175,6 +175,53 @@ def test_library_with_angle_params(capsys, monkeypatch):
     assert parse(out) == j(Fraction(1, 4))
 
 
+@pytest.mark.parametrize("param", ["1/0pi", "1/0", "1e999", "inf", "nan"])
+def test_library_bad_angle_parameter(capsys, param):
+    with pytest.raises(SystemExit) as exit_:
+        main(["library", "j", param])
+    assert exit_.value.code == 2
+    assert "error: bad parameter" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("angle", ["1/0 pi", "pi/0", "1e999"])
+def test_simulate_malformed_angle_exit_code(capsys, monkeypatch, angle):
+    text = (
+        "pattern p { space: 1, 2; input: 1; output: 2; seq: "
+        f"E(1,2); M(1, {angle}); X(2, s[1]); }}"
+    )
+    code, _, err = run_cli(capsys, monkeypatch, ["simulate"], stdin=text)
+    assert code == 2
+    assert "parse error" in err
+
+
+def test_simulate_reports_not_deterministic(capsys, monkeypatch):
+    truncated = "pattern p { space: 1, 2; input: 1; output: 2; seq: E(1,2); M(1, 0); }"
+    code, out, _ = run_cli(capsys, monkeypatch, ["simulate"], stdin=truncated)
+    assert code == 0
+    assert "deterministic: no" in out and "unitary:" not in out
+
+
+@pytest.mark.parametrize("branches", [[], ["--branches"]])
+@pytest.mark.parametrize("spec", ["101", "1,0,0", "0,0", "nan,1"])
+def test_simulate_bad_input_state(capsys, monkeypatch, branches, spec):
+    from onewaylab.library import h
+
+    code, out, err = run_cli(
+        capsys, monkeypatch, ["simulate", "--input", spec, *branches], stdin=serialize(h())
+    )
+    assert code == 1
+    assert "input state" in err and out == ""
+
+
+def test_simulate_over_state_limit(capsys, monkeypatch):
+    from onewaylab import simulate
+
+    monkeypatch.setattr(simulate, "MAX_AMPLITUDES", 4)
+    code, _, err = run_cli(capsys, monkeypatch, ["simulate"], stdin=serialize(ghz(3)))
+    assert code == 1
+    assert "qubits wide" in err
+
+
 def test_library_unknown_name(capsys, monkeypatch):
     with pytest.raises(SystemExit):
         main(["library", "nosuch"])

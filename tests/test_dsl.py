@@ -212,3 +212,14 @@ def test_y_axis_angle_serialization_parses_back():
         + "; }"
     )
     assert roundtrip.commands[1] == Measure(1, Angle.exact(1, 2), s=signal(2))
+
+
+@pytest.mark.parametrize(
+    "angle, column",
+    [("1/0 pi", 54), ("pi/0", 55), ("1/0", 54), ("1e999", 52), ("-1e999", 52)],
+)
+def test_malformed_angle_is_a_located_error(angle, column):
+    text = f"pattern p {{ space: 1; input: ; output: ; seq: M(1, {angle}); }}"
+    with pytest.raises(DslError) as err:
+        parse(text)
+    assert (err.value.line, err.value.column) == (1, column)

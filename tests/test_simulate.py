@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import (
     CZ_MAT,
@@ -15,11 +16,28 @@ from conftest import (
 
 from onewaylab.angles import Angle
 from onewaylab.commands import CorrectX, Entangle, Measure
-from onewaylab.library import cnot, cz, h, j, teleport
+from onewaylab import simulate
+from onewaylab.library import (
+    cnot,
+    cz,
+    ghz,
+    h,
+    j,
+    j_chain,
+    p_half,
+    random_wild_pattern,
+    rotation,
+    rx,
+    rz,
+    teleport,
+)
 from onewaylab.patterns import Pattern, compose, rename, tensor
-from onewaylab.signals import signal
+from onewaylab.rewrite import standardize, standardize_extended
+from onewaylab.signals import qubit_key, signal
 from onewaylab.simulate import (
+    _BRANCH_CUTOFF,
     SimulationError,
+    branch_maps,
     extract_unitary,
     is_deterministic,
     prepare,
@@ -166,3 +184,132 @@ def test_probabilities_sum_to_one_over_many_branches():
     mats = [b.output for b in branches]
     for m in mats[1:]:
         assert_proportional(m, mats[0])
+
+
+def rank_one():
+    # measuring the input leaves the untouched output in |+> on every
+    # branch: all outputs agree, but no unitary exists
+    return Pattern(frozenset((1, 2)), (1,), (2,), (Measure(1, Angle.exact(0)),))
+
+
+def test_rank_one_pattern_is_deterministic_but_not_unitary():
+    assert is_deterministic(rank_one())
+    with pytest.raises(SimulationError):
+        extract_unitary(rank_one())
+
+
+def test_not_deterministic_error_is_a_simulation_error():
+    with pytest.raises(simulate.NotDeterministicError):
+        extract_unitary(truncated_h())
+    assert issubclass(simulate.NotDeterministicError, SimulationError)
+
+
+def _raw_plans(pattern):
+    measured = sorted(pattern.measured, key=qubit_key)
+    for bits in range(2 ** len(measured)):
+        yield {q: (bits >> (len(measured) - 1 - k)) & 1 for k, q in enumerate(measured)}
+
+
+def _key(outcomes):
+    return tuple(sorted(outcomes.items(), key=lambda item: qubit_key(item[0])))
+
+
+def _same_branches(got, want):
+    """Match (probability, output) pairs one to one, to 1e-12."""
+    unused = list(got)
+    for prob, out in want:
+        match = next(
+            (
+                k
+                for k, (p, o) in enumerate(unused)
+                if abs(p - prob) <= 1e-12 and np.allclose(o, out, rtol=0, atol=1e-12)
+            ),
+            None,
+        )
+        assert match is not None, f"no walk branch matches p={prob}"
+        unused.pop(match)
+    assert not unused
+
+
+def assert_walk_matches_reference(pattern, psi):
+    """The walk's branches are the eager reference's, plan by plan."""
+    kept = []
+    for plan in _raw_plans(pattern):
+        branch = run_branch(pattern, plan, psi)
+        if branch.probability > _BRANCH_CUTOFF:
+            kept.append((plan, branch))
+    # run_all_branches, matched by shifted outcomes; a shift can give two
+    # raw plans the same shifted outcomes
+    walked = run_all_branches(pattern, psi)
+    keys = {_key(b.outcomes) for b in walked}
+    assert keys == {_key(b.outcomes) for _, b in kept}
+    for key in keys:
+        _same_branches(
+            [(b.probability, b.output) for b in walked if _key(b.outcomes) == key],
+            [(b.probability, b.output) for _, b in kept if _key(b.outcomes) == key],
+        )
+    # branch_maps, matched by raw outcomes
+    maps = {_key(m.raw): m for m in branch_maps(pattern)}
+    for plan, b in kept:
+        m = maps[_key(plan)]
+        assert m.outcomes == b.outcomes
+        out = m.matrix @ psi
+        assert np.vdot(out, out).real / np.vdot(psi, psi).real == pytest.approx(
+            b.probability, abs=1e-12
+        )
+        assert np.allclose(out, b.output, rtol=0, atol=1e-12)
+
+
+def _random_state(dim, seed):
+    rng = np.random.default_rng(seed)
+    v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+    return v / np.linalg.norm(v)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(1, 14), st.integers(0, 10**6), st.integers(0, 2**32 - 1))
+def test_walk_matches_reference_on_wild_patterns(n_commands, seed, psi_seed):
+    pattern = random_wild_pattern(n_commands, seed)
+    psi = _random_state(2 ** len(pattern.inputs), psi_seed)
+    assert_walk_matches_reference(pattern, psi)
+
+
+BUILDERS = {
+    "h": h(),
+    "j": j(1.234),
+    "teleport": teleport(Fraction(1, 4), Fraction(1, 3)),
+    "teleport.extended": standardize_extended(teleport(Fraction(1, 4), Fraction(1, 3)))[0],
+    "rotation": rotation(Fraction(1, 4), Fraction(1, 3), Fraction(1, 5)),
+    "rx": rx(0.5),
+    "rz": rz(Fraction(1, 2)),
+    "p_half": p_half(),
+    "cz": cz(1, 2),
+    "cnot": cnot(),
+    "cnot.standard": standardize(cnot())[0],
+    "ghz3": ghz(3),
+    "ghz4.extended": standardize_extended(ghz(4))[0],
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+@settings(deadline=None, max_examples=10)
+@given(psi_seed=st.integers(0, 2**32 - 1))
+def test_walk_matches_reference_on_builders(name, psi_seed):
+    pattern = BUILDERS[name]
+    assert_walk_matches_reference(pattern, _random_state(2 ** len(pattern.inputs), psi_seed))
+
+
+def test_state_size_guard(monkeypatch):
+    monkeypatch.setattr(simulate, "MAX_AMPLITUDES", 4)
+    chain = j_chain([Fraction(1, 4)] * 5)  # 6 qubits, at most 2 live at once
+    assert len(chain.space) == 6
+    # one input row and 2 live qubits fit in 4 amplitudes
+    assert len(run_all_branches(chain, [1.0, 0.0])) == 32
+    # the basis walk adds one batch bit
+    with pytest.raises(SimulationError, match="3 qubits wide"):
+        branch_maps(chain)
+    # standardized, every E comes first and all 6 qubits are live at once
+    with pytest.raises(SimulationError, match="6 qubits wide"):
+        run_all_branches(standardize(chain)[0], [1.0, 0.0])
+    with pytest.raises(SimulationError, match="6 qubits wide"):
+        prepare(chain, [1.0, 0.0])
