@@ -26,6 +26,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .angles import Angle
 from .commands import CorrectX, CorrectZ, Entangle, Measure, Shift
@@ -63,8 +64,7 @@ _TOKEN_RE = re.compile(
 )
 
 
-@dataclass(frozen=True)
-class _Token:
+class _Token(NamedTuple):
     kind: str  # "word", "float", "punct", "eof"
     text: str
     line: int
@@ -94,6 +94,9 @@ def _tokenize(text: str) -> list[_Token]:
         pos = m.end()
     tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
     return tokens
+
+
+_QUBIT_SIGNAL_COMMANDS = {"X": CorrectX, "Z": CorrectZ, "S": Shift}
 
 
 def _qubit_from_word(word: str) -> Qubit:
@@ -230,10 +233,8 @@ class _Parser:
         if kind == "E":
             i = self.qubit()
             self.expect(",")
-            j = self.qubit()
-            self.expect(")")
-            return Entangle(i, j)
-        if kind == "M":
+            make, args = Entangle, (i, self.qubit())
+        elif kind == "M":
             q = self.qubit()
             self.expect(",")
             angle = self.angle()
@@ -248,19 +249,18 @@ class _Parser:
                     s = self.signal()
                 else:
                     t = self.signal()
-            self.expect(")")
-            return Measure(q, angle, s, t)
-        if kind in ("X", "Z", "S"):
+            make, args = Measure, (q, angle, s, t)
+        elif kind in _QUBIT_SIGNAL_COMMANDS:
             q = self.qubit()
             self.expect(",")
-            sig = self.signal()
-            self.expect(")")
-            if kind == "X":
-                return CorrectX(q, sig)
-            if kind == "Z":
-                return CorrectZ(q, sig)
-            return Shift(q, sig)
-        self.fail(f"unknown command {kind!r}", tok)
+            make, args = _QUBIT_SIGNAL_COMMANDS[kind], (q, self.signal())
+        else:
+            self.fail(f"unknown command {kind!r}", tok)
+        self.expect(")")
+        try:
+            return make(*args)
+        except ValueError as exc:
+            raise DslError(str(exc), tok.line, tok.column) from exc
 
     def document(self) -> PatternDocument:
         self.expect("pattern")

@@ -17,16 +17,9 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from typing import NamedTuple
 
-from .commands import (
-    Command,
-    CorrectX,
-    CorrectZ,
-    Entangle,
-    Measure,
-    Shift,
-    command_signals,
-)
+from .commands import Command, CorrectX, CorrectZ, Entangle, Measure, Shift
 from .patterns import Pattern, PatternError, validate
 from .signals import Signal
 
@@ -50,11 +43,7 @@ class Rule(Enum):
     SHIFT_DROP = "SHIFT_DROP"
 
 
-CORE_RULES = (Rule.EX, Rule.EZ, Rule.MX, Rule.MZ, Rule.FREE_E, Rule.FREE_X, Rule.FREE_Z)
-
-
-@dataclass(frozen=True)
-class RewriteStep:
+class RewriteStep(NamedTuple):
     """One applied rule: replaces ``before`` at ``position`` with ``after``."""
 
     rule: Rule
@@ -114,82 +103,126 @@ def _splittable(cmd: Command) -> bool:
     )
 
 
-def _match(seq: list, rule: Rule, pos: int) -> tuple | None:
-    """Replacement window for ``rule`` at ``pos``, or None when it does not match."""
-    n = len(seq)
-    if rule is Rule.SHIFT_SPLIT:
-        if pos >= n or not _splittable(seq[pos]):
-            return None
-        m: Measure = seq[pos]
-        angle, t = m.angle, m.t
-        if not t and angle.is_exact and angle.fraction in (Fraction(1), Fraction(3, 2)):
-            angle = angle.minus_pi()
-            t = Signal(t.support, t.constant ^ 1)
-        return (Measure(m.qubit, angle, m.s, Signal()), Shift(m.qubit, t))
-    if rule is Rule.SHIFT_DROP:
-        if pos == n - 1 and n and isinstance(seq[pos], Shift):
-            return ()
+def _split(cmd: Command) -> tuple | None:
+    """SHIFT_SPLIT's replacement for a measurement, or None when it does not apply."""
+    if not _splittable(cmd):
         return None
-    if pos + 1 >= n:
-        return None
-    a, b = seq[pos], seq[pos + 1]
-    if rule is Rule.EX:
-        if isinstance(a, CorrectX) and isinstance(b, Entangle) and a.qubit in b.qubits:
-            other = b.j if a.qubit == b.i else b.i
-            return (b, a, CorrectZ(other, a.signal))
-    elif rule is Rule.EZ:
-        if isinstance(a, CorrectZ) and isinstance(b, Entangle) and a.qubit in b.qubits:
-            return (b, a)
-    elif rule is Rule.MX:
-        if isinstance(a, CorrectX) and isinstance(b, Measure) and a.qubit == b.qubit:
-            return (Measure(b.qubit, b.angle, b.s + a.signal, b.t),)
-    elif rule is Rule.MZ:
-        if isinstance(a, CorrectZ) and isinstance(b, Measure) and a.qubit == b.qubit:
-            return (Measure(b.qubit, b.angle, b.s, b.t + a.signal),)
-    elif rule is Rule.FREE_E:
-        if isinstance(b, Entangle) and not isinstance(a, Entangle) and not a.qubits & b.qubits:
-            return (b, a)
-    elif rule is Rule.FREE_X:
-        if (
-            isinstance(a, CorrectX)
-            and isinstance(b, (Entangle, Measure))
-            and not a.qubits & b.qubits
-        ):
-            return (b, a)
-    elif rule is Rule.FREE_Z:
-        if (
-            isinstance(a, CorrectZ)
-            and isinstance(b, (Entangle, Measure))
-            and not a.qubits & b.qubits
-        ):
-            return (b, a)
-    elif rule is Rule.SHIFT_X:
-        if isinstance(a, Shift) and isinstance(b, CorrectX):
-            return (CorrectX(b.qubit, b.signal.substitute(a.qubit, a.signal)), a)
-    elif rule is Rule.SHIFT_Z:
-        if isinstance(a, Shift) and isinstance(b, CorrectZ):
-            return (CorrectZ(b.qubit, b.signal.substitute(a.qubit, a.signal)), a)
-    elif rule is Rule.SHIFT_M:
-        if isinstance(a, Shift) and isinstance(b, Measure):
-            return (
-                Measure(
-                    b.qubit,
-                    b.angle,
-                    b.s.substitute(a.qubit, a.signal),
-                    b.t.substitute(a.qubit, a.signal),
-                ),
-                a,
-            )
-    return None
+    angle, t = cmd.angle, cmd.t
+    if not t:
+        # an exact pi or 3*pi/2 angle (see _splittable): shift by a constant
+        angle = angle.minus_pi()
+        t = Signal(t.support, t.constant ^ 1)
+    return (Measure(cmd.qubit, angle, cmd.s, Signal()), Shift(cmd.qubit, t))
 
 
-def _window(rule: Rule, pos: int, n: int) -> int:
-    """Number of commands consumed by the rule's left-hand side."""
-    if rule is Rule.SHIFT_SPLIT:
-        return 1
-    if rule is Rule.SHIFT_DROP:
-        return 1
-    return 2
+# Two-command rules, dispatched on the window's (type(a), type(b)).  Each
+# entry returns the one (rule, replacement) the window admits, taking the
+# first match in the order EX, EZ, MX, MZ, FREE_E, FREE_X, FREE_Z, or None.
+# No other type pair matches a core rule.
+
+
+def _x_entangle(a: CorrectX, b: Entangle) -> tuple:
+    if a.qubit == b.i:
+        return Rule.EX, (b, a, CorrectZ(b.j, a.signal))
+    if a.qubit == b.j:
+        return Rule.EX, (b, a, CorrectZ(b.i, a.signal))
+    return Rule.FREE_E, (b, a)
+
+
+def _z_entangle(a: CorrectZ, b: Entangle) -> tuple:
+    if a.qubit == b.i or a.qubit == b.j:
+        return Rule.EZ, (b, a)
+    return Rule.FREE_E, (b, a)
+
+
+def _x_measure(a: CorrectX, b: Measure) -> tuple:
+    if a.qubit == b.qubit:
+        return Rule.MX, (Measure(b.qubit, b.angle, b.s + a.signal, b.t),)
+    return Rule.FREE_X, (b, a)
+
+
+def _z_measure(a: CorrectZ, b: Measure) -> tuple:
+    if a.qubit == b.qubit:
+        return Rule.MZ, (Measure(b.qubit, b.angle, b.s, b.t + a.signal),)
+    return Rule.FREE_Z, (b, a)
+
+
+def _free_entangle(a: Measure | Shift, b: Entangle) -> tuple | None:
+    if a.qubit == b.i or a.qubit == b.j:
+        return None
+    return Rule.FREE_E, (b, a)
+
+
+_CORE_PAIRS = {
+    (CorrectX, Entangle): _x_entangle,
+    (CorrectZ, Entangle): _z_entangle,
+    (CorrectX, Measure): _x_measure,
+    (CorrectZ, Measure): _z_measure,
+    (Measure, Entangle): _free_entangle,
+    (Shift, Entangle): _free_entangle,
+}
+
+# FREE_X and FREE_Z also match the disjoint X-E and Z-E windows that FREE_E
+# takes first; all three give the same swap.
+_ALSO_FREE_E = {(Rule.FREE_X, CorrectX), (Rule.FREE_Z, CorrectZ)}
+
+
+# Propagation of a shift past the command after it.  A command whose signals
+# do not hold the shifted qubit is passed unchanged.
+
+
+def _shift_x(a: Shift, b: CorrectX) -> tuple:
+    signal = b.signal.substitute(a.qubit, a.signal)
+    return Rule.SHIFT_X, (b if signal is b.signal else CorrectX(b.qubit, signal), a)
+
+
+def _shift_z(a: Shift, b: CorrectZ) -> tuple:
+    signal = b.signal.substitute(a.qubit, a.signal)
+    return Rule.SHIFT_Z, (b if signal is b.signal else CorrectZ(b.qubit, signal), a)
+
+
+def _shift_m(a: Shift, b: Measure) -> tuple:
+    s = b.s.substitute(a.qubit, a.signal)
+    t = b.t.substitute(a.qubit, a.signal)
+    if s is not b.s or t is not b.t:
+        b = Measure(b.qubit, b.angle, s, t)
+    return Rule.SHIFT_M, (b, a)
+
+
+_SHIFT_PAIRS = {
+    (Shift, CorrectX): _shift_x,
+    (Shift, CorrectZ): _shift_z,
+    (Shift, Measure): _shift_m,
+}
+
+
+def _pair_redex(a: Command, b: Command, extended: bool) -> tuple | None:
+    """The (rule, replacement) of the window ``a b``, or None when no rule matches."""
+    key = (type(a), type(b))
+    rewrite = _CORE_PAIRS.get(key)
+    if rewrite is None and extended:
+        rewrite = _SHIFT_PAIRS.get(key)
+    return None if rewrite is None else rewrite(a, b)
+
+
+def _redexes(seq, extended: bool = False) -> list[tuple[Rule, int]]:
+    found = []
+    last = len(seq) - 1
+    for pos, cmd in enumerate(seq):
+        if pos < last:
+            match = _pair_redex(cmd, seq[pos + 1], extended)
+            if match is not None:
+                found.append((match[0], pos))
+                continue
+        # SHIFT_SPLIT takes a measurement and the shift pairs start with a
+        # shift, so trying the one-command rules after every pair keeps the
+        # priority order
+        if extended:
+            if _splittable(cmd):
+                found.append((Rule.SHIFT_SPLIT, pos))
+            elif pos == last and isinstance(cmd, Shift):
+                found.append((Rule.SHIFT_DROP, pos))
+    return found
 
 
 def applicable_redexes(pattern: Pattern, extended: bool = False) -> list[tuple[Rule, int]]:
@@ -198,25 +231,35 @@ def applicable_redexes(pattern: Pattern, extended: bool = False) -> list[tuple[R
     At a given position, only the highest-priority matching rule is listed
     (free commutations overlap pairwise, never with a propagation rule).
     """
-    seq = list(pattern.commands)
-    rules = CORE_RULES if not extended else tuple(Rule)
-    found = []
-    for pos in range(len(seq)):
-        for rule in rules:
-            if _match(seq, rule, pos) is not None:
-                found.append((rule, pos))
-                break
-    return found
+    return _redexes(pattern.commands, extended)
+
+
+def _apply(seq: list, rule: Rule, pos: int) -> None:
+    """Apply one rule at a position of a command list, in place."""
+    width = 1 if rule in (Rule.SHIFT_SPLIT, Rule.SHIFT_DROP) else 2
+    after = None
+    if 0 <= pos <= len(seq) - width:
+        if rule is Rule.SHIFT_SPLIT:
+            after = _split(seq[pos])
+        elif rule is Rule.SHIFT_DROP:
+            if pos == len(seq) - 1 and isinstance(seq[pos], Shift):
+                after = ()
+        else:
+            a = seq[pos]
+            match = _pair_redex(a, seq[pos + 1], extended=True)
+            if match is not None and (
+                match[0] is rule or (match[0] is Rule.FREE_E and (rule, type(a)) in _ALSO_FREE_E)
+            ):
+                after = match[1]
+    if after is None:
+        raise RewriteError(f"rule {rule.value} does not match at position {pos}")
+    seq[pos : pos + width] = after
 
 
 def apply_rule(pattern: Pattern, rule: Rule, position: int) -> Pattern:
     """Apply one rule at a position; raises RewriteError when it does not match."""
     seq = list(pattern.commands)
-    repl = _match(seq, rule, position)
-    if repl is None:
-        raise RewriteError(f"rule {rule.value} does not match at position {position}")
-    width = _window(rule, position, len(seq))
-    seq[position : position + width] = list(repl)
+    _apply(seq, rule, position)
     return pattern.with_commands(seq)
 
 
@@ -236,19 +279,20 @@ def _standardize_seq(seq: list, trace: list) -> list:
     """
     budget = _step_budget(len(seq))
     pos = 0
-    while pos < len(seq):
-        for rule in CORE_RULES:
-            repl = _match(seq, rule, pos)
-            if repl is not None:
-                before = tuple(seq[pos : pos + 2])
-                seq[pos : pos + 2] = list(repl)
-                trace.append(RewriteStep(rule, pos, before, tuple(repl)))
-                pos = max(0, pos - 1)
-                if len(trace) > budget:
-                    raise RewriteError("rewrite step budget exceeded: rule loop?")
-                break
-        else:
+    while pos + 1 < len(seq):
+        a, b = seq[pos], seq[pos + 1]
+        rewrite = _CORE_PAIRS.get((type(a), type(b)))
+        match = None if rewrite is None else rewrite(a, b)
+        if match is None:
             pos += 1
+            continue
+        rule, after = match
+        seq[pos : pos + 2] = after
+        trace.append(RewriteStep(rule, pos, (a, b), after))
+        if pos:
+            pos -= 1
+        if len(trace) > budget:
+            raise RewriteError("rewrite step budget exceeded: rule loop?")
     return seq
 
 
@@ -271,22 +315,17 @@ def standardize(pattern: Pattern) -> tuple[Pattern, list[RewriteStep]]:
 
 def _propagate_shift(seq: list, pos: int, trace: list) -> None:
     """Move the shift at ``pos`` rightward to the end of the sequence and drop it."""
+    shift = seq[pos]
     while pos + 1 < len(seq):
         nxt = seq[pos + 1]
-        if isinstance(nxt, CorrectX):
-            rule = Rule.SHIFT_X
-        elif isinstance(nxt, CorrectZ):
-            rule = Rule.SHIFT_Z
-        elif isinstance(nxt, Measure):
-            rule = Rule.SHIFT_M
-        else:
+        rewrite = _SHIFT_PAIRS.get((type(shift), type(nxt)))
+        if rewrite is None:
             raise RewriteError(f"cannot propagate shift past {nxt!r}")
-        repl = _match(seq, rule, pos)
-        before = tuple(seq[pos : pos + 2])
-        seq[pos : pos + 2] = list(repl)
-        trace.append(RewriteStep(rule, pos, before, tuple(repl)))
+        rule, after = rewrite(shift, nxt)
+        seq[pos : pos + 2] = after
+        trace.append(RewriteStep(rule, pos, (shift, nxt), after))
         pos += 1
-    trace.append(RewriteStep(Rule.SHIFT_DROP, pos, (seq[pos],), ()))
+    trace.append(RewriteStep(Rule.SHIFT_DROP, pos, (shift,), ()))
     del seq[pos]
 
 
@@ -311,13 +350,12 @@ def standardize_extended(pattern: Pattern) -> tuple[Pattern, list[RewriteStep]]:
         _standardize_seq(seq, trace)
     pos = 0
     while pos < len(seq):
-        repl = _match(seq, Rule.SHIFT_SPLIT, pos)
-        if repl is None:
+        after = _split(seq[pos])
+        if after is None:
             pos += 1
             continue
-        before = (seq[pos],)
-        seq[pos : pos + 1] = list(repl)
-        trace.append(RewriteStep(Rule.SHIFT_SPLIT, pos, before, tuple(repl)))
+        trace.append(RewriteStep(Rule.SHIFT_SPLIT, pos, (seq[pos],), after))
+        seq[pos : pos + 1] = after
         _propagate_shift(seq, pos + 1, trace)
         pos += 1
     return standard.with_commands(seq), trace
@@ -356,14 +394,13 @@ def random_order_standardize(pattern: Pattern, seed: int) -> Pattern:
     if not report.ok:
         raise PatternError(f"cannot standardize an invalid pattern: {report}")
     rng = random.Random(seed)
-    current = pattern
-    budget = _step_budget(len(pattern.commands))
-    for _ in range(budget):
-        redexes = applicable_redexes(current)
+    seq = list(pattern.commands)
+    for _ in range(_step_budget(len(seq))):
+        redexes = _redexes(seq)
         if not redexes:
-            return current
+            return pattern.with_commands(seq)
         rule, pos = rng.choice(redexes)
-        current = apply_rule(current, rule, pos)
+        _apply(seq, rule, pos)
     raise RewriteError("rewrite step budget exceeded: rule loop?")
 
 

@@ -194,6 +194,19 @@ def test_simulate_malformed_angle_exit_code(capsys, monkeypatch, angle):
     assert "parse error" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "simulate", "standardize"])
+@pytest.mark.parametrize("entangle", ["E(1,1)", "E(2, 2)"])
+def test_invalid_command_exit_code(capsys, monkeypatch, command, entangle):
+    text = (
+        "pattern p { space: 1, 2; input: 1; output: 2; seq: "
+        f"E(1,2); {entangle}; M(1, 0); X(2, s[1]); }}"
+    )
+    code, out, err = run_cli(capsys, monkeypatch, [command], stdin=text)
+    assert code == 2
+    assert "parse error: line 1, column 60: entanglement needs two distinct qubits" in err
+    assert out == ""
+
+
 def test_simulate_reports_not_deterministic(capsys, monkeypatch):
     truncated = "pattern p { space: 1, 2; input: 1; output: 2; seq: E(1,2); M(1, 0); }"
     code, out, _ = run_cli(capsys, monkeypatch, ["simulate"], stdin=truncated)

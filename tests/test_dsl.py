@@ -223,3 +223,14 @@ def test_malformed_angle_is_a_located_error(angle, column):
     with pytest.raises(DslError) as err:
         parse(text)
     assert (err.value.line, err.value.column) == (1, column)
+
+
+@pytest.mark.parametrize(
+    "space, command", [("1", "E(1,1)"), ("a", "E(a, a)"), ("2'", "M(2', 0); E(2',2')")]
+)
+def test_invalid_command_is_a_located_error(space, command):
+    text = f"pattern p {{ space: {space}; input: ; output: ; seq: {command}; }}"
+    with pytest.raises(DslError, match="two distinct qubits") as err:
+        parse(text)
+    # located at the command's name
+    assert (err.value.line, err.value.column) == (1, text.rindex("E(") + 1)

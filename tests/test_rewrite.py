@@ -110,6 +110,56 @@ def test_apply_rule_rejects_non_matching():
         apply_rule(p, Rule.EX, 0)
 
 
+_E12, _E23 = Entangle(1, 2), Entangle(2, 3)
+_X1, _Z1 = CorrectX(1, signal(constant=1)), CorrectZ(1, signal(constant=1))
+_M1, _M2 = Measure(1, Angle.exact(1, 4)), Measure(2, Angle.exact(1, 4))
+_S1 = Shift(1, signal(constant=1))
+
+
+@pytest.mark.parametrize(
+    "window, accepted",
+    [
+        ((_X1, _E12), {Rule.EX}),
+        ((_X1, _E23), {Rule.FREE_E, Rule.FREE_X}),
+        ((_Z1, _E12), {Rule.EZ}),
+        ((_Z1, _E23), {Rule.FREE_E, Rule.FREE_Z}),
+        ((_X1, _M1), {Rule.MX}),
+        ((_X1, _M2), {Rule.FREE_X}),
+        ((_Z1, _M1), {Rule.MZ}),
+        ((_Z1, _M2), {Rule.FREE_Z}),
+        ((_M1, _E12), set()),
+        ((_M1, _E23), {Rule.FREE_E}),
+        ((_S1, _E12), set()),
+        ((_S1, _E23), {Rule.FREE_E}),
+        ((_S1, CorrectX(2, signal(1))), {Rule.SHIFT_X}),
+        ((_S1, CorrectZ(2, signal(1))), {Rule.SHIFT_Z}),
+        ((_S1, _M2), {Rule.SHIFT_M}),
+        ((_E12, _X1), set()),
+        ((_E12, _E23), set()),
+        ((_X1, _Z1), set()),
+        ((_M1, _M2), set()),
+    ],
+)
+def test_apply_rule_accepts_exactly_the_matching_rules(window, accepted):
+    p = seq_pattern(window, (1, 2, 3), (1, 2, 3), (1, 2, 3))
+    results = set()
+    for rule in Rule:
+        if rule in accepted:
+            results.add(apply_rule(p, rule, 0).commands)
+        else:
+            with pytest.raises(RewriteError):
+                apply_rule(p, rule, 0)
+    # overlapping free commutations all give the same swap
+    assert len(results) == min(len(accepted), 1)
+
+
+def test_apply_rule_rejects_positions_outside_the_sequence():
+    p = seq_pattern([_X1, _E12], (1, 2), (1, 2), (1, 2))
+    for position in (-2, -1, 1, 2):
+        with pytest.raises(RewriteError):
+            apply_rule(p, Rule.EX, position)
+
+
 def test_shift_rules():
     # split: M with a pi-action signal becomes M plus a trailing shift
     p = seq_pattern(
@@ -152,6 +202,38 @@ def test_applicable_redexes_execution_order_and_priority():
 
 
 # standardization ----------------------------------------------------
+
+
+# (rule, position) at every step, as produced by the low-position cursor
+# strategy under the rule priority EX, EZ, MX, MZ, FREE_E, FREE_X, FREE_Z.
+GOLDEN_TRACES = {
+    "teleport": (
+        lambda: standardize(teleport(Fraction(1, 4), Fraction(1, 3))),
+        [("EX", 2), ("FREE_E", 1), ("FREE_Z", 4), ("MX", 3)],
+    ),
+    "cnot-extended": (
+        lambda: standardize_extended(cnot()),
+        [
+            ("EX", 2), ("FREE_E", 1), ("FREE_E", 4), ("EX", 3),
+            ("FREE_E", 2), ("FREE_Z", 6), ("FREE_Z", 5), ("MX", 4),
+        ],
+    ),
+    "ghz3-extended": (
+        lambda: standardize_extended(ghz(3)),
+        [
+            ("EX", 3), ("FREE_E", 2), ("EZ", 5), ("FREE_E", 4), ("FREE_E", 3),
+            ("MZ", 6), ("FREE_X", 5), ("SHIFT_SPLIT", 5), ("SHIFT_X", 6),
+            ("SHIFT_X", 7), ("SHIFT_DROP", 8),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_TRACES)
+def test_golden_trace(name):
+    run, expected = GOLDEN_TRACES[name]
+    _, trace = run()
+    assert [(step.rule.name, step.position) for step in trace] == expected
 
 
 def expected_paper_order(body: str) -> str:
