@@ -29,7 +29,11 @@ class Angle:
         if frac is not None:
             frac = Fraction(frac) % 2
         else:
-            rad = float(rad) % (2 * math.pi)
+            rad = float(rad)
+            if not math.isfinite(rad):
+                raise ValueError(f"angle {rad!r} is not a finite number")
+            # a tiny negative angle reduces to 2*pi itself once rounded
+            rad = rad % (2 * math.pi) % (2 * math.pi)
         self._frac = frac
         self._rad = rad
 

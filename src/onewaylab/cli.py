@@ -20,7 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import clifford, dsl, library, rewrite, simulate
-from .patterns import Pattern, PatternError, validate
+from .patterns import PatternError, validate
 
 
 def _read_text(path: str) -> str:

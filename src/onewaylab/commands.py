@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Union
 
 from .angles import Angle, as_angle
-from .signals import Qubit, Signal, qubit_key
-
-ZERO_SIGNAL = Signal()
-ONE_SIGNAL = Signal(constant=1)
+from .signals import ONE, ZERO, Qubit, Signal, qubit_key
 
 
 @dataclass(frozen=True)
@@ -49,8 +46,8 @@ class Measure:
 
     qubit: Qubit
     angle: Angle
-    s: Signal = ZERO_SIGNAL
-    t: Signal = ZERO_SIGNAL
+    s: Signal = ZERO
+    t: Signal = ZERO
 
     def __post_init__(self):
         angle = as_angle(self.angle)
@@ -62,7 +59,7 @@ class Measure:
             angle = angle.plus_pi()
             t = Signal(t.support, 0)
         if angle.is_x_axis:
-            s = ZERO_SIGNAL
+            s = ZERO
         object.__setattr__(self, "angle", angle)
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "t", t)
@@ -77,7 +74,7 @@ class CorrectX:
     """Pauli X on ``qubit``, applied when the signal evaluates to 1."""
 
     qubit: Qubit
-    signal: Signal = ONE_SIGNAL
+    signal: Signal = ONE
 
     @property
     def qubits(self) -> frozenset:
@@ -89,7 +86,7 @@ class CorrectZ:
     """Pauli Z on ``qubit``, applied when the signal evaluates to 1."""
 
     qubit: Qubit
-    signal: Signal = ONE_SIGNAL
+    signal: Signal = ONE
 
     @property
     def qubits(self) -> frozenset:

@@ -30,8 +30,8 @@ from typing import NamedTuple
 
 from .angles import Angle
 from .commands import CorrectX, CorrectZ, Entangle, Measure, Shift
-from .patterns import Pattern
-from .signals import Qubit, Signal, qubit_key
+from .patterns import Pattern, PatternError
+from .signals import LABEL_WORD, Qubit, Signal, qubit_key
 
 
 class DslError(ValueError):
@@ -57,7 +57,9 @@ _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+|\#[^\n]*)
   | (?P<float>[+-]?(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|[+-]?\d+[eE][+-]?\d+)
-  | (?P<int>\d+'*|[A-Za-z_][A-Za-z0-9_']*)
+  | (?P<int>"""
+    + LABEL_WORD
+    + r""")
   | (?P<punct>[{}();:,=/\[\]+-])
     """,
     re.VERBOSE,
@@ -280,8 +282,9 @@ class _Parser:
         self.expect(";")
         self.expect("seq")
         self.expect(":")
-        commands = []
+        commands, starts = [], []
         while self.peek().text not in ("}", ""):
+            starts.append(self.peek())
             commands.append(self.command())
             self.expect(";")
         self.expect("}")
@@ -290,8 +293,13 @@ class _Parser:
             self.fail(f"unexpected trailing {tok.text!r}", tok)
         try:
             pattern = Pattern(frozenset(space), tuple(inputs), tuple(outputs), tuple(commands))
-        except ValueError as exc:
-            raise DslError(str(exc)) from exc
+        except PatternError as exc:
+            if exc.command is None:
+                raise DslError(str(exc)) from exc
+            self.fail(
+                f"command {format_command(exc.command)} refers to a qubit outside the space",
+                starts[commands.index(exc.command)],
+            )
         return PatternDocument(name, pattern)
 
 

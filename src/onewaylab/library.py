@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 
 import networkx as nx
 
 from .angles import Angle, as_angle
 from .commands import CorrectX, CorrectZ, Entangle, Measure, Shift, command_signals
-from .patterns import Pattern, PatternError, compose, rename, tensor
+from .patterns import Pattern, PatternError, compose, tensor
 from .rewrite import is_emc
 from .signals import Qubit, Signal, qubit_key, signal
 

@@ -7,24 +7,22 @@ the first element of ``commands`` runs first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
 
-from .commands import (
-    Command,
-    CorrectX,
-    CorrectZ,
-    Entangle,
-    Measure,
-    Shift,
-    command_signals,
-    rename_command,
-)
-from .signals import Qubit, Signal, qubit_key
+from .commands import Command, Measure, Shift, command_signals, rename_command
+from .signals import Qubit, is_label, qubit_key
 
 
 class PatternError(ValueError):
-    """Structurally invalid pattern or invalid pattern combination."""
+    """Structurally invalid pattern or invalid pattern combination.
+
+    ``command`` is the command at fault, when one is.
+    """
+
+    def __init__(self, message: str, command: Command | None = None):
+        super().__init__(message)
+        self.command = command
 
 
 @dataclass(frozen=True)
@@ -39,6 +37,12 @@ class Pattern:
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outputs", tuple(self.outputs))
         object.__setattr__(self, "commands", tuple(self.commands))
+        for q in self.space:
+            if not is_label(q):
+                raise PatternError(
+                    f"qubit label {q!r} has no text form: labels are non-negative ints "
+                    "or words of letters, digits, '_' and primes, not all digits"
+                )
         if len(set(self.inputs)) != len(self.inputs):
             raise PatternError("duplicate input qubit")
         if len(set(self.outputs)) != len(self.outputs):
@@ -49,11 +53,11 @@ class Pattern:
         for cmd in self.commands:
             for q in cmd.qubits:
                 if q not in self.space:
-                    raise PatternError(f"command {cmd!r} acts outside the space")
+                    raise PatternError(f"command {cmd!r} acts outside the space", cmd)
             for sig in command_signals(cmd):
                 for q in sig.support:
                     if q not in self.space:
-                        raise PatternError(f"signal qubit {q!r} not in space")
+                        raise PatternError(f"signal qubit {q!r} not in space", cmd)
 
     @property
     def input_set(self) -> frozenset:

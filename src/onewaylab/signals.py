@@ -2,11 +2,28 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+import re
+from dataclasses import dataclass
+from typing import Mapping
 
 Qubit = int | str
-"""Qubit identifier: an opaque int or str label."""
+"""Qubit identifier: a non-negative int or a str label (see ``is_label``)."""
+
+LABEL_WORD = r"\d+'*|[A-Za-z_][A-Za-z0-9_']*"
+"""A qubit label as the text format reads it: digits or a word, either primed."""
+
+_LABEL_RE = re.compile(LABEL_WORD)
+
+
+def is_label(q) -> bool:
+    """Whether the text format writes ``q`` and reads it back as ``q``.
+
+    True for non-negative ints, and for strings that are one label word
+    and not all digits, since text reads an all-digit word as an int.
+    """
+    if type(q) is int:
+        return q >= 0
+    return isinstance(q, str) and _LABEL_RE.fullmatch(q) is not None and not q.isdigit()
 
 
 def qubit_key(q: Qubit):

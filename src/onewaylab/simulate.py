@@ -15,6 +15,14 @@ axes, and the peak state size, are worked out once before the walk starts.
 Projecting on a measurement outcome simply scales the tensor, and a
 branch's probability is its squared-norm ratio to the input's.
 
+Determinism is first tried by a certificate (``_certified``): a polynomial
+GF(2) test on the pattern's signals, sound but incomplete.  A certified
+pattern has every branch equal up to phase, so ``is_deterministic`` answers
+at once and ``extract_unitary`` walks a single branch, the all-zero one,
+which is the branch the full walk would pick.  Patterns the certificate
+does not decide fall back to walking every branch and comparing them, the
+brute force that stays the reference.
+
 ``prepare``, ``step`` and ``run_branch`` are the eager reference the walk is
 tested against: they prepare the whole space up front, with qubit axes in
 ``live_order`` (inputs first, then prepared qubits in label order),
@@ -32,6 +40,7 @@ import numpy as np
 
 from .commands import CorrectX, CorrectZ, Entangle, Measure, Shift
 from .patterns import Pattern, PatternError, validate
+from .rewrite import standardize_extended
 from .signals import Qubit, qubit_key
 
 _INV_SQRT2 = 1.0 / sqrt(2.0)
@@ -271,15 +280,19 @@ class _Layout:
     perm: tuple
 
 
+def _check_valid(pattern: Pattern) -> None:
+    report = validate(pattern)
+    if not report.ok:
+        raise PatternError(f"cannot run an invalid pattern: {report}")
+
+
 def _layout(pattern: Pattern, rows: int) -> _Layout:
     """Validate ``pattern`` and lay out a walk over ``rows`` input rows.
 
     Raises before anything is allocated when the peak state, live qubits
     plus input-batch bits, would exceed ``MAX_AMPLITUDES``.
     """
-    report = validate(pattern)
-    if not report.ok:
-        raise PatternError(f"cannot run an invalid pattern: {report}")
+    _check_valid(pattern)
     live = list(pattern.inputs)
     peak = len(live)
     steps = []
@@ -310,7 +323,7 @@ def _row_norms(tensor: np.ndarray) -> np.ndarray:
     return np.einsum("ij,ij->i", flat, flat)
 
 
-def _walk(layout: _Layout, batch: np.ndarray):
+def _walk(layout: _Layout, batch: np.ndarray, plan=None):
     """Every branch of a laid-out pattern run on the rows of ``batch``.
 
     ``batch`` is a fresh ``(rows, 2**inputs)`` array; it is used as the
@@ -320,6 +333,11 @@ def _walk(layout: _Layout, batch: np.ndarray):
     with the input rows' squared norms.  A subtree is dropped only when
     every row is below the cutoff.  Checks norm conservation at each
     measurement and that each row's branch probabilities sum to 1.
+
+    ``plan``, a map from every measured qubit to a raw outcome, restricts
+    the walk to that one branch; it is for certified patterns (see
+    ``_certified``), whose 2^m branches each have probability 2^-m, so the
+    sum check becomes a check that each row's probability is 2^-m.
     """
     rows = batch.shape[0]
     start = _row_norms(batch)
@@ -352,9 +370,9 @@ def _walk(layout: _Layout, batch: np.ndarray):
                         f"{pre[k]} -> {n_lo[k] + n_hi[k]}"
                     )
                 q = cmd.qubit
-                if (n_hi > cutoff).any():
+                if (plan is None or plan[q]) and (n_hi > cutoff).any():
                     go(hi, {**raw, q: 1}, {**outcomes, q: 1}, i + 1)
-                if (n_lo > cutoff).any():
+                if (plan is None or not plan[q]) and (n_lo > cutoff).any():
                     go(lo, {**raw, q: 0}, {**outcomes, q: 0}, i + 1)
                 return
             elif isinstance(cmd, CorrectX):
@@ -374,10 +392,19 @@ def _walk(layout: _Layout, batch: np.ndarray):
         leaves.append((raw, outcomes, out, _row_norms(out)))
 
     go(batch.reshape((rows,) + (2,) * layout.inputs), {}, {}, 0)
-    total = sum((leaf[3] for leaf in leaves), np.zeros(rows)) / start
-    gap = np.abs(total - 1.0)
-    if not (gap <= 1e-9).all():
-        raise SimulationError(f"branch probabilities sum to {total[np.argmax(gap)]}, not 1")
+    if plan is None:
+        total = sum((leaf[3] for leaf in leaves), np.zeros(rows)) / start
+        gap = np.abs(total - 1.0)
+        if not (gap <= 1e-9).all():
+            raise SimulationError(f"branch probabilities sum to {total[np.argmax(gap)]}, not 1")
+    else:
+        for *_, norms in leaves:
+            prob = norms / start
+            gap = np.abs(prob * 2.0 ** len(plan) - 1.0)
+            if not (gap <= 1e-9).all():
+                raise SimulationError(
+                    f"planned branch has probability {prob[np.argmax(gap)]}, not 2^-{len(plan)}"
+                )
     return leaves, start
 
 
@@ -400,16 +427,17 @@ def run_all_branches(pattern: Pattern, input_state=None) -> list[Branch]:
     return branches
 
 
-def branch_maps(pattern: Pattern) -> list[BranchMap]:
+def branch_maps(pattern: Pattern, plan=None) -> list[BranchMap]:
     """Every surviving branch's linear map, from one walk over the input basis.
 
     The walk runs all basis inputs at once, so it checks what
     ``run_all_branches`` checks on each of them, and drops a subtree only
-    when it vanishes on every basis input.
+    when it vanishes on every basis input.  With a ``plan`` of raw outcomes
+    for a certified pattern, only that branch is walked (see ``_walk``).
     """
     dim = 2 ** len(pattern.inputs)
     layout = _layout(pattern, dim)
-    leaves, _ = _walk(layout, np.eye(dim, dtype=complex))
+    leaves, _ = _walk(layout, np.eye(dim, dtype=complex), plan)
     return [BranchMap(raw, outcomes, out.T) for raw, outcomes, out, _ in leaves]
 
 
@@ -456,13 +484,100 @@ def _maps_deterministic(maps: list[BranchMap], dim: int, tol: float) -> bool:
     return True
 
 
+def _certified(pattern: Pattern) -> bool:
+    """Whether a GF(2) certificate proves ``pattern`` deterministic.
+
+    Sound but incomplete: True means every branch map equals every other up
+    to a phase; False decides nothing.  The test runs on
+    ``standardize_extended(pattern)``, which realises the same branch maps
+    up to a relabelling of outcomes and is an E block, then measurements
+    with sign-action signals only (no t-signals), then corrections, with no
+    shifts.
+
+    Paulis are bit vectors, an X part and a Z part per qubit; signs and
+    phases are dropped, since determinism is up to phase.  The generators
+    are K_v = X_v Z_N(v) for every non-input v, N the neighbours in the
+    open graph of the E block (a repeated pair cancels), and, for each
+    measurement at an exact Pauli angle, its own eigen-operator: X_j on the
+    X axis (0 or pi), X_j Z_j, proportional to Y_j, on the Y axis.  The flip
+    operator of a measured qubit i is P_i = Z_i times X_j for every
+    measurement j whose s holds i, times every correction whose signal holds
+    i.  The pattern is certified when every P_i lies in the span of the
+    generators.
+
+    Soundness: flipping outcome i is, up to phase, inserting Z_i before i is
+    measured, since <-_a| = <+_a| Z.  The flip also toggles s for each
+    measurement j whose s holds i, and <+-_(-a)| is <+-_a| X up to phase, so
+    that is an X_j before j is measured; and it toggles every correction
+    whose signal holds i, which acts as itself.  The corrections act on
+    outputs and the measurements on distinct qubits, so all of these Paulis
+    commute, up to sign, onto the state just after the E block.  Each K_v
+    fixes that state whatever the input, and a Pauli eigen-operator only
+    multiplies the projection of its qubit by a phase.  So when P_i is a
+    product of generators, the branch with outcome i flipped is the same
+    linear map up to a phase.  Every branch is then one map up to phase, so
+    the pattern is deterministic, and on every input all 2^m branches have
+    the same probability: 2^-m, since they sum to 1.
+    """
+    _check_valid(pattern)
+    std = standardize_extended(pattern)[0]
+    index = {q: k for k, q in enumerate(sorted(std.space, key=qubit_key))}
+    n = len(index)
+
+    def x(q):
+        return 1 << index[q]
+
+    def z(q):
+        return 1 << (n + index[q])
+
+    neighbours = dict.fromkeys(std.space, 0)
+    generators, flips = [], {}
+    for cmd in std.commands:
+        if isinstance(cmd, Entangle):
+            neighbours[cmd.i] ^= z(cmd.j)
+            neighbours[cmd.j] ^= z(cmd.i)
+        elif isinstance(cmd, Measure):
+            q = cmd.qubit
+            if cmd.angle.is_x_axis:
+                generators.append(x(q))
+            elif cmd.angle.is_y_axis:
+                generators.append(x(q) | z(q))
+            flips[q] = z(q)
+            for i in cmd.s.support:
+                flips[i] ^= x(q)
+        else:
+            op = x(cmd.qubit) if isinstance(cmd, CorrectX) else z(cmd.qubit)
+            for i in cmd.signal.support:
+                flips[i] ^= op
+    generators += [x(v) | neighbours[v] for v in std.prepared]
+
+    pivots = {}  # leading bit -> basis vector, for Gaussian elimination
+
+    def reduce(v: int) -> int:
+        while v:
+            row = pivots.get(v.bit_length() - 1)
+            if row is None:
+                return v
+            v ^= row
+        return 0
+
+    for g in generators:
+        g = reduce(g)
+        if g:
+            pivots[g.bit_length() - 1] = g
+    return not any(reduce(p) for p in flips.values())
+
+
 def is_deterministic(pattern: Pattern, tol: float = _COLLINEAR_TOL) -> bool:
     """True when all branches produce the same output state up to phase.
 
-    Probes every basis input plus a fixed set of pseudorandom inputs, applied
-    to the branch maps of one walk; branch maps are linear, so agreement on
-    a spanning set is agreement everywhere.
+    A certified pattern (see ``_certified``) is deterministic exactly.
+    Otherwise this probes every basis input plus a fixed set of
+    pseudorandom inputs, applied to the branch maps of one walk; branch
+    maps are linear, so agreement on a spanning set is agreement everywhere.
     """
+    if _certified(pattern):
+        return True
     return _maps_deterministic(branch_maps(pattern), 2 ** len(pattern.inputs), tol)
 
 
@@ -476,11 +591,19 @@ def extract_unitary(pattern: Pattern, check_deterministic: bool = True) -> np.nd
     (unless the check is skipped), and ``SimulationError`` when the forced
     branch vanishes on some basis input or its columns do not form an
     isometry.
+
+    A certified pattern (see ``_certified``) needs no check, and only its
+    all-zero branch, the first in that order, is walked; should that
+    branch vanish on basis input 0, every branch is walked.
     """
-    maps = branch_maps(pattern)
     dim_in = 2 ** len(pattern.inputs)
-    if check_deterministic and not _maps_deterministic(maps, dim_in, _COLLINEAR_TOL):
-        raise NotDeterministicError("pattern is not deterministic: no single unitary exists")
+    maps = []
+    if _certified(pattern):
+        maps = branch_maps(pattern, dict.fromkeys(pattern.measured, 0))
+    if not (maps and _row_norms(maps[0].matrix.T)[0] > _BRANCH_CUTOFF):
+        maps = branch_maps(pattern)
+        if check_deterministic and not _maps_deterministic(maps, dim_in, _COLLINEAR_TOL):
+            raise NotDeterministicError("pattern is not deterministic: no single unitary exists")
     measured = sorted(pattern.measured, key=qubit_key)
     for branch in sorted(maps, key=lambda m: tuple(m.raw[q] for q in measured)):
         norms = _row_norms(branch.matrix.T)

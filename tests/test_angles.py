@@ -58,3 +58,16 @@ def test_double_negation_roundtrip(frac):
 def test_fraction_refused_for_inexact():
     with pytest.raises(ValueError):
         Angle.from_radians(1.0).fraction
+
+
+def test_tiny_negative_radians_reduce_below_two_pi():
+    # -1e-20 % (2 pi) rounds to 2 pi itself, which would print and parse
+    # back as a different angle
+    assert Angle.from_radians(-1e-20).radians == 0.0
+    assert Angle.from_radians(-1e-20) == Angle.from_radians(0.0)
+
+
+@pytest.mark.parametrize("value", [math.inf, -math.inf, math.nan])
+def test_non_finite_radians_refused(value):
+    with pytest.raises(ValueError, match="finite"):
+        Angle.from_radians(value)

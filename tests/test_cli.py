@@ -207,6 +207,15 @@ def test_invalid_command_exit_code(capsys, monkeypatch, command, entangle):
     assert out == ""
 
 
+@pytest.mark.parametrize("command", ["validate", "simulate", "standardize"])
+def test_command_outside_space_exit_code(capsys, monkeypatch, command):
+    text = "pattern p { space: 1; input: 1; output: 1; seq: E(1,2); }"
+    code, out, err = run_cli(capsys, monkeypatch, [command], stdin=text)
+    assert code == 2
+    assert "parse error: line 1, column 49: command E(1,2) refers to a qubit outside the space" in err
+    assert out == ""
+
+
 def test_simulate_reports_not_deterministic(capsys, monkeypatch):
     truncated = "pattern p { space: 1, 2; input: 1; output: 2; seq: E(1,2); M(1, 0); }"
     code, out, _ = run_cli(capsys, monkeypatch, ["simulate"], stdin=truncated)

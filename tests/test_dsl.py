@@ -2,9 +2,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from onewaylab.angles import Angle
-from onewaylab.commands import CorrectX, Entangle, Measure, Shift
+from onewaylab.commands import CorrectX, CorrectZ, Entangle, Measure, Shift
 from onewaylab.dsl import (
     DslError,
     format_angle,
@@ -27,6 +28,7 @@ from onewaylab.library import (
     rz,
     teleport,
 )
+from onewaylab.patterns import Pattern, PatternError
 from onewaylab.rewrite import standardize, standardize_extended
 from onewaylab.signals import Signal, signal
 
@@ -234,3 +236,66 @@ def test_invalid_command_is_a_located_error(space, command):
         parse(text)
     # located at the command's name
     assert (err.value.line, err.value.column) == (1, text.rindex("E(") + 1)
+
+
+@pytest.mark.parametrize(
+    "seq, line, column, text",
+    [
+        ("E(1,2);", 1, 49, "E(1,2)"),
+        ("\n  M(1, 0);\n  X(1, s[3]);", 3, 3, "X(1, s[3])"),
+        ("M(1, 1/4 pi, t=s[a]);", 1, 49, "M(1, 1/4 pi, t=s[a])"),
+    ],
+)
+def test_command_outside_space_is_a_located_error(seq, line, column, text):
+    source = f"pattern p {{ space: 1; input: 1; output: 1; seq: {seq} }}"
+    with pytest.raises(DslError, match="outside the space") as err:
+        parse(source)
+    assert (err.value.line, err.value.column) == (line, column)
+    assert f"command {text} refers" in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "space, inputs, outputs",
+    [({-1, "a b"}, ("a b",), (-1,)), ({"12", 3}, ("12",), (3,)), ({True, 2}, (), (2,))],
+)
+def test_labels_without_a_text_form_are_refused(space, inputs, outputs):
+    with pytest.raises(PatternError, match="no text form"):
+        Pattern(frozenset(space), inputs, outputs, ())
+
+
+_WORDS = st.from_regex(r"[A-Za-z_][A-Za-z0-9_']{0,3}|[0-9]{1,2}'{1,2}", fullmatch=True)
+_LABELS = st.one_of(st.integers(0, 40), _WORDS)
+_ANGLES = st.one_of(
+    st.fractions(min_value=-4, max_value=4, max_denominator=8).map(Angle.exact),
+    st.floats(-20, 20, allow_nan=False).map(Angle.from_radians),
+)
+
+
+@st.composite
+def patterns_with_text_labels(draw):
+    space = draw(st.lists(_LABELS, min_size=2, max_size=6, unique=True))
+    label = st.sampled_from(space)
+    signals = st.builds(
+        lambda qubits, constant: Signal(frozenset(qubits), constant),
+        st.lists(label, max_size=3),
+        st.integers(0, 1),
+    )
+    commands = st.one_of(
+        st.lists(label, min_size=2, max_size=2, unique=True).map(lambda pair: Entangle(*pair)),
+        st.builds(Measure, label, _ANGLES, signals, signals),
+        st.builds(CorrectX, label, signals),
+        st.builds(CorrectZ, label, signals),
+        st.builds(Shift, label, signals),
+    )
+    return Pattern(
+        frozenset(space),
+        tuple(draw(st.lists(label, max_size=3, unique=True))),
+        tuple(draw(st.lists(label, max_size=3, unique=True))),
+        tuple(draw(st.lists(commands, max_size=8))),
+    )
+
+
+@settings(deadline=None, max_examples=200)
+@given(patterns_with_text_labels())
+def test_serialize_parses_back_equal(pattern):
+    assert parse(serialize(pattern)) == pattern

@@ -15,23 +15,26 @@ from conftest import (
 )
 
 from onewaylab.angles import Angle
-from onewaylab.commands import CorrectX, Entangle, Measure
+from onewaylab.commands import CorrectX, CorrectZ, Entangle, Measure
 from onewaylab import simulate
+from onewaylab.clifford import pauli_eliminate
 from onewaylab.library import (
     cnot,
+    controlled_u,
     cz,
     ghz,
     h,
     j,
     j_chain,
     p_half,
+    random_circuit_pattern,
     random_wild_pattern,
     rotation,
     rx,
     rz,
     teleport,
 )
-from onewaylab.patterns import Pattern, compose, rename, tensor
+from onewaylab.patterns import Pattern, PatternError, compose, rename, tensor
 from onewaylab.rewrite import standardize, standardize_extended
 from onewaylab.signals import qubit_key, signal
 from onewaylab.simulate import (
@@ -313,3 +316,181 @@ def test_state_size_guard(monkeypatch):
         run_all_branches(standardize(chain)[0], [1.0, 0.0])
     with pytest.raises(SimulationError, match="6 qubits wide"):
         prepare(chain, [1.0, 0.0])
+
+
+# the determinism certificate ----------------------------------------
+
+
+def brute_deterministic(pattern):
+    dim = 2 ** len(pattern.inputs)
+    return simulate._maps_deterministic(branch_maps(pattern), dim, simulate._COLLINEAR_TOL)
+
+
+def assert_certificate_sound(pattern):
+    if simulate._certified(pattern):
+        assert brute_deterministic(pattern)
+        m = len(pattern.measured)
+        for branch in run_all_branches(pattern, _random_state(2 ** len(pattern.inputs), m)):
+            assert branch.probability == pytest.approx(2.0**-m, rel=1e-9)
+
+
+def _earlier_measured(pattern, index):
+    return sorted(
+        (c.qubit for c in pattern.commands[:index] if isinstance(c, Measure)), key=qubit_key
+    )
+
+
+def mutate(pattern, kind, pick, bit):
+    """``pattern`` with one change of the given kind, or None when it has no site for it.
+
+    Kinds: drop a correction; toggle an outcome bit in a measurement's s or
+    t or in a correction's signal; move a Pauli measurement angle off its
+    axis by pi/4.
+    """
+    commands = list(pattern.commands)
+    if kind == "drop":
+        sites = [k for k, c in enumerate(commands) if isinstance(c, (CorrectX, CorrectZ))]
+    elif kind == "off-axis":
+        sites = [
+            k for k, c in enumerate(commands)
+            if isinstance(c, Measure) and c.angle.is_pauli_axis
+        ]
+    else:
+        want = (CorrectX, CorrectZ) if kind == "signal" else Measure
+        sites = [
+            k for k, c in enumerate(commands)
+            if isinstance(c, want) and _earlier_measured(pattern, k)
+        ]
+    if not sites:
+        return None
+    k = sites[pick % len(sites)]
+    cmd = commands[k]
+    if kind == "drop":
+        del commands[k]
+    elif kind == "off-axis":
+        commands[k] = Measure(cmd.qubit, Angle.exact(cmd.angle.fraction + Fraction(1, 4)), cmd.s, cmd.t)
+    else:
+        earlier = _earlier_measured(pattern, k)
+        toggle = signal(earlier[bit % len(earlier)])
+        if kind == "signal":
+            commands[k] = type(cmd)(cmd.qubit, cmd.signal + toggle)
+        elif kind == "s":
+            commands[k] = Measure(cmd.qubit, cmd.angle, cmd.s + toggle, cmd.t)
+        else:
+            commands[k] = Measure(cmd.qubit, cmd.angle, cmd.s, cmd.t + toggle)
+    return pattern.with_commands(commands)
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 6))
+def test_certificate_sound_on_circuits(seed, wires, steps):
+    pattern = random_circuit_pattern(seed, wires=wires, steps=steps)
+    assert simulate._certified(pattern)
+    assert_certificate_sound(pattern)
+
+
+@settings(deadline=None, max_examples=80)
+@given(st.integers(1, 14), st.integers(0, 10**6))
+def test_certificate_sound_on_wild_patterns(n_commands, seed):
+    assert_certificate_sound(random_wild_pattern(n_commands, seed))
+
+
+def pauli_eliminated(pattern):
+    """``pattern`` with its angles rounded down to multiples of pi/2, standardized
+    and with every dependency eliminated: its determinism rests on the Pauli
+    measurements themselves."""
+    commands = [
+        Measure(c.qubit, Angle.exact(Fraction(math.floor(c.angle.fraction * 2), 2)), c.s, c.t)
+        if isinstance(c, Measure) else c
+        for c in pattern.commands
+    ]
+    return pauli_eliminate(standardize(pattern.with_commands(commands))[0])
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.integers(0, 10**6),
+    st.booleans(),
+    st.sampled_from(["drop", "s", "t", "signal", "off-axis"]),
+    st.integers(0, 100),
+    st.integers(0, 100),
+)
+def test_certificate_sound_on_circuit_mutants(seed, eliminated, kind, pick, bit):
+    base = random_circuit_pattern(seed, wires=2, steps=4)
+    if eliminated:
+        base = pauli_eliminated(base)
+    mutant = mutate(base, kind, pick, bit)
+    if mutant is not None:
+        assert_certificate_sound(mutant)
+
+
+def test_mutants_that_break_determinism_are_not_certified():
+    broken = 0
+    for seed in range(20):
+        circuit = random_circuit_pattern(seed, wires=2, steps=4)
+        for base, kind in ((circuit, "drop"), (circuit, "signal"), (pauli_eliminated(circuit), "off-axis")):
+            mutant = mutate(base, kind, seed, seed)
+            if mutant is not None and not brute_deterministic(mutant):
+                assert not simulate._certified(mutant)
+                broken += 1
+    assert broken >= 40
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_every_builder_is_certified(name):
+    assert simulate._certified(BUILDERS[name])
+
+
+@pytest.mark.parametrize("params", [(1, 3, 5, 7), (0.3, 0.7, 1.1, 0.5)])
+def test_controlled_u_is_certified(params):
+    assert simulate._certified(controlled_u(*params))
+
+
+def test_certificate_is_incomplete():
+    assert not simulate._certified(truncated_h())
+    # deterministic, as the brute force finds, but not certified
+    assert not simulate._certified(rank_one())
+    assert is_deterministic(rank_one())
+
+
+def test_certificate_validates_first():
+    bad = Pattern(frozenset((1, 2)), (1,), (2,), (Entangle(1, 2),))
+    with pytest.raises(PatternError, match="cannot run an invalid pattern"):
+        is_deterministic(bad)
+    with pytest.raises(PatternError, match="cannot run an invalid pattern"):
+        extract_unitary(bad)
+
+
+def _criterion_corpora():
+    shapes = [(2, 5), (3, 5), (2, 6), (1, 6)]
+    for k in range(200):
+        wires, steps = shapes[k % len(shapes)]
+        wild = random_circuit_pattern(k, wires=wires, steps=steps)
+        yield wild
+        yield standardize(wild)[0]
+        yield standardize_extended(wild)[0]
+    for params in [(0.3, 0.7, 1.1, 0.5), (1.9, 0.2, 2.5, 0.9), (0.05, 1.3, 0.6, 2.2)]:
+        yield controlled_u(*params)
+
+
+def test_one_branch_unitary_equals_full_walk(monkeypatch):
+    corpus = list(_criterion_corpora())
+    fast = [extract_unitary(p) for p in corpus]
+    monkeypatch.setattr(simulate, "_certified", lambda pattern: False)
+    for pattern, u in zip(corpus, fast):
+        assert np.array_equal(u, extract_unitary(pattern))
+
+
+def test_vanishing_planned_branch_falls_back(monkeypatch):
+    # Z then an X-basis measurement: outcome 0 never occurs
+    p = Pattern(frozenset((1, 2)), (), (2,), (CorrectZ(1), Measure(1, Angle.exact(0))))
+    want = extract_unitary(p)
+    monkeypatch.setattr(simulate, "_certified", lambda pattern: True)
+    assert np.array_equal(extract_unitary(p), want)
+
+
+def test_planned_walk_checks_branch_probability():
+    # outcomes at 3:1, not the 1:1 of a certified pattern
+    p = Pattern(frozenset((1, 2)), (1,), (1,), (Measure(2, Angle.exact(1, 3)),))
+    with pytest.raises(SimulationError, match="not 2\\^-1"):
+        branch_maps(p, {2: 0})
