@@ -75,9 +75,6 @@ class Angle:
             return Angle(frac=self._frac + 1)
         return Angle(rad=self._rad + math.pi)
 
-    def minus_pi(self) -> "Angle":
-        return self.plus_pi()  # same thing mod 2*pi
-
     @property
     def is_x_axis(self) -> bool:
         """True for angle 0 or pi: the X-action on such a measurement is trivial."""
@@ -125,7 +122,3 @@ def as_angle(value) -> Angle:
     if isinstance(value, float):
         return Angle.from_radians(value)
     raise TypeError(f"cannot interpret {value!r} as an angle")
-
-
-ZERO = Angle.exact(0)
-HALF_PI = Angle.exact(1, 2)

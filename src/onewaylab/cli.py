@@ -12,15 +12,13 @@ error.
 from __future__ import annotations
 
 import argparse
-import math
 import sys
-import time
 from fractions import Fraction
 
 import numpy as np
 
 from . import clifford, dsl, library, rewrite, simulate
-from .patterns import PatternError, validate
+from .patterns import PatternError, rename, tensor, validate
 
 
 def _read_text(path: str) -> str:
@@ -34,31 +32,30 @@ def _load(path: str) -> dsl.PatternDocument:
     return dsl.parse_document(_read_text(path))
 
 
+def _usage_error(message: str):
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(2)
+
+
 def _parse_param(text: str):
-    """A builder parameter: an integer count or an angle expression."""
+    """A builder parameter: an integer count or an angle, as the text format reads it."""
     if text.isdigit():
         return int(text)
     try:
-        return _angle_value(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        print(f"error: bad parameter {text!r}: {exc}", file=sys.stderr)
-        raise SystemExit(2)
+        return dsl.parse_angle(text)
+    except dsl.DslError as exc:
+        _usage_error(f"bad parameter {text!r}: {exc}")
 
 
-def _angle_value(text: str):
-    """Angle parameter syntax: ``0``, ``pi``, ``-1/4pi``, ``0.7`` (radians)."""
-    text = text.strip().replace(" ", "")
-    negative = text.startswith("-")
-    if negative:
-        text = text[1:]
-    if text.endswith("pi"):
-        body = text[:-2].rstrip()
-        frac = Fraction(body) if body else Fraction(1)
-        return -frac if negative else frac
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError("angle is not a finite number")
-    return -value if negative else value
+def _build(name: str, params):
+    """The pattern of builder ``name`` on the text parameters ``params``."""
+    if name not in library.BUILDERS:
+        _usage_error(f"unknown pattern {name!r}; available: {', '.join(sorted(library.BUILDERS))}")
+    arguments = [_parse_param(p) for p in params]
+    try:
+        return library.BUILDERS[name](*arguments)
+    except TypeError as exc:
+        _usage_error(f"bad parameters for {name}: {exc}")
 
 
 def cmd_validate(args) -> int:
@@ -104,7 +101,7 @@ def _input_state(spec: str | None, n_inputs: int):
     try:
         amplitudes = [complex(part) for part in spec.split(",")]
     except ValueError:
-        raise SystemExit(f"error: cannot read input state {spec!r}")
+        _usage_error(f"cannot read input state {spec!r}")
     state = np.asarray(amplitudes, dtype=complex)
     if state.size != 2**n_inputs:
         raise simulate.SimulationError(
@@ -157,9 +154,7 @@ def cmd_verify(args) -> int:
 def _target_matrix(spec: str) -> np.ndarray:
     name, _, params = spec.partition(":")
     if name in library.BUILDERS:
-        builder = library.BUILDERS[name]
-        arguments = [_parse_param(p) for p in params.split(",") if p] if params else []
-        pattern = builder(*arguments)
+        pattern = _build(name, [p for p in params.split(",") if p])
         return simulate.extract_unitary(pattern)
     rows = []
     for line in _read_text(spec).strip().splitlines():
@@ -179,41 +174,8 @@ def cmd_graph(args) -> int:
 
 
 def cmd_library(args) -> int:
-    name = args.name
-    if name not in library.BUILDERS:
-        raise SystemExit(
-            f"error: unknown pattern {name!r}; available: {', '.join(sorted(library.BUILDERS))}"
-        )
-    params = [_parse_param(p) for p in args.params]
-    try:
-        pattern = library.BUILDERS[name](*params)
-    except TypeError as exc:
-        raise SystemExit(f"error: bad parameters for {name}: {exc}")
-    sys.stdout.write(dsl.serialize(pattern, name, paper_order=args.paper_order))
-    return 0
-
-
-def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
-    print("size  mean_steps  max_steps  seconds")
-    means = []
-    for size in sizes:
-        counts = []
-        started = time.perf_counter()
-        for seed in range(args.seeds):
-            pattern = library.random_wild_pattern(size, seed)
-            _, trace = rewrite.standardize(pattern)
-            counts.append(len(trace))
-        elapsed = time.perf_counter() - started
-        mean = sum(counts) / len(counts)
-        means.append(mean)
-        print(f"{size:>4}  {mean:>10.1f}  {max(counts):>9}  {elapsed:>7.2f}")
-    if len(sizes) >= 3:
-        coeffs = np.polyfit(np.asarray(sizes, float), np.asarray(means), 2)
-        print(
-            "quadratic fit: steps ~ "
-            f"{coeffs[0]:.4f} n^2 + {coeffs[1]:.2f} n + {coeffs[2]:.1f}"
-        )
+    pattern = _build(args.name, args.params)
+    sys.stdout.write(dsl.serialize(pattern, args.name, paper_order=args.paper_order))
     return 0
 
 
@@ -222,6 +184,7 @@ def _theorem_suite():
     yield "h", library.h()
     yield "teleport(0,0)", library.teleport(0, 0)
     yield "cnot", library.cnot()
+    yield "cnot (x) cnot", tensor(library.cnot(), rename(library.cnot(), {1: 11, 2: 12, 3: 13, 4: 14}))
     yield "p_half", library.p_half()
     yield "j(1/4 pi)", library.j(Fraction(1, 4))
     yield "rx(1/4 pi)", library.rx(Fraction(1, 4))
@@ -270,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("graph", help="export entanglement or dependency graph")
     p.add_argument("file", nargs="?", default="-")
     p.add_argument("--kind", choices=("entanglement", "dependency"), required=True)
-    p.add_argument("--dot", action="store_true", help="DOT output (always on)")
     p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("library", help="emit a builtin pattern")
@@ -278,11 +240,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("params", nargs="*", help="angle or size parameters")
     p.add_argument("--paper-order", action="store_true")
     p.set_defaults(func=cmd_library)
-
-    p = sub.add_parser("bench", help="rewrite step counts on random patterns")
-    p.add_argument("--sizes", default="20,50,100,200")
-    p.add_argument("--seeds", type=int, default=5)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("theorems", help="no-dependency theorem checks on the library")
     p.set_defaults(func=cmd_theorems)

@@ -3,13 +3,12 @@
 Patterns whose measurements are all along the X or Y axis can be rewritten
 so that no measurement depends on any other (the dependencies migrate into
 the final corrections), which pins their unitaries inside the Clifford
-group; this module provides that elimination plus a brute-force numeric
-Clifford membership test used to check the claim on concrete patterns.
+group; this module provides that elimination plus a numeric Clifford
+membership test used to check the claim on concrete patterns.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,31 +121,35 @@ def pauli_eliminate(pattern: Pattern) -> Pattern:
 
 
 def is_clifford(u: np.ndarray, tol: float = 1e-9) -> bool:
-    """Whether a unitary on n <= 3 qubits normalizes the Pauli group.
+    """Whether a unitary on n qubits normalizes the Pauli group.
 
-    Checks every generator g in {X_k, Z_k}: u g u^H must equal some Pauli
-    word up to one of the four phases, found by exhaustive search.
+    For each generator g in {X_k, Z_k}, V = u g u^H must be a phase times a
+    Pauli word P.  Such a V has one nonzero entry per row, at column r ^ x
+    for the X part x of P, so P is read off V: x is the column of row 0's
+    largest entry, and P has Z on qubit m when V[r, r ^ x] / V[0, x] is
+    negative, for r = 2^(n-1-m).  That one candidate is then tested.
     """
     u = np.asarray(u, dtype=complex)
     dim = u.shape[0]
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         raise ValueError("is_clifford needs a square matrix")
     n = dim.bit_length() - 1
-    if 2**n != dim or n > 3:
-        raise ValueError(f"need a 2^n x 2^n matrix with n <= 3, got shape {u.shape}")
+    if 2**n != dim:
+        raise ValueError(f"need a 2^n x 2^n matrix, got shape {u.shape}")
     if not np.allclose(u.conj().T @ u, np.eye(dim), atol=1e-9):
         raise ValueError("matrix is not unitary")
-    letters = ("I", "X", "Y", "Z")
-    candidates = [
-        PauliWord(word).matrix() for word in itertools.product(letters, repeat=n)
-    ]
     for k in range(n):
         for letter in ("X", "Z"):
-            word = tuple(letter if m == k else "I" for m in range(n))
-            g = PauliWord(word).matrix()
+            g = PauliWord(tuple(letter if m == k else "I" for m in range(n))).matrix()
             v = u @ g @ u.conj().T
-            # |tr(P^H V)| = 2^n exactly when V is a phase times P
-            if not any(abs(np.trace(p.conj().T @ v)) >= dim * (1 - tol) for p in candidates):
+            x = int(np.argmax(np.abs(v[0])))
+            word = []
+            for m in range(n):
+                r = 1 << (n - 1 - m)
+                z = int((v[r, r ^ x] / v[0, x]).real < 0)
+                word.append("IZXY"[2 * bool(x & r) + z])
+            # vdot(P, V) = tr(P^H V), of modulus 2^n exactly when V is a phase times P
+            if abs(np.vdot(PauliWord(tuple(word)).matrix(), v)) < dim * (1 - tol):
                 return False
     return True
 
@@ -176,7 +179,7 @@ def verify_no_dependency_theorems(patterns) -> list[TheoremCheck]:
         pauli = is_pauli_only(pattern)
         dependent = has_dependencies(pattern)
         u = extract_unitary(pattern)
-        clifford = is_clifford(u) if u.shape[0] == u.shape[1] and u.shape[0] <= 8 else None
+        clifford = is_clifford(u) if u.shape[0] == u.shape[1] else None
         applicable = (pauli or not dependent) and clifford is not None
         passed = clifford if applicable else True
         checks.append(TheoremCheck(name, pauli, dependent, clifford, applicable, bool(passed)))

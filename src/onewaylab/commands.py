@@ -106,7 +106,6 @@ class Shift:
 
 
 Command = Union[Entangle, Measure, CorrectX, CorrectZ, Shift]
-Correction = (CorrectX, CorrectZ)
 
 
 def command_signals(cmd: Command) -> tuple[Signal, ...]:

@@ -142,15 +142,33 @@ class _Parser:
     def qubit(self) -> Qubit:
         return _qubit_from_word(self.word("a qubit label").text)
 
-    def qubit_list(self) -> list:
-        qubits = []
+    def qubit_list(self) -> list[_Token]:
+        """The label tokens of a comma-separated list, possibly empty."""
+        tokens = []
         if self.peek().text == ";":
-            return qubits
-        qubits.append(self.qubit())
+            return tokens
+        tokens.append(self.word("a qubit label"))
         while self.peek().text == ",":
             self.next()
-            qubits.append(self.qubit())
-        return qubits
+            tokens.append(self.word("a qubit label"))
+        return tokens
+
+    def interface(self, what: str, space: frozenset) -> tuple:
+        """An ``input:`` or ``output:`` list, each label checked where it stands."""
+        qubits = []
+        for tok in self.qubit_list():
+            q = _qubit_from_word(tok.text)
+            if q not in space:
+                self.fail(f"{what} qubit {q} not in space", tok)
+            if q in qubits:
+                self.fail(f"duplicate {what} qubit {q}", tok)
+            qubits.append(q)
+        return tuple(qubits)
+
+    def end(self):
+        tok = self.next()
+        if tok.kind != "eof":
+            self.fail(f"unexpected trailing {tok.text!r}", tok)
 
     def integer(self) -> int:
         tok = self.word("an integer")
@@ -270,15 +288,15 @@ class _Parser:
         self.expect("{")
         self.expect("space")
         self.expect(":")
-        space = self.qubit_list()
+        space = frozenset(_qubit_from_word(tok.text) for tok in self.qubit_list())
         self.expect(";")
         self.expect("input")
         self.expect(":")
-        inputs = self.qubit_list()
+        inputs = self.interface("input", space)
         self.expect(";")
         self.expect("output")
         self.expect(":")
-        outputs = self.qubit_list()
+        outputs = self.interface("output", space)
         self.expect(";")
         self.expect("seq")
         self.expect(":")
@@ -288,14 +306,11 @@ class _Parser:
             commands.append(self.command())
             self.expect(";")
         self.expect("}")
-        tok = self.next()
-        if tok.kind != "eof":
-            self.fail(f"unexpected trailing {tok.text!r}", tok)
+        self.end()
         try:
-            pattern = Pattern(frozenset(space), tuple(inputs), tuple(outputs), tuple(commands))
+            pattern = Pattern(space, inputs, outputs, tuple(commands))
         except PatternError as exc:
-            if exc.command is None:
-                raise DslError(str(exc)) from exc
+            # the interface lists are checked above, so a command is at fault
             self.fail(
                 f"command {format_command(exc.command)} refers to a qubit outside the space",
                 starts[commands.index(exc.command)],
@@ -311,11 +326,15 @@ def parse(text: str) -> Pattern:
     return parse_document(text).pattern
 
 
+def parse_angle(text: str) -> Angle:
+    """One angle in the grammar of ``M(q, angle)``, and nothing after it."""
+    parser = _Parser(text)
+    angle = parser.angle()
+    parser.end()
+    return angle
+
+
 # serialization ------------------------------------------------------
-
-
-def format_qubit(q: Qubit) -> str:
-    return str(q)
 
 
 def format_angle(angle: Angle) -> str:
@@ -338,20 +357,20 @@ def format_signal(sig: Signal) -> str:
 
 def format_command(cmd) -> str:
     if isinstance(cmd, Entangle):
-        return f"E({format_qubit(cmd.i)},{format_qubit(cmd.j)})"
+        return f"E({cmd.i},{cmd.j})"
     if isinstance(cmd, Measure):
-        parts = [format_qubit(cmd.qubit), format_angle(cmd.angle)]
+        parts = [str(cmd.qubit), format_angle(cmd.angle)]
         if cmd.s:
             parts.append(f"s={format_signal(cmd.s)}")
         if cmd.t:
             parts.append(f"t={format_signal(cmd.t)}")
         return f"M({', '.join(parts)})"
     if isinstance(cmd, CorrectX):
-        return f"X({format_qubit(cmd.qubit)}, {format_signal(cmd.signal)})"
+        return f"X({cmd.qubit}, {format_signal(cmd.signal)})"
     if isinstance(cmd, CorrectZ):
-        return f"Z({format_qubit(cmd.qubit)}, {format_signal(cmd.signal)})"
+        return f"Z({cmd.qubit}, {format_signal(cmd.signal)})"
     if isinstance(cmd, Shift):
-        return f"S({format_qubit(cmd.qubit)}, {format_signal(cmd.signal)})"
+        return f"S({cmd.qubit}, {format_signal(cmd.signal)})"
     raise TypeError(f"unknown command {cmd!r}")
 
 
@@ -366,15 +385,11 @@ def serialize(pattern: Pattern, name: str = "p", paper_order: bool = False) -> s
     if paper_order:
         commands.reverse()
     lines = [f"pattern {name} {{"]
-    lines.append("  space: " + ", ".join(format_qubit(q) for q in sorted(pattern.space, key=qubit_key)) + ";")
-    lines.append("  input: " + ", ".join(format_qubit(q) for q in pattern.inputs) + ";")
-    lines.append("  output: " + ", ".join(format_qubit(q) for q in pattern.outputs) + ";")
+    lines.append("  space: " + ", ".join(map(str, sorted(pattern.space, key=qubit_key))) + ";")
+    lines.append("  input: " + ", ".join(map(str, pattern.inputs)) + ";")
+    lines.append("  output: " + ", ".join(map(str, pattern.outputs)) + ";")
     lines.append("  seq:")
     for cmd in commands:
         lines.append(f"    {format_command(cmd)};")
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def serialize_document(doc: PatternDocument, paper_order: bool = False) -> str:
-    return serialize(doc.pattern, doc.name, paper_order)

@@ -179,7 +179,3 @@ def rename(pattern: Pattern, mapping: Mapping[Qubit, Qubit]) -> Pattern:
         outputs=tuple(mapping[q] for q in pattern.outputs),
         commands=tuple(rename_command(c, mapping) for c in pattern.commands),
     )
-
-
-def empty_pattern() -> Pattern:
-    return Pattern(frozenset(), (), (), ())

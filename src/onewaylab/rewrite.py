@@ -110,7 +110,7 @@ def _split(cmd: Command) -> tuple | None:
     angle, t = cmd.angle, cmd.t
     if not t:
         # an exact pi or 3*pi/2 angle (see _splittable): shift by a constant
-        angle = angle.minus_pi()
+        angle = angle.plus_pi()
         t = Signal(t.support, t.constant ^ 1)
     return (Measure(cmd.qubit, angle, cmd.s, Signal()), Shift(cmd.qubit, t))
 

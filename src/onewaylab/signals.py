@@ -52,10 +52,6 @@ class Signal:
         if not isinstance(self.support, frozenset):
             object.__setattr__(self, "support", frozenset(self.support))
 
-    @classmethod
-    def of(cls, *qubits: Qubit, constant: int = 0) -> "Signal":
-        return cls(frozenset(qubits), constant)
-
     @property
     def is_zero(self) -> bool:
         return not self.support and self.constant == 0

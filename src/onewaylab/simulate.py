@@ -135,11 +135,6 @@ def live_order(pattern: Pattern) -> tuple:
     return tuple(pattern.inputs) + tuple(_aux_order(pattern))
 
 
-def output_order(pattern: Pattern) -> tuple:
-    """Axis order of the final state: the outputs as declared."""
-    return tuple(pattern.outputs)
-
-
 def _input_vector(pattern: Pattern, input_state) -> np.ndarray:
     """A fresh flat input vector; ``None`` means |0...0>."""
     n_in = len(pattern.inputs)
@@ -206,10 +201,9 @@ def _apply_correction(state: ComputationState, cmd) -> None:
 
 
 def _reorder_to_outputs(state: ComputationState, pattern: Pattern) -> np.ndarray:
-    want = output_order(pattern)
-    if state.live == want:
+    if state.live == pattern.outputs:
         return state.tensor.reshape(-1)
-    perm = [state.live.index(q) for q in want]
+    perm = [state.live.index(q) for q in pattern.outputs]
     return np.transpose(state.tensor, perm).reshape(-1)
 
 

@@ -4,14 +4,20 @@ Matrices here are built directly from textbook definitions (independent of
 the simulator) so pattern extractions have something to be checked against.
 Matrix convention: the first qubit of a pattern's input/output ordering is
 the most significant bit of the state index.  The termination measure of the
-core rewrite rules is defined here too, independently of the rewrite engine.
+core rewrite rules is defined here too, independently of the rewrite engine,
+and so are the hypothesis strategies for pattern text, well formed or not.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
+from hypothesis import strategies as st
 
 from onewaylab.commands import CorrectX, CorrectZ, Entangle, Measure
+from onewaylab.dsl import serialize
+from onewaylab.library import cnot, ghz, h, j, random_wild_pattern, teleport
+from onewaylab.rewrite import standardize_extended
 
 SQ2 = math.sqrt(2.0)
 
@@ -159,3 +165,34 @@ def emc_measure_change(seq, position, before, after) -> int:
         corr_left = sum(isinstance(c, (CorrectX, CorrectZ)) for c in seq[:position])
         delta += (em_new - em_old) * corr_left
     return _sign(delta)
+
+
+# pattern text, well formed or not ------------------------------------
+
+_TEXT_CHUNKS = [*"(){}[];:,=/+-.'_#\n 0129EMXZSaest", "pi", "e9", "s[", "space", "input", "output", "seq"]
+TEXT_PIECES = st.lists(st.sampled_from(_TEXT_CHUNKS), max_size=4).map("".join)
+"""Short strings over the text format's alphabet, empty included."""
+
+_TEXT_SOURCES = [
+    serialize(p)
+    for p in (
+        h(),
+        cnot(),
+        teleport(Fraction(1, 4), Fraction(1, 3)),
+        j(1.234),
+        ghz(3),
+        standardize_extended(ghz(3))[0],
+        *(random_wild_pattern(12, seed) for seed in range(4)),
+    )
+]
+
+
+@st.composite
+def mutated_texts(draw):
+    """A serialized library or wild pattern with one to three spans replaced."""
+    text = draw(st.sampled_from(_TEXT_SOURCES))
+    for _ in range(draw(st.integers(1, 3))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 4)))
+        text = text[:start] + draw(TEXT_PIECES) + text[end:]
+    return text

@@ -26,7 +26,7 @@ def test_inexact_never_equals_exact():
 def test_negated_and_plus_pi():
     assert Angle.exact(1, 4).negated() == Angle.exact(7, 4)
     assert Angle.exact(1, 4).plus_pi() == Angle.exact(5, 4)
-    assert Angle.exact(3, 2).minus_pi() == Angle.exact(1, 2)
+    assert Angle.exact(3, 2).plus_pi() == Angle.exact(1, 2)
     assert Angle.from_radians(1.0).negated().radians == pytest.approx(2 * math.pi - 1.0)
 
 

@@ -1,16 +1,21 @@
+import contextlib
 import importlib
 import io
 import shutil
+import unittest.mock
 from fractions import Fraction
 from importlib import metadata
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+
+from conftest import TEXT_PIECES, mutated_texts
 
 from onewaylab.cli import main
 from onewaylab.dsl import parse, serialize
-from onewaylab.library import cnot, ghz, teleport
+from onewaylab.library import BUILDERS, cnot, ghz, h, teleport
 
 
 def run_cli(capsys, monkeypatch, argv, stdin=""):
@@ -235,6 +240,14 @@ def test_simulate_bad_input_state(capsys, monkeypatch, branches, spec):
     assert "input state" in err and out == ""
 
 
+def test_simulate_unreadable_input_state_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize(h())))
+    with pytest.raises(SystemExit) as exit_:
+        main(["simulate", "--input", "abc"])
+    assert exit_.value.code == 2
+    assert "error: cannot read input state 'abc'" in capsys.readouterr().err
+
+
 def test_simulate_over_state_limit(capsys, monkeypatch):
     from onewaylab import simulate
 
@@ -249,19 +262,82 @@ def test_library_unknown_name(capsys, monkeypatch):
         main(["library", "nosuch"])
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["library", "nosuch"],
+        ["library", "cnot", "1"],
+        ["library", "j"],
+        ["verify", "--against", "cnot:1"],
+        ["verify", "--against", "cu:1"],
+        ["verify", "--against", "j:"],
+        ["verify", "--against", "j:1/4"],
+    ],
+)
+def test_bad_builder_call_is_a_usage_error(capsys, monkeypatch, argv):
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize(h())))
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    captured = capsys.readouterr()
+    assert exit_.value.code == 2
+    assert captured.err.startswith("error: ") and captured.out == ""
+
+
+@pytest.mark.parametrize("command", ["validate", "simulate", "standardize"])
+@pytest.mark.parametrize(
+    "lists, column, message",
+    [
+        ("input: 1, 1; output: 1;", 33, "duplicate input qubit 1"),
+        ("input: 2; output: 2;", 30, "input qubit 2 not in space"),
+    ],
+)
+def test_interface_list_error_exit_code(capsys, monkeypatch, command, lists, column, message):
+    text = f"pattern p {{ space: 1; {lists} seq: }}"
+    code, out, err = run_cli(capsys, monkeypatch, [command], stdin=text)
+    assert code == 2
+    assert f"parse error: line 1, column {column}: {message}" in err
+    assert out == ""
+
+
+# counts stay small: ghz(n) and its unitary grow with n
+_PARAMS = st.one_of(
+    st.sampled_from(["0", "1", "3", "pi", "-pi", "1/4pi", "-3/8 pi", "pi/4", "0.5", "2pi", "1/0", "x"]),
+    TEXT_PIECES.filter(lambda text: not text.isdigit()),
+)
+
+
+def _main_exits_cleanly(argv, stdin=""):
+    """Run the CLI; anything but a return code or SystemExit propagates."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        with unittest.mock.patch("sys.stdin", io.StringIO(stdin)):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    assert code in (0, 1, 2)
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.one_of(st.sampled_from(sorted(BUILDERS)), st.text("chjnotu", max_size=4)),
+    st.lists(_PARAMS, max_size=5),
+)
+def test_builder_commands_never_raise(name, params):
+    _main_exits_cleanly(["library", "--", name, *params])
+    _main_exits_cleanly(["verify", "--against", f"{name}:{','.join(params)}"], serialize(h()))
+
+
+@settings(deadline=None, max_examples=150)
+@given(st.sampled_from(["validate", "standardize", "simulate"]), mutated_texts())
+def test_text_commands_never_raise(command, text):
+    _main_exits_cleanly([command], text)
+
+
 def test_theorems_pass(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, monkeypatch, ["theorems"])
     assert code == 0
     assert "FAIL" not in out
     assert "PASS  cnot" in out
-
-
-def test_bench_runs(capsys, monkeypatch):
-    code, out, _ = run_cli(
-        capsys, monkeypatch, ["bench", "--sizes", "5,10,15", "--seeds", "2"]
-    )
-    assert code == 0
-    assert "quadratic fit" in out
 
 
 def test_missing_file_exit_code(capsys, monkeypatch):

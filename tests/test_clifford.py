@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +21,7 @@ from onewaylab.clifford import (
 )
 from onewaylab.commands import CorrectX, Entangle, Measure
 from onewaylab.library import cnot, cz, depth, h, j, p_half, teleport
-from onewaylab.patterns import Pattern, PatternError
+from onewaylab.patterns import Pattern, PatternError, rename, tensor
 from onewaylab.rewrite import standardize, standardize_extended
 from onewaylab.signals import Signal, signal
 from onewaylab.simulate import extract_unitary
@@ -162,7 +164,62 @@ def test_is_clifford_input_validation():
     with pytest.raises(ValueError):
         is_clifford(np.eye(2) * 2)  # not unitary
     with pytest.raises(ValueError):
-        is_clifford(np.eye(16))  # n > 3
+        is_clifford(np.eye(3))  # not 2^n
+    assert is_clifford(np.eye(16))  # no qubit cap
+
+
+def _on(gate, qubit, n):
+    """``gate`` on one qubit of n, the first qubit most significant."""
+    return np.kron(np.kron(np.eye(2**qubit), gate), np.eye(2 ** (n - 1 - qubit)))
+
+
+T_MAT = np.diag([1, np.exp(1j * math.pi / 4)])
+
+
+def _random_product(rng, n, gates, t_gates=0):
+    """A product of random H, S and CZ gates, with ``t_gates`` T gates at random places."""
+    kinds = [rng.choice("HSC" if n > 1 else "HS") for _ in range(gates)] + ["T"] * t_gates
+    rng.shuffle(kinds)
+    u = np.eye(2**n, dtype=complex)
+    for kind in kinds:
+        if kind == "C":
+            a, b = rng.sample(range(n), 2)
+            gate = np.diag([-1 if (r >> (n - 1 - a)) & (r >> (n - 1 - b)) & 1 else 1 for r in range(2**n)])
+        else:
+            gate = _on({"H": H_MAT, "S": P_HALF_MAT, "T": T_MAT}[kind], rng.randrange(n), n)
+        u = gate @ u
+    return u
+
+
+def _clifford_by_search(u) -> bool:
+    """The definition, searched: u P u^H is a phase times a Pauli word for every generator."""
+    n = u.shape[0].bit_length() - 1
+    words = [PauliWord(w).matrix() for w in itertools.product("IXYZ", repeat=n)]
+    for k, letter in itertools.product(range(n), "XZ"):
+        v = u @ PauliWord(tuple(letter if m == k else "I" for m in range(n))).matrix() @ u.conj().T
+        if not any(abs(np.vdot(p, v)) > 2**n * (1 - 1e-9) for p in words):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_is_clifford_beyond_three_qubits(n):
+    rng = random.Random(n)
+    for _ in range(3):
+        u = _random_product(rng, n, 30) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        assert is_clifford(u)
+        assert not is_clifford(_on(T_MAT, rng.randrange(n), n) @ u)
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_is_clifford_agrees_with_search(n):
+    rng = random.Random(10 + n)
+    verdicts = []
+    for k in range(60):
+        u = _random_product(rng, n, 10, t_gates=k % 3)
+        verdicts.append(is_clifford(u))
+        assert verdicts[-1] == _clifford_by_search(u)
+    assert any(verdicts) and not all(verdicts)
 
 
 # theorem harness ----------------------------------------------------
@@ -187,3 +244,10 @@ def test_verify_no_dependency_theorems():
     report = format_theorem_report(checks)
     assert "PASS  cnot" in report
     assert "non-clifford (exempt)" in report
+
+
+def test_theorems_assert_clifford_beyond_three_qubits():
+    two_cnots = tensor(cnot(), rename(cnot(), {1: 11, 2: 12, 3: 13, 4: 14}))
+    (check,) = verify_no_dependency_theorems([("cnot x cnot", two_cnots)])
+    assert check.pauli_only and check.clifford
+    assert check.applicable and check.passed

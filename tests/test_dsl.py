@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import TEXT_PIECES, mutated_texts
 from onewaylab.angles import Angle
 from onewaylab.commands import CorrectX, CorrectZ, Entangle, Measure, Shift
 from onewaylab.dsl import (
@@ -12,6 +13,7 @@ from onewaylab.dsl import (
     format_command,
     format_signal,
     parse,
+    parse_angle,
     parse_document,
     serialize,
 )
@@ -299,3 +301,56 @@ def patterns_with_text_labels(draw):
 @given(patterns_with_text_labels())
 def test_serialize_parses_back_equal(pattern):
     assert parse(serialize(pattern)) == pattern
+
+
+@pytest.mark.parametrize(
+    "lists, before, message",
+    [
+        ("input: 1, 1; output: 1;", "input: 1, ", "duplicate input qubit 1"),
+        ("input: 2; output: 1;", "input: ", "input qubit 2 not in space"),
+        ("input: 1; output: 1, a, 1;", "input: 1; output: 1, ", "output qubit a not in space"),
+        ("input: ;\n  output: 1, 1;", "input: ;\n  output: 1, ", "duplicate output qubit 1"),
+    ],
+)
+def test_interface_list_errors_are_located(lists, before, message):
+    text = f"pattern p {{ space: 1; {lists} seq: }}"
+    with pytest.raises(DslError, match=message) as err:
+        parse(text)
+    # located at the offending label
+    offset = text.index(lists) + len(before)
+    line = text.count("\n", 0, offset) + 1
+    column = offset - text.rfind("\n", 0, offset)
+    assert (err.value.line, err.value.column) == (line, column)
+
+
+@pytest.mark.parametrize(
+    "text, angle",
+    [
+        ("pi", Angle.exact(1)),
+        ("-pi", Angle.exact(1)),
+        ("pi/4", Angle.exact(1, 4)),
+        ("-3/8pi", Angle.exact(13, 8)),
+        ("3/8 pi", Angle.exact(3, 8)),
+        ("2pi", Angle.exact(0)),
+        ("-0", Angle.exact(0)),
+        ("0.5", Angle.from_radians(0.5)),
+        ("-0.5", Angle.from_radians(-0.5)),
+    ],
+)
+def test_parse_angle(text, angle):
+    assert parse_angle(text) == angle
+
+
+@pytest.mark.parametrize("text", ["", "0.7pi", "1.5pi", "+1/4pi", "1e1pi", "1/4", "pi pi", "inf", "1/0pi"])
+def test_parse_angle_refuses(text):
+    with pytest.raises(DslError):
+        parse_angle(text)
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.one_of(mutated_texts(), TEXT_PIECES, st.lists(TEXT_PIECES, max_size=12).map("".join)))
+def test_any_text_parses_or_raises_dsl_error(text):
+    try:
+        parse(text)
+    except DslError:
+        pass
