@@ -39,11 +39,9 @@ def _usage_error(message: str):
 
 def _parse_param(text: str):
     """A builder parameter: an integer count or an angle, as the text format reads it."""
-    if text.isdigit():
-        return int(text)
     try:
-        return dsl.parse_angle(text)
-    except dsl.DslError as exc:
+        return int(text) if text.isdigit() else dsl.parse_angle(text)
+    except ValueError as exc:  # a DslError, or digits that int() refuses
         _usage_error(f"bad parameter {text!r}: {exc}")
 
 

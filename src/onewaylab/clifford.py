@@ -120,7 +120,7 @@ def pauli_eliminate(pattern: Pattern) -> Pattern:
     return result
 
 
-def is_clifford(u: np.ndarray, tol: float = 1e-9) -> bool:
+def is_clifford(u: np.ndarray) -> bool:
     """Whether a unitary on n qubits normalizes the Pauli group.
 
     For each generator g in {X_k, Z_k}, V = u g u^H must be a phase times a
@@ -149,7 +149,7 @@ def is_clifford(u: np.ndarray, tol: float = 1e-9) -> bool:
                 z = int((v[r, r ^ x] / v[0, x]).real < 0)
                 word.append("IZXY"[2 * bool(x & r) + z])
             # vdot(P, V) = tr(P^H V), of modulus 2^n exactly when V is a phase times P
-            if abs(np.vdot(PauliWord(tuple(word)).matrix(), v)) < dim * (1 - tol):
+            if abs(np.vdot(PauliWord(tuple(word)).matrix(), v)) < dim * (1 - 1e-9):
                 return False
     return True
 

@@ -26,7 +26,6 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .angles import Angle
 from .commands import CorrectX, CorrectZ, Entangle, Measure, Shift
@@ -53,102 +52,93 @@ class PatternDocument:
     pattern: Pattern
 
 
+# One scan cuts the whole text into tokens.  A token is the ``re.Match`` of
+# its group: ``lastgroup`` is its kind, ``tok[0]`` its text and ``start()``
+# its offset.  ``bad`` is a character the format has no token for, and
+# ``eof`` the empty match at the end of the text.
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+|\#[^\n]*)
   | (?P<float>[+-]?(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|[+-]?\d+[eE][+-]?\d+)
-  | (?P<int>"""
+  | (?P<word>"""
     + LABEL_WORD
     + r""")
   | (?P<punct>[{}();:,=/\[\]+-])
+  | (?P<eof>\Z)
+  | (?P<bad>.)
     """,
-    re.VERBOSE,
+    re.VERBOSE | re.DOTALL,
 )
-
-
-class _Token(NamedTuple):
-    kind: str  # "word", "float", "punct", "eof"
-    text: str
-    line: int
-    column: int
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens = []
-    pos, line, line_start = 0, 1, 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise DslError(f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
-        kind = m.lastgroup
-        chunk = m.group()
-        col = pos - line_start + 1
-        if kind == "float":
-            tokens.append(_Token("float", chunk, line, col))
-        elif kind == "int":
-            tokens.append(_Token("word", chunk, line, col))
-        elif kind == "punct":
-            tokens.append(_Token("punct", chunk, line, col))
-        newlines = chunk.count("\n")
-        if newlines:
-            line += newlines
-            line_start = pos + chunk.rindex("\n") + 1
-        pos = m.end()
-    tokens.append(_Token("eof", "", line, len(text) - line_start + 1))
-    return tokens
 
 
 _QUBIT_SIGNAL_COMMANDS = {"X": CorrectX, "Z": CorrectZ, "S": Shift}
 
 
-def _qubit_from_word(word: str) -> Qubit:
-    return int(word) if word.isdigit() else word
-
-
 class _Parser:
     def __init__(self, text: str):
-        self.tokens = _tokenize(text)
+        self.text = text
+        self.tokens = [tok for tok in _TOKEN_RE.finditer(text) if tok.lastgroup != "ws"]
         self.pos = 0
+        # the whole text is scanned first, so a stray character is reported
+        # ahead of any grammar error
+        for tok in self.tokens:
+            if tok.lastgroup == "bad":
+                self.fail(f"unexpected character {tok[0]!r}", tok)
 
-    def peek(self) -> _Token:
+    def peek(self) -> re.Match:
         return self.tokens[self.pos]
 
-    def next(self) -> _Token:
+    def next(self) -> re.Match:
         tok = self.tokens[self.pos]
-        if tok.kind != "eof":
+        if tok.lastgroup != "eof":
             self.pos += 1
         return tok
 
-    def fail(self, message: str, tok: _Token | None = None):
-        tok = tok or self.peek()
-        raise DslError(message, tok.line, tok.column)
+    def error(self, message: str, tok: re.Match) -> DslError:
+        """A ``DslError`` at ``tok``, its line and column worked out from its offset."""
+        offset = tok.start()
+        line = self.text.count("\n", 0, offset) + 1
+        return DslError(message, line, offset - self.text.rfind("\n", 0, offset))
 
-    def expect(self, text: str) -> _Token:
+    def fail(self, message: str, tok: re.Match | None = None):
+        raise self.error(message, tok or self.peek())
+
+    def expect(self, text: str) -> re.Match:
         tok = self.next()
-        if tok.text != text:
-            found = tok.text or "end of input"
+        if tok[0] != text:
+            found = tok[0] or "end of input"
             self.fail(f"expected {text!r}, found {found!r}", tok)
         return tok
 
-    def word(self, what: str) -> _Token:
+    def word(self, what: str) -> re.Match:
         tok = self.next()
-        if tok.kind != "word":
-            found = tok.text or "end of input"
+        if tok.lastgroup != "word":
+            found = tok[0] or "end of input"
             self.fail(f"expected {what}, found {found!r}", tok)
         return tok
+
+    def digits(self, tok: re.Match) -> int:
+        """The value of an all-digit word; one too long for ``int`` fails at ``tok``."""
+        try:
+            return int(tok[0])
+        except ValueError:
+            self.fail(f"integer of {len(tok[0])} digits is too long", tok)
+
+    def label(self, tok: re.Match) -> Qubit:
+        return self.digits(tok) if tok[0].isdigit() else tok[0]
 
     # grammar pieces -------------------------------------------------
 
     def qubit(self) -> Qubit:
-        return _qubit_from_word(self.word("a qubit label").text)
+        return self.label(self.word("a qubit label"))
 
-    def qubit_list(self) -> list[_Token]:
+    def qubit_list(self) -> list[re.Match]:
         """The label tokens of a comma-separated list, possibly empty."""
         tokens = []
-        if self.peek().text == ";":
+        if self.peek()[0] == ";":
             return tokens
         tokens.append(self.word("a qubit label"))
-        while self.peek().text == ",":
+        while self.peek()[0] == ",":
             self.next()
             tokens.append(self.word("a qubit label"))
         return tokens
@@ -157,7 +147,7 @@ class _Parser:
         """An ``input:`` or ``output:`` list, each label checked where it stands."""
         qubits = []
         for tok in self.qubit_list():
-            q = _qubit_from_word(tok.text)
+            q = self.label(tok)
             if q not in space:
                 self.fail(f"{what} qubit {q} not in space", tok)
             if q in qubits:
@@ -167,14 +157,14 @@ class _Parser:
 
     def end(self):
         tok = self.next()
-        if tok.kind != "eof":
-            self.fail(f"unexpected trailing {tok.text!r}", tok)
+        if tok.lastgroup != "eof":
+            self.fail(f"unexpected trailing {tok[0]!r}", tok)
 
     def integer(self) -> int:
         tok = self.word("an integer")
-        if not tok.text.isdigit():
-            self.fail(f"expected an integer, found {tok.text!r}", tok)
-        return int(tok.text)
+        if not tok[0].isdigit():
+            self.fail(f"expected an integer, found {tok[0]!r}", tok)
+        return self.digits(tok)
 
     def denominator(self) -> int:
         tok = self.peek()
@@ -183,38 +173,38 @@ class _Parser:
             self.fail("angle denominator is zero", tok)
         return den
 
-    def radians(self, negative: bool, tok: _Token) -> Angle:
-        value = float(tok.text)
+    def radians(self, negative: bool, tok: re.Match) -> Angle:
+        value = float(tok[0])
         if not math.isfinite(value):
-            self.fail(f"angle {tok.text!r} is not a finite number", tok)
+            self.fail(f"angle {tok[0]!r} is not a finite number", tok)
         return Angle.from_radians(-value if negative else value)
 
     def angle(self) -> Angle:
         """``0`` | ``[-]pi`` | ``[-]p/q pi`` | ``[-]p pi`` | ``[-]pi/q`` | float radians."""
         negative = False
-        if self.peek().text == "-":
+        if self.peek()[0] == "-":
             self.next()
             negative = True
         tok = self.peek()
-        if tok.kind == "float":
+        if tok.lastgroup == "float":
             self.next()
             return self.radians(negative, tok)
-        if tok.text == "pi":
+        if tok[0] == "pi":
             self.next()
             num, den = 1, 1
-            if self.peek().text == "/":
+            if self.peek()[0] == "/":
                 self.next()
                 den = self.denominator()
             frac = Fraction(num, den)
             return Angle.exact(-frac if negative else frac)
-        if tok.kind == "word" and tok.text.isdigit():
+        if tok.lastgroup == "word" and tok[0].isdigit():
             self.next()
-            num = int(tok.text)
+            num = self.digits(tok)
             den = 1
-            if self.peek().text == "/":
+            if self.peek()[0] == "/":
                 self.next()
                 den = self.denominator()
-            if self.peek().text == "pi":
+            if self.peek()[0] == "pi":
                 self.next()
                 frac = Fraction(num, den)
                 return Angle.exact(-frac if negative else frac)
@@ -223,7 +213,7 @@ class _Parser:
             if num == 0:
                 return Angle.exact(0)
             return self.radians(negative, tok)
-        found = tok.text or "end of input"
+        found = tok[0] or "end of input"
         self.fail(f"expected an angle, found {found!r}", tok)
 
     def signal(self) -> Signal:
@@ -231,24 +221,24 @@ class _Parser:
         constant = 0
         while True:
             tok = self.peek()
-            if tok.text == "s":
+            if tok[0] == "s":
                 self.next()
                 self.expect("[")
                 support ^= {self.qubit()}
                 self.expect("]")
-            elif tok.kind == "word" and tok.text.isdigit():
+            elif tok.lastgroup == "word" and tok[0].isdigit():
                 self.next()
-                constant ^= int(tok.text) % 2
+                constant ^= self.digits(tok) % 2
             else:
-                found = tok.text or "end of input"
+                found = tok[0] or "end of input"
                 self.fail(f"expected a signal term, found {found!r}", tok)
-            if self.peek().text != "+":
+            if self.peek()[0] != "+":
                 return Signal(frozenset(support), constant)
             self.next()
 
     def command(self):
         tok = self.word("a command (E, M, X, Z, S)")
-        kind = tok.text
+        kind = tok[0]
         self.expect("(")
         if kind == "E":
             i = self.qubit()
@@ -259,13 +249,13 @@ class _Parser:
             self.expect(",")
             angle = self.angle()
             s = t = Signal()
-            while self.peek().text == ",":
+            while self.peek()[0] == ",":
                 self.next()
                 name = self.word("'s' or 't'")
-                if name.text not in ("s", "t"):
-                    self.fail(f"expected 's' or 't', found {name.text!r}", name)
+                if name[0] not in ("s", "t"):
+                    self.fail(f"expected 's' or 't', found {name[0]!r}", name)
                 self.expect("=")
-                if name.text == "s":
+                if name[0] == "s":
                     s = self.signal()
                 else:
                     t = self.signal()
@@ -280,15 +270,15 @@ class _Parser:
         try:
             return make(*args)
         except ValueError as exc:
-            raise DslError(str(exc), tok.line, tok.column) from exc
+            raise self.error(str(exc), tok) from exc
 
     def document(self) -> PatternDocument:
         self.expect("pattern")
-        name = self.word("a pattern name").text
+        name = self.word("a pattern name")[0]
         self.expect("{")
         self.expect("space")
         self.expect(":")
-        space = frozenset(_qubit_from_word(tok.text) for tok in self.qubit_list())
+        space = frozenset(self.label(tok) for tok in self.qubit_list())
         self.expect(";")
         self.expect("input")
         self.expect(":")
@@ -301,7 +291,7 @@ class _Parser:
         self.expect("seq")
         self.expect(":")
         commands, starts = [], []
-        while self.peek().text not in ("}", ""):
+        while self.peek()[0] not in ("}", ""):
             starts.append(self.peek())
             commands.append(self.command())
             self.expect(";")
@@ -351,26 +341,22 @@ def format_angle(angle: Angle) -> str:
     return f"{frac.numerator}/{frac.denominator} pi"
 
 
-def format_signal(sig: Signal) -> str:
-    return str(sig)
-
-
 def format_command(cmd) -> str:
     if isinstance(cmd, Entangle):
         return f"E({cmd.i},{cmd.j})"
     if isinstance(cmd, Measure):
         parts = [str(cmd.qubit), format_angle(cmd.angle)]
         if cmd.s:
-            parts.append(f"s={format_signal(cmd.s)}")
+            parts.append(f"s={cmd.s}")
         if cmd.t:
-            parts.append(f"t={format_signal(cmd.t)}")
+            parts.append(f"t={cmd.t}")
         return f"M({', '.join(parts)})"
     if isinstance(cmd, CorrectX):
-        return f"X({cmd.qubit}, {format_signal(cmd.signal)})"
+        return f"X({cmd.qubit}, {cmd.signal})"
     if isinstance(cmd, CorrectZ):
-        return f"Z({cmd.qubit}, {format_signal(cmd.signal)})"
+        return f"Z({cmd.qubit}, {cmd.signal})"
     if isinstance(cmd, Shift):
-        return f"S({cmd.qubit}, {format_signal(cmd.signal)})"
+        return f"S({cmd.qubit}, {cmd.signal})"
     raise TypeError(f"unknown command {cmd!r}")
 
 

@@ -14,7 +14,6 @@ normal form; a deterministic low-position strategy is used for speed.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -52,9 +51,8 @@ class RewriteStep(NamedTuple):
     after: tuple
 
 
-@dataclass(frozen=True)
-class TerminationMeasure:
-    """The published termination pair ``(e_sum, c_sum)``, ordered lexicographically.
+def termination_measure(pattern: Pattern) -> tuple[int, int]:
+    """The published termination pair ``(e_sum, c_sum)``; tuples order lexicographically.
 
     ``e_sum`` adds the 1-based execution position of every entanglement;
     ``c_sum`` adds ``n - position`` for every correction, ``n`` being the
@@ -62,18 +60,6 @@ class TerminationMeasure:
     an X correction crosses an entanglement under EX, the spawned Z pushes
     every later entanglement one position back, so the pair can rise.
     """
-
-    e_sum: int
-    c_sum: int
-
-    def __lt__(self, other: "TerminationMeasure") -> bool:
-        return (self.e_sum, self.c_sum) < (other.e_sum, other.c_sum)
-
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.e_sum, self.c_sum)
-
-
-def termination_measure(pattern: Pattern) -> TerminationMeasure:
     n = len(pattern.commands)
     e_sum = c_sum = 0
     for pos, cmd in enumerate(pattern.commands, start=1):
@@ -81,7 +67,7 @@ def termination_measure(pattern: Pattern) -> TerminationMeasure:
             e_sum += pos
         elif isinstance(cmd, (CorrectX, CorrectZ)):
             c_sum += n - pos
-    return TerminationMeasure(e_sum, c_sum)
+    return e_sum, c_sum
 
 
 def _splittable(cmd: Command) -> bool:

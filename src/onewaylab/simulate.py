@@ -429,9 +429,11 @@ def branch_maps(pattern: Pattern, plan=None) -> list[BranchMap]:
     when it vanishes on every basis input.  With a ``plan`` of raw outcomes
     for a certified pattern, only that branch is walked (see ``_walk``).
     """
-    dim = 2 ** len(pattern.inputs)
-    layout = _layout(pattern, dim)
-    leaves, _ = _walk(layout, np.eye(dim, dtype=complex), plan)
+    return _branch_maps(_layout(pattern, 2 ** len(pattern.inputs)), plan)
+
+
+def _branch_maps(layout: _Layout, plan=None) -> list[BranchMap]:
+    leaves, _ = _walk(layout, np.eye(2**layout.inputs, dtype=complex), plan)
     return [BranchMap(raw, outcomes, out.T) for raw, outcomes, out, _ in leaves]
 
 
@@ -448,7 +450,7 @@ def _pseudorandom_states(dim: int, count: int = 8) -> tuple[np.ndarray, ...]:
 _COLLINEAR_TOL = 1e-9
 
 
-def _all_collinear(vectors: list[np.ndarray], tol: float = _COLLINEAR_TOL) -> bool:
+def _all_collinear(vectors: list[np.ndarray]) -> bool:
     ref = None
     for v in vectors:
         nv = np.linalg.norm(v)
@@ -457,12 +459,12 @@ def _all_collinear(vectors: list[np.ndarray], tol: float = _COLLINEAR_TOL) -> bo
         if ref is None:
             ref, nref = v, nv
             continue
-        if abs(np.vdot(ref, v)) < (1.0 - tol) * nref * nv:
+        if abs(np.vdot(ref, v)) < (1.0 - _COLLINEAR_TOL) * nref * nv:
             return False
     return True
 
 
-def _maps_deterministic(maps: list[BranchMap], dim: int, tol: float) -> bool:
+def _maps_deterministic(maps: list[BranchMap], dim: int) -> bool:
     """Whether every probe's non-vanishing branch outputs are collinear.
 
     The probes are every basis input plus a fixed set of pseudorandom ones;
@@ -473,7 +475,7 @@ def _maps_deterministic(maps: list[BranchMap], dim: int, tol: float) -> bool:
     for probe in (*np.eye(dim, dtype=complex), *_pseudorandom_states(dim)):
         outputs = stacked @ probe
         kept = outputs[_row_norms(outputs) > _BRANCH_CUTOFF * np.vdot(probe, probe).real]
-        if not _all_collinear(kept, tol):
+        if not _all_collinear(kept):
             return False
     return True
 
@@ -562,7 +564,7 @@ def _certified(pattern: Pattern) -> bool:
     return not any(reduce(p) for p in flips.values())
 
 
-def is_deterministic(pattern: Pattern, tol: float = _COLLINEAR_TOL) -> bool:
+def is_deterministic(pattern: Pattern) -> bool:
     """True when all branches produce the same output state up to phase.
 
     A certified pattern (see ``_certified``) is deterministic exactly.
@@ -572,7 +574,7 @@ def is_deterministic(pattern: Pattern, tol: float = _COLLINEAR_TOL) -> bool:
     """
     if _certified(pattern):
         return True
-    return _maps_deterministic(branch_maps(pattern), 2 ** len(pattern.inputs), tol)
+    return _maps_deterministic(branch_maps(pattern), 2 ** len(pattern.inputs))
 
 
 def extract_unitary(pattern: Pattern, check_deterministic: bool = True) -> np.ndarray:
@@ -591,12 +593,14 @@ def extract_unitary(pattern: Pattern, check_deterministic: bool = True) -> np.nd
     branch vanish on basis input 0, every branch is walked.
     """
     dim_in = 2 ** len(pattern.inputs)
+    # laid out first, so an over-wide state fails before the certificate runs
+    layout = _layout(pattern, dim_in)
     maps = []
     if _certified(pattern):
-        maps = branch_maps(pattern, dict.fromkeys(pattern.measured, 0))
+        maps = _branch_maps(layout, dict.fromkeys(pattern.measured, 0))
     if not (maps and _row_norms(maps[0].matrix.T)[0] > _BRANCH_CUTOFF):
-        maps = branch_maps(pattern)
-        if check_deterministic and not _maps_deterministic(maps, dim_in, _COLLINEAR_TOL):
+        maps = _branch_maps(layout)
+        if check_deterministic and not _maps_deterministic(maps, dim_in):
             raise NotDeterministicError("pattern is not deterministic: no single unitary exists")
     measured = sorted(pattern.measured, key=qubit_key)
     for branch in sorted(maps, key=lambda m: tuple(m.raw[q] for q in measured)):

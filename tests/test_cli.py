@@ -272,6 +272,7 @@ def test_library_unknown_name(capsys, monkeypatch):
         ["verify", "--against", "cu:1"],
         ["verify", "--against", "j:"],
         ["verify", "--against", "j:1/4"],
+        pytest.param(["library", "ghz", "9" * 5000], id="library ghz 5000-digit count"),
     ],
 )
 def test_bad_builder_call_is_a_usage_error(capsys, monkeypatch, argv):
@@ -289,6 +290,9 @@ def test_bad_builder_call_is_a_usage_error(capsys, monkeypatch, argv):
     [
         ("input: 1, 1; output: 1;", 33, "duplicate input qubit 1"),
         ("input: 2; output: 2;", 30, "input qubit 2 not in space"),
+        pytest.param(
+            f"input: {'9' * 5000};", 30, "integer of 5000 digits is too long", id="5000-digit label"
+        ),
     ],
 )
 def test_interface_list_error_exit_code(capsys, monkeypatch, command, lists, column, message):

@@ -11,7 +11,6 @@ from onewaylab.dsl import (
     DslError,
     format_angle,
     format_command,
-    format_signal,
     parse,
     parse_angle,
     parse_document,
@@ -34,6 +33,8 @@ from onewaylab.patterns import Pattern, PatternError
 from onewaylab.rewrite import standardize, standardize_extended
 from onewaylab.signals import Signal, signal
 
+# more digits than Python's int() reads from a string by default
+_LONG = "9" * 5000
 
 CORPUS = [
     h(),
@@ -197,8 +198,8 @@ def test_format_angle():
 
 
 def test_format_signal_and_command():
-    assert format_signal(Signal()) == "0"
-    assert format_signal(signal(2, 1, constant=1)) == "1 + s[1] + s[2]"
+    assert str(Signal()) == "0"
+    assert str(signal(2, 1, constant=1)) == "1 + s[1] + s[2]"
     assert format_command(Entangle(2, 1)) == "E(1,2)"
     assert format_command(Measure(1, Angle.exact(7, 4), s=signal(2))) == (
         "M(1, 7/4 pi, s=s[2])"
@@ -220,7 +221,15 @@ def test_y_axis_angle_serialization_parses_back():
 
 @pytest.mark.parametrize(
     "angle, column",
-    [("1/0 pi", 54), ("pi/0", 55), ("1/0", 54), ("1e999", 52), ("-1e999", 52)],
+    [
+        ("1/0 pi", 54),
+        ("pi/0", 55),
+        ("1/0", 54),
+        ("1e999", 52),
+        ("-1e999", 52),
+        pytest.param(f"{_LONG} pi", 52, id="5000-digit numerator"),
+        pytest.param(f"1/{_LONG} pi", 54, id="5000-digit denominator"),
+    ],
 )
 def test_malformed_angle_is_a_located_error(angle, column):
     text = f"pattern p {{ space: 1; input: ; output: ; seq: M(1, {angle}); }}"
@@ -310,13 +319,30 @@ def test_serialize_parses_back_equal(pattern):
         ("input: 2; output: 1;", "input: ", "input qubit 2 not in space"),
         ("input: 1; output: 1, a, 1;", "input: 1; output: 1, ", "output qubit a not in space"),
         ("input: ;\n  output: 1, 1;", "input: ;\n  output: 1, ", "duplicate output qubit 1"),
+        ("input: 2;\n  output: ;\n  @", "input: 2;\n  output: ;\n  ", "unexpected character '@'"),
+        (
+            "input: 1; # 2 is not in the space\n  output: 2;",
+            "input: 1; # 2 is not in the space\n  output: ",
+            "output qubit 2 not in space",
+        ),
+        ("input: ;\n\n  output: 1, 1;", "input: ;\n\n  output: 1, ", "duplicate output qubit 1"),
+        ("input: 1;\n  output: 1;", "input: 1;\n  output: 1;", "expected 'seq', found 'end of input'"),
+        pytest.param(
+            f"input: {_LONG};", "input: ", "integer of 5000 digits is too long", id="5000-digit label"
+        ),
+        pytest.param(
+            f"input: ; output: ;\n  seq: X(1, 1 + {_LONG});",
+            "input: ; output: ;\n  seq: X(1, 1 + ",
+            "integer of 5000 digits is too long",
+            id="5000-digit signal constant",
+        ),
     ],
 )
 def test_interface_list_errors_are_located(lists, before, message):
-    text = f"pattern p {{ space: 1; {lists} seq: }}"
+    text = f"pattern p {{ space: 1; {lists}"
     with pytest.raises(DslError, match=message) as err:
         parse(text)
-    # located at the offending label
+    # located at the offending token
     offset = text.index(lists) + len(before)
     line = text.count("\n", 0, offset) + 1
     column = offset - text.rfind("\n", 0, offset)

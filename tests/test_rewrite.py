@@ -413,16 +413,16 @@ def test_measure_values_from_definition():
         (1,),
         (2,),
     )
-    assert termination_measure(h).as_tuple() == (1, 0)
+    assert termination_measure(h) == (1, 0)
     p = seq_pattern(
         [CorrectX(1, signal(constant=1)), Entangle(1, 2)], (1, 2), (1, 2), (1, 2)
     )
-    assert termination_measure(p).as_tuple() == (2, 1)
+    assert termination_measure(p) == (2, 1)
     q = apply_rule(p, Rule.EX, 0)
-    assert termination_measure(q).as_tuple() == (1, 1)
+    assert termination_measure(q) == (1, 1)
     assert termination_measure(q) < termination_measure(p)
     empty = seq_pattern([], (), (), ())
-    assert termination_measure(empty).as_tuple() == (0, 0)
+    assert termination_measure(empty) == (0, 0)
 
 
 def test_measure_can_increase_when_corrections_cross_repeated_entanglement():
@@ -437,8 +437,8 @@ def test_measure_can_increase_when_corrections_cross_repeated_entanglement():
     )
     before = termination_measure(p)
     after = termination_measure(apply_rule(p, Rule.EX, 0))
-    assert before.as_tuple() == (5, 2)
-    assert after.as_tuple() == (5, 3)
+    assert before == (5, 2)
+    assert after == (5, 3)
     assert not after < before
 
 

@@ -318,12 +318,23 @@ def test_state_size_guard(monkeypatch):
         prepare(chain, [1.0, 0.0])
 
 
+def test_extract_unitary_checks_the_width_before_certifying(monkeypatch):
+    monkeypatch.setattr(simulate, "MAX_AMPLITUDES", 4)
+
+    def unreachable(pattern):
+        raise AssertionError("the certificate ran before the width check")
+
+    monkeypatch.setattr(simulate, "standardize_extended", unreachable)
+    with pytest.raises(SimulationError, match="qubits wide"):
+        extract_unitary(ghz(5))
+
+
 # the determinism certificate ----------------------------------------
 
 
 def brute_deterministic(pattern):
     dim = 2 ** len(pattern.inputs)
-    return simulate._maps_deterministic(branch_maps(pattern), dim, simulate._COLLINEAR_TOL)
+    return simulate._maps_deterministic(branch_maps(pattern), dim)
 
 
 def assert_certificate_sound(pattern):
