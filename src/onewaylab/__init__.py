@@ -52,9 +52,7 @@ from .simulate import (
     Branch,
     extract_unitary,
     is_deterministic,
-    prepare,
     run_all_branches,
-    step,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -155,9 +155,19 @@ def _target_matrix(spec: str) -> np.ndarray:
         pattern = _build(name, [p for p in params.split(",") if p])
         return simulate.extract_unitary(pattern)
     rows = []
-    for line in _read_text(spec).strip().splitlines():
-        if line.strip():
-            rows.append([complex(tok) for tok in line.split()])
+    for number, line in enumerate(_read_text(spec).splitlines(), 1):
+        tokens = line.split()
+        if not tokens:
+            continue
+        where = f"cannot read matrix {spec}: line {number}"
+        try:
+            rows.append([complex(tok) for tok in tokens])
+        except ValueError:
+            _usage_error(f"{where}: not a row of complex numbers: {line.strip()!r}")
+        if len(rows[-1]) != len(rows[0]):
+            _usage_error(f"{where}: {len(rows[-1])} entries, but the first row has {len(rows[0])}")
+    if not rows:
+        _usage_error(f"cannot read matrix {spec}: no rows")
     return np.asarray(rows, dtype=complex)
 
 

@@ -79,11 +79,6 @@ def rz(alpha) -> Pattern:
     return j_chain([alpha, 0])
 
 
-def rz_chain(alpha) -> Pattern:
-    """The 5-qubit z-rotation built as H.Rx(alpha).H."""
-    return j_chain([0, 0, alpha, 0])
-
-
 def rotation(alpha, beta, gamma) -> Pattern:
     """General rotation J(0)J(alpha)J(beta)J(gamma) on 5 qubits."""
     return j_chain([gamma, beta, alpha, 0])

@@ -23,10 +23,9 @@ which is the branch the full walk would pick.  Patterns the certificate
 does not decide fall back to walking every branch and comparing them, the
 brute force that stays the reference.
 
-``prepare``, ``step`` and ``run_branch`` are the eager reference the walk is
-tested against: they prepare the whole space up front, with qubit axes in
-``live_order`` (inputs first, then prepared qubits in label order),
-big-endian in flat indexing.
+``run_branch`` is the eager reference the walk is tested against: it runs
+one branch on a state prepared over the whole space up front, inputs first
+and then the prepared qubits in label order, big-endian in flat indexing.
 """
 
 from __future__ import annotations
@@ -41,7 +40,7 @@ import numpy as np
 from .commands import CorrectX, CorrectZ, Entangle, Measure, Shift
 from .patterns import Pattern, PatternError, validate
 from .rewrite import standardize_extended
-from .signals import Qubit, qubit_key
+from .signals import qubit_key
 
 _INV_SQRT2 = 1.0 / sqrt(2.0)
 _PLUS = np.full(2, _INV_SQRT2, dtype=complex)
@@ -75,40 +74,17 @@ def _check_width(width: int) -> None:
         )
 
 
-@dataclass
-class ComputationState:
-    """A point in one execution branch: vector, live qubits, outcomes so far."""
-
-    tensor: np.ndarray
-    live: tuple
-    outcomes: dict
-
-    def axis(self, qubit: Qubit) -> int:
-        return self.live.index(qubit)
-
-    @property
-    def vector(self) -> np.ndarray:
-        """Flat amplitude vector, first live qubit most significant."""
-        return self.tensor.reshape(-1)
-
-    def norm_squared(self) -> float:
-        v = self.tensor.reshape(-1)
-        return float(np.real(np.vdot(v, v)))
-
-
 @dataclass(frozen=True)
 class Branch:
     """One completed execution branch.
 
     ``outcomes`` are as signals read them, after shifts; ``output`` is over
-    the declared outputs; ``live`` lists the surviving qubits in
-    ``live_order``.
+    the declared outputs.
     """
 
     outcomes: dict
     probability: float
     output: np.ndarray
-    live: tuple
 
 
 @dataclass(frozen=True)
@@ -126,15 +102,6 @@ class BranchMap:
     matrix: np.ndarray
 
 
-def _aux_order(pattern: Pattern) -> list:
-    return sorted(pattern.prepared, key=qubit_key)
-
-
-def live_order(pattern: Pattern) -> tuple:
-    """Initial axis order: inputs as given, then prepared qubits sorted."""
-    return tuple(pattern.inputs) + tuple(_aux_order(pattern))
-
-
 def _input_vector(pattern: Pattern, input_state) -> np.ndarray:
     """A fresh flat input vector; ``None`` means |0...0>."""
     n_in = len(pattern.inputs)
@@ -150,104 +117,55 @@ def _input_vector(pattern: Pattern, input_state) -> np.ndarray:
     return vec
 
 
-def prepare(pattern: Pattern, input_state=None) -> ComputationState:
-    """Initial state: the input vector tensored with |+> on each prepared qubit.
-
-    ``input_state`` is a flat vector over the declared inputs (big-endian),
-    defaulting to |0...0>; patterns with no inputs take ``None`` only.
-    """
-    _check_width(len(pattern.space))
-    vec = _input_vector(pattern, input_state)
-    tensor = vec.reshape((2,) * len(pattern.inputs))
-    for _ in _aux_order(pattern):
-        tensor = np.multiply.outer(tensor, _PLUS)
-    return ComputationState(tensor, live_order(pattern), {})
-
-
-def _apply_cz(state: ComputationState, cmd: Entangle) -> None:
-    a, b = state.axis(cmd.i), state.axis(cmd.j)
-    idx = [slice(None)] * state.tensor.ndim
-    idx[a] = 1
-    idx[b] = 1
-    state.tensor[tuple(idx)] *= -1.0
-
-
-def _project(state: ComputationState, cmd: Measure, outcome: int) -> ComputationState:
-    """Contract the measured axis against <outcome at the effective angle|."""
-    s_val = cmd.s.evaluate(state.outcomes)
-    t_val = cmd.t.evaluate(state.outcomes)
-    angle = (-1.0) ** s_val * cmd.angle.radians + t_val * np.pi
-    ax = state.axis(cmd.qubit)
-    zero = np.take(state.tensor, 0, axis=ax)
-    one = np.take(state.tensor, 1, axis=ax)
-    sign = -1.0 if outcome else 1.0
-    new = (zero + sign * np.exp(-1j * angle) * one) * _INV_SQRT2
-    live = tuple(q for q in state.live if q != cmd.qubit)
-    outcomes = dict(state.outcomes)
-    outcomes[cmd.qubit] = outcome
-    return ComputationState(new, live, outcomes)
-
-
-def _apply_correction(state: ComputationState, cmd) -> None:
-    if not cmd.signal.evaluate(state.outcomes):
-        return
-    ax = state.axis(cmd.qubit)
-    if isinstance(cmd, CorrectX):
-        state.tensor = np.flip(state.tensor, axis=ax)
-    else:
-        idx = [slice(None)] * state.tensor.ndim
-        idx[ax] = 1
-        state.tensor[tuple(idx)] *= -1.0
-
-
-def _reorder_to_outputs(state: ComputationState, pattern: Pattern) -> np.ndarray:
-    if state.live == pattern.outputs:
-        return state.tensor.reshape(-1)
-    perm = [state.live.index(q) for q in pattern.outputs]
-    return np.transpose(state.tensor, perm).reshape(-1)
-
-
-def step(state: ComputationState, cmd) -> list[ComputationState]:
-    """Execute one command; measurements return their surviving branches.
-
-    Entanglement, corrections, and shifts return a single successor (the
-    input state is mutated and returned for efficiency); a measurement
-    returns up to two new states, dropping zero-amplitude outcomes.
-    """
-    if isinstance(cmd, Entangle):
-        _apply_cz(state, cmd)
-        return [state]
-    if isinstance(cmd, Measure):
-        branches = [_project(state, cmd, outcome) for outcome in (0, 1)]
-        return [b for b in branches if b.norm_squared() > 0.0]
-    if isinstance(cmd, (CorrectX, CorrectZ)):
-        _apply_correction(state, cmd)
-        return [state]
-    if isinstance(cmd, Shift):
-        state.outcomes[cmd.qubit] ^= cmd.signal.evaluate(state.outcomes)
-        return [state]
-    raise SimulationError(f"cannot execute {cmd!r}")
-
-
 def run_branch(pattern: Pattern, outcomes_plan, input_state=None) -> Branch:
     """Execute one branch with measurement outcomes forced from a plan.
 
-    ``outcomes_plan`` maps measured qubits to bits.  The returned probability
-    is what that branch would occur with under real measurement.  This is
-    the eager reference: ``prepare`` then ``step``, with every measurement
-    forced.
+    ``outcomes_plan`` maps each measured qubit to its raw bit; a qubit
+    missing from it raises ``KeyError``.  The returned probability is what
+    that branch would occur with under real measurement.  This is the eager
+    reference the walk is tested against: the whole space is prepared up
+    front, the input vector (``None`` means |0...0>) tensored with |+> on
+    each prepared qubit in label order, and every command acts on that one
+    tensor.  It does not validate the pattern.
     """
-    state = prepare(pattern, input_state)
-    start_norm2 = state.norm_squared()
+    _check_width(len(pattern.space))
+    tensor = _input_vector(pattern, input_state).reshape((2,) * len(pattern.inputs))
+    for _ in pattern.prepared:
+        tensor = np.multiply.outer(tensor, _PLUS)
+    live = tuple(pattern.inputs) + tuple(sorted(pattern.prepared, key=qubit_key))
+    start_norm2 = float(np.real(np.vdot(tensor, tensor)))
     if start_norm2 == 0.0:
         raise SimulationError("input state is the zero vector")
+    outcomes = {}
     for cmd in pattern.commands:
         if isinstance(cmd, Measure):
-            state = _project(state, cmd, outcomes_plan[cmd.qubit])
+            # contract the measured axis against <outcome at the effective angle|
+            outcome = outcomes_plan[cmd.qubit]
+            s_val = cmd.s.evaluate(outcomes)
+            t_val = cmd.t.evaluate(outcomes)
+            angle = (-1.0) ** s_val * cmd.angle.radians + t_val * np.pi
+            ax = live.index(cmd.qubit)
+            zero = np.take(tensor, 0, axis=ax)
+            one = np.take(tensor, 1, axis=ax)
+            sign = -1.0 if outcome else 1.0
+            tensor = (zero + sign * np.exp(-1j * angle) * one) * _INV_SQRT2
+            live = tuple(q for q in live if q != cmd.qubit)
+            outcomes[cmd.qubit] = outcome
+        elif isinstance(cmd, Entangle):
+            tensor[_ones_at([live.index(cmd.i), live.index(cmd.j)])] *= -1.0
+        elif isinstance(cmd, CorrectX):
+            if cmd.signal.evaluate(outcomes):
+                tensor = np.flip(tensor, axis=live.index(cmd.qubit))
+        elif isinstance(cmd, CorrectZ):
+            if cmd.signal.evaluate(outcomes):
+                tensor[_ones_at([live.index(cmd.qubit)])] *= -1.0
+        elif isinstance(cmd, Shift):
+            outcomes[cmd.qubit] ^= cmd.signal.evaluate(outcomes)
         else:
-            (state,) = step(state, cmd)
-    prob = state.norm_squared() / start_norm2
-    return Branch(state.outcomes, prob, _reorder_to_outputs(state, pattern), state.live)
+            raise SimulationError(f"cannot execute {cmd!r}")
+    prob = float(np.real(np.vdot(tensor, tensor))) / start_norm2
+    output = np.transpose(tensor, [live.index(q) for q in pattern.outputs]).reshape(-1)
+    return Branch(outcomes, prob, output)
 
 
 def _ones_at(axes) -> tuple:
@@ -412,27 +330,27 @@ def run_all_branches(pattern: Pattern, input_state=None) -> list[Branch]:
     """
     layout = _layout(pattern, 1)
     leaves, start = _walk(layout, _input_vector(pattern, input_state)[None, :])
-    live = tuple(q for q in live_order(pattern) if q in pattern.output_set)
     branches = [
-        Branch(outcomes, float(norms[0] / start[0]), out[0], live)
+        Branch(outcomes, float(norms[0] / start[0]), out[0])
         for _, outcomes, out, norms in leaves
     ]
     branches.sort(key=lambda b: tuple(b.outcomes[q] for q in sorted(b.outcomes, key=qubit_key)))
     return branches
 
 
-def branch_maps(pattern: Pattern, plan=None) -> list[BranchMap]:
+def branch_maps(pattern: Pattern) -> list[BranchMap]:
     """Every surviving branch's linear map, from one walk over the input basis.
 
     The walk runs all basis inputs at once, so it checks what
     ``run_all_branches`` checks on each of them, and drops a subtree only
-    when it vanishes on every basis input.  With a ``plan`` of raw outcomes
-    for a certified pattern, only that branch is walked (see ``_walk``).
+    when it vanishes on every basis input.
     """
-    return _branch_maps(_layout(pattern, 2 ** len(pattern.inputs)), plan)
+    return _branch_maps(_layout(pattern, 2 ** len(pattern.inputs)))
 
 
 def _branch_maps(layout: _Layout, plan=None) -> list[BranchMap]:
+    """``branch_maps`` of a laid-out pattern; with a ``plan`` of raw outcomes
+    for a certified pattern, only that branch is walked (see ``_walk``)."""
     leaves, _ = _walk(layout, np.eye(2**layout.inputs, dtype=complex), plan)
     return [BranchMap(raw, outcomes, out.T) for raw, outcomes, out, _ in leaves]
 
@@ -450,32 +368,24 @@ def _pseudorandom_states(dim: int, count: int = 8) -> tuple[np.ndarray, ...]:
 _COLLINEAR_TOL = 1e-9
 
 
-def _all_collinear(vectors: list[np.ndarray]) -> bool:
-    ref = None
-    for v in vectors:
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        if ref is None:
-            ref, nref = v, nv
-            continue
-        if abs(np.vdot(ref, v)) < (1.0 - _COLLINEAR_TOL) * nref * nv:
-            return False
-    return True
-
-
 def _maps_deterministic(maps: list[BranchMap], dim: int) -> bool:
     """Whether every probe's non-vanishing branch outputs are collinear.
 
     The probes are every basis input plus a fixed set of pseudorandom ones;
     an output is dropped, as a vanishing branch, when its squared norm is at
-    most the cutoff times the probe's.
+    most the cutoff times the probe's.  Each probe's kept outputs are
+    compared with its first kept output, all at once: two outputs u, v are
+    collinear when |<u, v>| >= (1 - tol) |u| |v|.  The maps come from a walk
+    whose branch probabilities sum to 1, so every probe keeps an output.
     """
     stacked = np.stack([m.matrix for m in maps])
     for probe in (*np.eye(dim, dtype=complex), *_pseudorandom_states(dim)):
         outputs = stacked @ probe
-        kept = outputs[_row_norms(outputs) > _BRANCH_CUTOFF * np.vdot(probe, probe).real]
-        if not _all_collinear(kept):
+        norms = _row_norms(outputs)
+        keep = norms > _BRANCH_CUTOFF * np.vdot(probe, probe).real
+        kept, lengths = outputs[keep], np.sqrt(norms[keep])
+        overlaps = np.abs(kept @ kept[0].conj())
+        if (overlaps < (1.0 - _COLLINEAR_TOL) * lengths[0] * lengths).any():
             return False
     return True
 
@@ -569,8 +479,12 @@ def is_deterministic(pattern: Pattern) -> bool:
 
     A certified pattern (see ``_certified``) is deterministic exactly.
     Otherwise this probes every basis input plus a fixed set of
-    pseudorandom inputs, applied to the branch maps of one walk; branch
-    maps are linear, so agreement on a spanning set is agreement everywhere.
+    pseudorandom inputs, applied to the branch maps of one walk, and asks
+    that on each probe the non-vanishing outputs agree up to a scalar.
+    Collinearity is not linear: two maps can agree up to a scalar on every
+    basis input and still disagree on a superposition, when the scalars
+    differ.  The pseudorandom probes are what catch that, for all but a
+    measure-zero set of probes.
     """
     if _certified(pattern):
         return True

@@ -147,6 +147,32 @@ def test_verify_against_matrix_file(tmp_path, capsys, monkeypatch):
     assert code == 0 and "match" in out
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("1 0\n\n0 1+\n", "line 3: not a row of complex numbers: '0 1+'"),
+        ("1 0\n0 1 0\n", "line 2: 3 entries, but the first row has 2"),
+        ("", "no rows"),
+    ],
+    ids=["bad-entry", "ragged", "empty"],
+)
+def test_verify_malformed_matrix_file_is_a_usage_error(tmp_path, capsys, monkeypatch, text, message):
+    target = tmp_path / "bad.mat"
+    target.write_text(text)
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize(h())))
+    with pytest.raises(SystemExit) as exit_:
+        main(["verify", "--against", str(target)])
+    assert exit_.value.code == 2
+    assert f"error: cannot read matrix {target}: {message}" in capsys.readouterr().err
+
+
+def test_verify_matrix_of_the_wrong_shape_is_a_failure(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "one.mat"
+    target.write_text("1\n")
+    code, out, _ = run_cli(capsys, monkeypatch, ["verify", "--against", str(target)], stdin=serialize(h()))
+    assert code == 1 and "shape mismatch" in out
+
+
 def test_graph_dependency_dot(capsys, monkeypatch):
     from onewaylab.rewrite import standardize_extended
 

@@ -11,13 +11,13 @@ from onewaylab.dsl import serialize
 from onewaylab.library import (
     cnot,
     ghz,
+    j_chain,
     p_half,
     random_circuit_pattern,
     random_wild_pattern,
     rotation,
     rx,
     rz,
-    rz_chain,
     teleport,
 )
 from onewaylab.patterns import Pattern, PatternError, validate
@@ -312,7 +312,8 @@ def test_rotation_extended_standard_form():
 
 
 def test_rz_chain_extended_standard_form():
-    std, _ = standardize_extended(rz_chain(Fraction(1, 4)))
+    # the 5-qubit z-rotation built as H.Rx(pi/4).H
+    std, _ = standardize_extended(j_chain([0, 0, Fraction(1, 4), 0]))
     assert [c for c in std.commands] == [
         Entangle(1, 2),
         Entangle(2, 3),

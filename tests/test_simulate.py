@@ -9,13 +9,14 @@ from conftest import (
     CZ_MAT,
     H_MAT,
     SQ2,
+    X_MAT,
     aligned_distance,
     assert_proportional,
     j_mat,
 )
 
 from onewaylab.angles import Angle
-from onewaylab.commands import CorrectX, CorrectZ, Entangle, Measure
+from onewaylab.commands import CorrectX, CorrectZ, Entangle, Measure, Shift
 from onewaylab import simulate
 from onewaylab.clifford import pauli_eliminate
 from onewaylab.library import (
@@ -36,17 +37,15 @@ from onewaylab.library import (
 )
 from onewaylab.patterns import Pattern, PatternError, compose, rename, tensor
 from onewaylab.rewrite import standardize, standardize_extended
-from onewaylab.signals import qubit_key, signal
+from onewaylab.signals import Signal, qubit_key, signal
 from onewaylab.simulate import (
     _BRANCH_CUTOFF,
     SimulationError,
     branch_maps,
     extract_unitary,
     is_deterministic,
-    prepare,
     run_all_branches,
     run_branch,
-    step,
 )
 
 
@@ -70,28 +69,9 @@ def truncated_h():
     )
 
 
-def test_prepare_tensors_plus_states():
-    state = prepare(h_pattern(), [1.0, 0.0])
-    # |0> (x) |+>
-    assert state.live == (1, 2)
-    assert np.allclose(state.vector, [1 / SQ2, 1 / SQ2, 0, 0])
-
-
 def test_prepare_input_validation():
     with pytest.raises(SimulationError):
-        prepare(h_pattern(), [1.0, 0.0, 0.0])
-
-
-def test_step_entangle_and_measure():
-    state = prepare(h_pattern(), [1.0, 0.0])
-    (state,) = step(state, Entangle(1, 2))
-    assert np.allclose(state.vector, [1 / SQ2, 1 / SQ2, 0, 0])
-    branches = step(state, Measure(1, Angle.exact(0)))
-    assert len(branches) == 2
-    assert branches[0].outcomes == {1: 0} and branches[1].outcomes == {1: 1}
-    # unnormalized projections: each branch carries half the norm
-    for b in branches:
-        assert b.norm_squared() == pytest.approx(0.5)
+        run_branch(h_pattern(), {1: 0}, [1.0, 0.0, 0.0])
 
 
 def test_h_pattern_branches_recombine():
@@ -133,6 +113,65 @@ def test_run_branch_forced_outcomes():
     branch = run_branch(h_pattern(), {1: 1}, [1.0, 0.0])
     assert branch.outcomes == {1: 1}
     assert_proportional(branch.output, H_MAT @ np.array([1.0, 0.0]))
+
+
+# the eager reference against closed forms ---------------------------
+
+
+@pytest.mark.parametrize("alpha", [Fraction(0), Fraction(1, 4), Fraction(2, 3), Fraction(3, 2)])
+def test_run_branch_uncorrected_j_is_x_power_times_j(alpha):
+    # E(1,2) then M(1, -alpha) leaves X^s J(alpha) psi on qubit 2, each s at 1/2
+    p = Pattern(
+        frozenset((1, 2)), (1,), (2,), (Entangle(1, 2), Measure(1, Angle.exact(-alpha)))
+    )
+    psi = _random_state(2, 11)
+    for s in (0, 1):
+        branch = run_branch(p, {1: s}, psi)
+        assert branch.outcomes == {1: s}
+        assert branch.probability == pytest.approx(0.5, abs=1e-12)
+        want = np.linalg.matrix_power(X_MAT, s) @ j_mat(float(alpha) * math.pi) @ psi
+        assert np.allclose(branch.output / math.sqrt(branch.probability), want, atol=1e-12)
+
+
+def test_run_branch_probability_of_a_fresh_plus_measured_at_pi_over_3():
+    # <+-_a|+> = (1 +- e^{-ia})/2 scales the untouched input, with probability
+    # (1 +- cos a)/2: 3/4 for outcome 0 and 1/4 for outcome 1
+    a = math.pi / 3
+    p = Pattern(frozenset((1, 2)), (1,), (1,), (Measure(2, Angle.exact(1, 3)),))
+    psi = _random_state(2, 12)
+    for s, want in ((0, 0.75), (1, 0.25)):
+        branch = run_branch(p, {2: s}, psi)
+        assert branch.probability == pytest.approx(want, abs=1e-12)
+        amplitude = (1 + (-1) ** s * np.exp(-1j * a)) / 2
+        assert np.allclose(branch.output, amplitude * psi, atol=1e-12)
+
+
+def test_run_branch_shift_relabels_the_outcome_a_later_signal_reads():
+    # a shift by 1 before the correction makes X fire on raw outcome 0, not 1:
+    # the output is X H psi on both branches, and the outcome reads flipped
+    p = Pattern(
+        frozenset((1, 2)),
+        (1,),
+        (2,),
+        (
+            Entangle(1, 2),
+            Measure(1, Angle.exact(0)),
+            Shift(1, Signal(constant=1)),
+            CorrectX(2, signal(1)),
+        ),
+    )
+    psi = _random_state(2, 13)
+    for raw in (0, 1):
+        branch = run_branch(p, {1: raw}, psi)
+        assert branch.outcomes == {1: 1 - raw}
+        assert branch.probability == pytest.approx(0.5, abs=1e-12)
+        assert np.allclose(branch.output * SQ2, X_MAT @ H_MAT @ psi, atol=1e-12)
+
+
+def test_run_branch_plan_must_name_every_measured_qubit():
+    # cnot measures 2 and 3
+    with pytest.raises(KeyError, match="3"):
+        run_branch(cnot(), {2: 0}, [1.0, 0.0, 0.0, 0.0])
 
 
 def test_is_deterministic():
@@ -205,6 +244,64 @@ def test_not_deterministic_error_is_a_simulation_error():
     with pytest.raises(simulate.NotDeterministicError):
         extract_unitary(truncated_h())
     assert issubclass(simulate.NotDeterministicError, SimulationError)
+
+
+def _loop_deterministic(maps, dim):
+    """``_maps_deterministic`` as a loop over each probe's outputs, one at a time."""
+    stacked = np.stack([m.matrix for m in maps])
+    for probe in (*np.eye(dim, dtype=complex), *simulate._pseudorandom_states(dim)):
+        outputs = stacked @ probe
+        kept = outputs[simulate._row_norms(outputs) > _BRANCH_CUTOFF * np.vdot(probe, probe).real]
+        ref = None
+        for v in kept:
+            nv = np.linalg.norm(v)
+            if nv == 0.0:
+                continue
+            if ref is None:
+                ref, nref = v, nv
+                continue
+            if abs(np.vdot(ref, v)) < (1.0 - simulate._COLLINEAR_TOL) * nref * nv:
+                return False
+    return True
+
+
+def _collinearity_cases():
+    """Branch maps, input dimension and verdict for the determinism comparison."""
+    rng = np.random.default_rng(5)
+
+    def rand(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    def case(name, matrices, dim, verdict):
+        maps = [simulate.BranchMap({}, {}, np.asarray(m, dtype=complex)) for m in matrices]
+        return pytest.param(maps, dim, verdict, id=name)
+
+    for dim_out, dim_in in [(2, 1), (2, 2), (4, 2), (4, 4), (8, 4)]:
+        shape = f"{dim_out}x{dim_in}"
+        yield case(f"random-{shape}", [rand(dim_out, dim_in) for _ in range(3)], dim_in, False)
+        u = rand(dim_out, dim_in)
+        yield case(f"proportional-{shape}", [c * u for c in rand(4)], dim_in, True)
+        # a branch whose every output is under the cutoff is dropped
+        yield case(f"under-cutoff-{shape}", [u, 1e-14 * rand(dim_out, dim_in)], dim_in, True)
+        if dim_in > 1:
+            # agrees with u on every basis input it does not vanish on, but
+            # not on a superposition: only the pseudorandom probes see it
+            partial = u.copy()
+            partial[:, 0] = 0.0
+            yield case(f"vanishing-column-{shape}", [u, partial], dim_in, False)
+    # two rank-1 maps with one shared image: every output is a multiple of v,
+    # although the maps are not proportional
+    v = rand(2)
+    yield case("rank-1-pair", [np.outer(v, rand(2)), np.outer(v, rand(2))], 2, True)
+    # |<u, w>| = c |u| |w|, just inside and just outside 1 - tol
+    for factor, verdict in ((0.9, True), (1.1, False)):
+        c = 1.0 - factor * simulate._COLLINEAR_TOL
+        yield case(f"cosine-{factor}-tol", [[[1.0], [0.0]], [[c], [math.sqrt(1.0 - c * c)]]], 1, verdict)
+
+
+@pytest.mark.parametrize("maps, dim, verdict", _collinearity_cases())
+def test_maps_deterministic_matches_per_vector_loop(maps, dim, verdict):
+    assert simulate._maps_deterministic(maps, dim) == _loop_deterministic(maps, dim) == verdict
 
 
 def _raw_plans(pattern):
@@ -315,7 +412,7 @@ def test_state_size_guard(monkeypatch):
     with pytest.raises(SimulationError, match="6 qubits wide"):
         run_all_branches(standardize(chain)[0], [1.0, 0.0])
     with pytest.raises(SimulationError, match="6 qubits wide"):
-        prepare(chain, [1.0, 0.0])
+        run_branch(chain, {}, [1.0, 0.0])
 
 
 def test_extract_unitary_checks_the_width_before_certifying(monkeypatch):
@@ -504,4 +601,4 @@ def test_planned_walk_checks_branch_probability():
     # outcomes at 3:1, not the 1:1 of a certified pattern
     p = Pattern(frozenset((1, 2)), (1,), (1,), (Measure(2, Angle.exact(1, 3)),))
     with pytest.raises(SimulationError, match="not 2\\^-1"):
-        branch_maps(p, {2: 0})
+        simulate._branch_maps(simulate._layout(p, 2), {2: 0})
