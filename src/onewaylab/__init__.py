@@ -8,7 +8,6 @@ and analyze depth, dependency structure, and Clifford membership.
 
 from .angles import Angle, as_angle
 from .clifford import (
-    PauliWord,
     has_dependencies,
     is_clifford,
     is_pauli_only,

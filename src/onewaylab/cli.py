@@ -24,8 +24,11 @@ from .patterns import PatternError, rename, tensor, validate
 def _read_text(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        _usage_error(f"cannot read {path}: not UTF-8 text (byte {exc.start})")
 
 
 def _load(path: str) -> dsl.PatternDocument:

@@ -19,57 +19,8 @@ from .patterns import Pattern, PatternError
 from .rewrite import is_standard, standardize_extended
 from .simulate import extract_unitary
 
-_PAULI = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
-
-_PHASES = (1, 1j, -1, -1j)
-
-# single-qubit products: _MUL[a][b] = (phase, letter) with a.b = phase*letter
-_MUL = {
-    "I": {"I": (1, "I"), "X": (1, "X"), "Y": (1, "Y"), "Z": (1, "Z")},
-    "X": {"I": (1, "X"), "X": (1, "I"), "Y": (1j, "Z"), "Z": (-1j, "Y")},
-    "Y": {"I": (1, "Y"), "X": (-1j, "Z"), "Y": (1, "I"), "Z": (1j, "X")},
-    "Z": {"I": (1, "Z"), "X": (1j, "Y"), "Y": (-1j, "X"), "Z": (1, "I")},
-}
-
-
 class AngleClassificationError(ValueError):
     """An inexact measurement angle cannot be classified as Pauli or not."""
-
-
-@dataclass(frozen=True)
-class PauliWord:
-    """A phase times a tensor product of single-qubit Pauli letters."""
-
-    letters: tuple  # e.g. ("X", "I", "Z")
-    phase: complex = 1
-
-    def __post_init__(self):
-        if self.phase not in _PHASES:
-            raise ValueError(f"phase must be a fourth root of unity, got {self.phase!r}")
-        if any(letter not in _PAULI for letter in self.letters):
-            raise ValueError(f"bad Pauli letters {self.letters!r}")
-
-    def __mul__(self, other: "PauliWord") -> "PauliWord":
-        if len(self.letters) != len(other.letters):
-            raise ValueError("Pauli words act on different qubit counts")
-        phase = self.phase * other.phase
-        letters = []
-        for a, b in zip(self.letters, other.letters):
-            p, c = _MUL[a][b]
-            phase *= p
-            letters.append(c)
-        return PauliWord(tuple(letters), phase)
-
-    def matrix(self) -> np.ndarray:
-        out = np.array([[self.phase]], dtype=complex)
-        for letter in self.letters:
-            out = np.kron(out, _PAULI[letter])
-        return out
 
 
 def is_pauli_only(pattern: Pattern) -> bool:
@@ -120,14 +71,27 @@ def pauli_eliminate(pattern: Pattern) -> Pattern:
     return result
 
 
+def _parity_signs(mask: int, n: int) -> np.ndarray:
+    """(-1)^|c & mask| for c = 0 .. 2^n - 1: the kron of n pairs (1, +-1)."""
+    out = np.ones(1)
+    for m in range(n):
+        out = np.kron(out, (1.0, -1.0 if mask >> (n - 1 - m) & 1 else 1.0))
+    return out
+
+
 def is_clifford(u: np.ndarray) -> bool:
     """Whether a unitary on n qubits normalizes the Pauli group.
 
-    For each generator g in {X_k, Z_k}, V = u g u^H must be a phase times a
-    Pauli word P.  Such a V has one nonzero entry per row, at column r ^ x
-    for the X part x of P, so P is read off V: x is the column of row 0's
-    largest entry, and P has Z on qubit m when V[r, r ^ x] / V[0, x] is
-    negative, for r = 2^(n-1-m).  That one candidate is then tested.
+    Paulis are an X bit mask and a Z bit mask over the flat index, qubit m
+    at bit 2^(n-1-m), and phases are dropped.  For each generator g in
+    {X_k, Z_k}, V = u g u^H must be a phase times a Pauli word P; u g is u
+    with its columns permuted by ``rows ^ bit`` for X_k, or with the
+    columns whose bit is set negated for Z_k.  Such a V has one nonzero
+    entry per row, at column r ^ x for the X part x of P, so P is read off
+    V: x is the column of row 0's largest entry, and P has Z on qubit m
+    when V[r, r ^ x] / V[0, x] is negative, for r = 2^(n-1-m).  That one
+    candidate is then tested: |tr(P^H V)| = |sum_r (-1)^|(r^x) & z| V[r, r^x]|
+    is 2^n exactly when V is a phase times P.
     """
     u = np.asarray(u, dtype=complex)
     dim = u.shape[0]
@@ -138,18 +102,14 @@ def is_clifford(u: np.ndarray) -> bool:
         raise ValueError(f"need a 2^n x 2^n matrix, got shape {u.shape}")
     if not np.allclose(u.conj().T @ u, np.eye(dim), atol=1e-9):
         raise ValueError("matrix is not unitary")
-    for k in range(n):
-        for letter in ("X", "Z"):
-            g = PauliWord(tuple(letter if m == k else "I" for m in range(n))).matrix()
-            v = u @ g @ u.conj().T
+    rows = np.arange(dim)
+    bits = [1 << (n - 1 - m) for m in range(n)]
+    for b in bits:
+        for ug in (u[:, rows ^ b], u * _parity_signs(b, n)):  # u X_k, u Z_k
+            v = ug @ u.conj().T
             x = int(np.argmax(np.abs(v[0])))
-            word = []
-            for m in range(n):
-                r = 1 << (n - 1 - m)
-                z = int((v[r, r ^ x] / v[0, x]).real < 0)
-                word.append("IZXY"[2 * bool(x & r) + z])
-            # vdot(P, V) = tr(P^H V), of modulus 2^n exactly when V is a phase times P
-            if abs(np.vdot(PauliWord(tuple(word)).matrix(), v)) < dim * (1 - 1e-9):
+            z = sum(r for r in bits if (v[r, r ^ x] / v[0, x]).real < 0)
+            if abs(_parity_signs(z, n)[rows ^ x] @ v[rows, rows ^ x]) < dim * (1 - 1e-9):
                 return False
     return True
 

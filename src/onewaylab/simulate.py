@@ -1,8 +1,10 @@
 """Branch-by-branch state-vector execution of measurement patterns.
 
-One recursive walk answers every question asked of a pattern.  On each
-branch it carries an unnormalized tensor of shape ``(rows, 2, ..., 2)``
-whose leading axis batches input vectors: a walk over the input basis
+One walk answers every question asked of a pattern.  It is a loop over
+an explicit stack of unfinished branches, not a recursion, so its depth is
+not bounded by Python's recursion limit.  On each branch it carries an
+unnormalized tensor of shape ``(rows, 2, ..., 2)`` whose leading axis
+batches input vectors: a walk over the input basis
 yields every branch's whole linear map (``branch_maps``), and a walk with
 one row runs one input state (``run_all_branches``).  The declared inputs
 hold the first qubit axes from the start.  Every other qubit joins the
@@ -19,9 +21,11 @@ Determinism is first tried by a certificate (``_certified``): a polynomial
 GF(2) test on the pattern's signals, sound but incomplete.  A certified
 pattern has every branch equal up to phase, so ``is_deterministic`` answers
 at once and ``extract_unitary`` walks a single branch, the all-zero one,
-which is the branch the full walk would pick.  Patterns the certificate
-does not decide fall back to walking every branch and comparing them, the
-brute force that stays the reference.
+which is the branch the full walk would pick.  That planned walk applies
+no cutoff; its check that the branch has probability 2^-m catches a branch
+that vanishes or whose norm underflows.  Patterns the certificate does not
+decide fall back to walking every branch and comparing them, the brute
+force that stays the reference.
 
 ``run_branch`` is the eager reference the walk is tested against: it runs
 one branch on a state prepared over the whole space up front, inputs first
@@ -46,7 +50,7 @@ _INV_SQRT2 = 1.0 / sqrt(2.0)
 _PLUS = np.full(2, _INV_SQRT2, dtype=complex)
 
 # Branches whose squared norm falls below this fraction of the input's are
-# zero up to rounding and are not explored.
+# zero up to rounding and are not explored, except by a planned walk.
 _BRANCH_CUTOFF = 1e-24
 
 # Relative tolerance for the two-outcome norms of a measurement summing to
@@ -246,10 +250,15 @@ def _walk(layout: _Layout, batch: np.ndarray, plan=None):
     every row is below the cutoff.  Checks norm conservation at each
     measurement and that each row's branch probabilities sum to 1.
 
+    The walk is a loop over an explicit stack of unfinished branches, each
+    a tensor, its outcomes and its next step, so its depth is not bounded
+    by Python's recursion limit.  Outcome 1 is explored before outcome 0.
+
     ``plan``, a map from every measured qubit to a raw outcome, restricts
-    the walk to that one branch; it is for certified patterns (see
-    ``_certified``), whose 2^m branches each have probability 2^-m, so the
-    sum check becomes a check that each row's probability is 2^-m.
+    the walk to that one branch, with no cutoff; it is for certified
+    patterns (see ``_certified``), whose 2^m branches each have probability
+    2^-m, so the sum check becomes a check that each row's probability is
+    2^-m, which also catches a planned branch that vanishes.
     """
     rows = batch.shape[0]
     start = _row_norms(batch)
@@ -258,8 +267,9 @@ def _walk(layout: _Layout, batch: np.ndarray, plan=None):
     cutoff = _BRANCH_CUTOFF * start
     steps, perm = layout.steps, layout.perm
     leaves = []
-
-    def go(tensor, raw, outcomes, pos):
+    stack = [(batch.reshape((rows,) + (2,) * layout.inputs), {}, {}, 0)]
+    while stack:
+        tensor, raw, outcomes, pos = stack.pop()
         for i in range(pos, len(steps)):
             cmd, joins, where = steps[i]
             for _ in range(joins):
@@ -282,11 +292,10 @@ def _walk(layout: _Layout, batch: np.ndarray, plan=None):
                         f"{pre[k]} -> {n_lo[k] + n_hi[k]}"
                     )
                 q = cmd.qubit
-                if (plan is None or plan[q]) and (n_hi > cutoff).any():
-                    go(hi, {**raw, q: 1}, {**outcomes, q: 1}, i + 1)
-                if (plan is None or not plan[q]) and (n_lo > cutoff).any():
-                    go(lo, {**raw, q: 0}, {**outcomes, q: 0}, i + 1)
-                return
+                for bit, half, norms in ((0, lo, n_lo), (1, hi, n_hi)):
+                    if (norms > cutoff).any() if plan is None else plan[q] == bit:
+                        stack.append((half, {**raw, q: bit}, {**outcomes, q: bit}, i + 1))
+                break
             elif isinstance(cmd, CorrectX):
                 if cmd.signal.evaluate(outcomes):
                     # the qubit's axis is the last one ``where`` names
@@ -298,12 +307,11 @@ def _walk(layout: _Layout, batch: np.ndarray, plan=None):
                 outcomes[cmd.qubit] ^= cmd.signal.evaluate(outcomes)
             else:
                 raise SimulationError(f"cannot execute {cmd!r}")
-        for _ in range(layout.tail):
-            tensor = tensor[..., None] * _PLUS
-        out = np.transpose(tensor, perm).reshape(rows, -1)
-        leaves.append((raw, outcomes, out, _row_norms(out)))
-
-    go(batch.reshape((rows,) + (2,) * layout.inputs), {}, {}, 0)
+        else:
+            for _ in range(layout.tail):
+                tensor = tensor[..., None] * _PLUS
+            out = np.transpose(tensor, perm).reshape(rows, -1)
+            leaves.append((raw, outcomes, out, _row_norms(out)))
     if plan is None:
         total = sum((leaf[3] for leaf in leaves), np.zeros(rows)) / start
         gap = np.abs(total - 1.0)
@@ -312,7 +320,7 @@ def _walk(layout: _Layout, batch: np.ndarray, plan=None):
     else:
         for *_, norms in leaves:
             prob = norms / start
-            gap = np.abs(prob * 2.0 ** len(plan) - 1.0)
+            gap = np.abs(np.ldexp(prob, len(plan)) - 1.0)
             if not (gap <= 1e-9).all():
                 raise SimulationError(
                     f"planned branch has probability {prob[np.argmax(gap)]}, not 2^-{len(plan)}"
@@ -503,31 +511,33 @@ def extract_unitary(pattern: Pattern, check_deterministic: bool = True) -> np.nd
     isometry.
 
     A certified pattern (see ``_certified``) needs no check, and only its
-    all-zero branch, the first in that order, is walked; should that
-    branch vanish on basis input 0, every branch is walked.
+    all-zero branch, the first in that order, is walked, with no cutoff:
+    the walk checks that it has probability 2^-m on every basis input, so
+    a branch that vanishes, or whose norm underflows, raises
+    ``SimulationError`` there.
     """
     dim_in = 2 ** len(pattern.inputs)
     # laid out first, so an over-wide state fails before the certificate runs
     layout = _layout(pattern, dim_in)
-    maps = []
     if _certified(pattern):
-        maps = _branch_maps(layout, dict.fromkeys(pattern.measured, 0))
-    if not (maps and _row_norms(maps[0].matrix.T)[0] > _BRANCH_CUTOFF):
+        (branch,) = _branch_maps(layout, dict.fromkeys(pattern.measured, 0))
+        norms = _row_norms(branch.matrix.T)
+    else:
         maps = _branch_maps(layout)
         if check_deterministic and not _maps_deterministic(maps, dim_in):
             raise NotDeterministicError("pattern is not deterministic: no single unitary exists")
-    measured = sorted(pattern.measured, key=qubit_key)
-    for branch in sorted(maps, key=lambda m: tuple(m.raw[q] for q in measured)):
-        norms = _row_norms(branch.matrix.T)
-        if norms[0] > _BRANCH_CUTOFF:
-            break
-    else:
-        raise SimulationError("no branch with nonzero probability found")
-    for k in range(dim_in):
-        if norms[k] <= _BRANCH_CUTOFF:
-            raise SimulationError(
-                f"forced branch vanishes on basis input {k}; pattern not deterministic"
-            )
+        measured = sorted(pattern.measured, key=qubit_key)
+        for branch in sorted(maps, key=lambda m: tuple(m.raw[q] for q in measured)):
+            norms = _row_norms(branch.matrix.T)
+            if norms[0] > _BRANCH_CUTOFF:
+                break
+        else:
+            raise SimulationError("no branch with nonzero probability found")
+        for k in range(dim_in):
+            if norms[k] <= _BRANCH_CUTOFF:
+                raise SimulationError(
+                    f"forced branch vanishes on basis input {k}; pattern not deterministic"
+                )
     u = branch.matrix / np.sqrt(norms)
     gram = u.conj().T @ u
     if not np.allclose(gram, np.eye(dim_in), atol=1e-9):

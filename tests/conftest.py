@@ -9,14 +9,20 @@ and so are the hypothesis strategies for pattern text, well formed or not.
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 from hypothesis import strategies as st
 
+import onewaylab
 from onewaylab.commands import CorrectX, CorrectZ, Entangle, Measure
 from onewaylab.dsl import serialize
 from onewaylab.library import cnot, ghz, h, j, random_wild_pattern, teleport
+from onewaylab.patterns import Pattern
 from onewaylab.rewrite import standardize_extended
 
 SQ2 = math.sqrt(2.0)
@@ -86,6 +92,29 @@ def assert_proportional(a, b, tol=1e-9):
     assert aligned_distance(
         np.asarray(a) / np.linalg.norm(a), np.asarray(b) / np.linalg.norm(b)
     ) < tol
+
+
+def flat_pattern(n: int, angle) -> Pattern:
+    """Output 0 and qubits 1..n, each measured at ``angle`` with no dependency."""
+    return Pattern(
+        frozenset(range(n + 1)), (), (0,), tuple(Measure(q, angle) for q in range(1, n + 1))
+    )
+
+
+def run_isolated(code: str, *args: str, timeout: float = 60) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter, with ``args`` as ``sys.argv[1:]``.
+
+    The child imports the same ``onewaylab`` as the tests, and this module.
+    A run that outlives ``timeout`` seconds is killed and raises
+    ``subprocess.TimeoutExpired``, so a hang fails the test instead of
+    stalling the suite.
+    """
+    path = [str(Path(onewaylab.__file__).parents[1]), str(Path(__file__).parent)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(path)}
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=env, capture_output=True, text=True, timeout=timeout,
+    )
 
 
 # termination of the core rewrite rules ------------------------------

@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import TEXT_PIECES, mutated_texts
+from conftest import TEXT_PIECES, flat_pattern, mutated_texts, run_isolated
 
+from onewaylab.angles import Angle
 from onewaylab.cli import main
 from onewaylab.dsl import parse, serialize
 from onewaylab.library import BUILDERS, cnot, ghz, h, teleport
@@ -164,6 +165,32 @@ def test_verify_malformed_matrix_file_is_a_usage_error(tmp_path, capsys, monkeyp
         main(["verify", "--against", str(target)])
     assert exit_.value.code == 2
     assert f"error: cannot read matrix {target}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["validate", "{}"], ["verify", "--against", "{}"]], ids=["validate", "verify"])
+def test_non_utf8_file_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    target = tmp_path / "bad.txt"
+    target.write_bytes(b"\xff\xfe1 0\n0 1\n")
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize(h())))
+    with pytest.raises(SystemExit) as exit_:
+        main([arg.format(target) for arg in argv])
+    assert exit_.value.code == 2
+    assert f"error: cannot read {target}: not UTF-8 text (byte 0)" in capsys.readouterr().err
+
+
+def test_simulate_deep_patterns(tmp_path):
+    # 1,200 measurements walk in a loop; a certified branch of 1,100 Y
+    # measurements has a norm that underflows, which is an error, not a crash
+    code = "import sys; from onewaylab.cli import main; sys.exit(main(sys.argv[1:]))"
+    deep, underflow = tmp_path / "deep.txt", tmp_path / "underflow.txt"
+    deep.write_text(serialize(flat_pattern(1200, Angle.exact(0))))
+    underflow.write_text(serialize(flat_pattern(1100, Angle.exact(1, 2))))
+    result = run_isolated(code, "simulate", str(deep))
+    assert result.returncode == 0 and "deterministic: yes" in result.stdout, result.stderr
+    result = run_isolated(code, "simulate", str(underflow))
+    assert result.returncode == 1
+    assert result.stderr.startswith("error: planned branch has probability 0.0")
+    assert "Traceback" not in result.stderr
 
 
 def test_verify_matrix_of_the_wrong_shape_is_a_failure(tmp_path, capsys, monkeypatch):

@@ -13,6 +13,7 @@ from conftest import (
     aligned_distance,
     assert_proportional,
     j_mat,
+    run_isolated,
 )
 
 from onewaylab.angles import Angle
@@ -589,12 +590,57 @@ def test_one_branch_unitary_equals_full_walk(monkeypatch):
         assert np.array_equal(u, extract_unitary(pattern))
 
 
-def test_vanishing_planned_branch_falls_back(monkeypatch):
-    # Z then an X-basis measurement: outcome 0 never occurs
+def test_vanishing_planned_branch_raises(monkeypatch):
+    # Z then an X-basis measurement: outcome 0 never occurs, so a false
+    # certificate plans a branch of probability 0, and the walk says so
     p = Pattern(frozenset((1, 2)), (), (2,), (CorrectZ(1), Measure(1, Angle.exact(0))))
-    want = extract_unitary(p)
     monkeypatch.setattr(simulate, "_certified", lambda pattern: True)
-    assert np.array_equal(extract_unitary(p), want)
+    with pytest.raises(SimulationError, match="planned branch has probability 0.0, not 2\\^-1"):
+        extract_unitary(p)
+
+
+_DEEP = """
+import numpy as np
+from conftest import flat_pattern
+from onewaylab.angles import Angle
+from onewaylab.library import j_chain
+from onewaylab.simulate import (
+    SimulationError, _certified, extract_unitary, is_deterministic, run_all_branches,
+)
+
+def assert_plus(u):
+    assert u.shape == (2, 1) and abs(abs(u.sum()) - 2 ** 0.5) < 1e-9, u
+"""
+
+
+def test_deep_pattern_walks_in_a_loop():
+    # 1,200 measurements in one branch: the walk is not bounded by the recursion limit
+    result = run_isolated(_DEEP + """
+p = flat_pattern(1200, Angle.exact(0))
+assert not _certified(p)
+(branch,) = run_all_branches(p)
+assert abs(branch.probability - 1) < 1e-9
+assert is_deterministic(p)
+assert_plus(extract_unitary(p))
+""")
+    assert result.returncode == 0, result.stderr
+
+
+def test_certified_extraction_walks_only_the_planned_branch():
+    # the planned branch has probability 2^-m, far below the cutoff of a full walk
+    result = run_isolated(_DEEP + """
+u = extract_unitary(j_chain([0] * 80))  # H^80
+assert abs(abs(np.trace(u)) - 2) < 1e-9, u
+for m in (80, 1000):
+    assert_plus(extract_unitary(flat_pattern(m, Angle.exact(1, 2))))
+try:
+    extract_unitary(flat_pattern(1100, Angle.exact(1, 2)))  # 2^-1100 underflows to 0
+except SimulationError as exc:
+    assert "planned branch has probability 0.0" in str(exc), exc
+else:
+    raise AssertionError("no SimulationError")
+""")
+    assert result.returncode == 0, result.stderr
 
 
 def test_planned_walk_checks_branch_probability():
