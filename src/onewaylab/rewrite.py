@@ -8,12 +8,16 @@ drops them, leaving measurements that carry sign-action dependencies only.
 
 All rules act on adjacent command windows of the execution-order sequence.
 The system is terminating and confluent, so every strategy reaches the same
-normal form; a deterministic low-position strategy is used for speed.
+normal form.  That form is therefore built directly, in one left-to-right
+pass over the commands.  The rule engine, with a deterministic low-position
+strategy, records the steps to it: it runs when a returned trace is first
+read, and it is the oracle the direct construction is tested against.
 """
 
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable, Sequence
 from enum import Enum
 from fractions import Fraction
 from typing import NamedTuple
@@ -254,7 +258,11 @@ def _step_budget(n: int) -> int:
     return 16 * n * n + 64
 
 
-def _standardize_seq(seq: list, trace: list) -> list:
+# The rule engine: one adjacent window at a time, every step recorded.  It
+# produces the trace, and it is the oracle for the direct construction below.
+
+
+def _traced_core(seq: list, trace: list) -> list:
     """Deterministic core standardization of a command list, in place.
 
     Strategy: keep a cursor at the lowest position where a redex may exist;
@@ -282,24 +290,7 @@ def _standardize_seq(seq: list, trace: list) -> list:
     return seq
 
 
-def standardize(pattern: Pattern) -> tuple[Pattern, list[RewriteStep]]:
-    """Rewrite to the unique core normal form.
-
-    For input without explicit shift commands the result is in EMC order
-    (entanglements, then measurements, then corrections).  Shifts are inert
-    under the core rules and stay put; use :func:`standardize_extended` to
-    move them out.  The input must satisfy the definiteness conditions; they
-    are preserved by every rule.
-    """
-    report = validate(pattern)
-    if not report.ok:
-        raise PatternError(f"cannot standardize an invalid pattern: {report}")
-    trace: list[RewriteStep] = []
-    seq = _standardize_seq(list(pattern.commands), trace)
-    return pattern.with_commands(seq), trace
-
-
-def _propagate_shift(seq: list, pos: int, trace: list) -> None:
+def _traced_propagate_shift(seq: list, pos: int, trace: list) -> None:
     """Move the shift at ``pos`` rightward to the end of the sequence and drop it."""
     shift = seq[pos]
     while pos + 1 < len(seq):
@@ -315,15 +306,8 @@ def _propagate_shift(seq: list, pos: int, trace: list) -> None:
     del seq[pos]
 
 
-def standardize_extended(pattern: Pattern) -> tuple[Pattern, list[RewriteStep]]:
-    """Core standardization followed by exhaustive signal shifting.
-
-    The result carries no pi-action signals on measurements and no shift
-    commands: those dependencies are folded into later measurement
-    sign-actions or into the final corrections.
-    """
-    standard, trace = standardize(pattern)
-    seq = list(standard.commands)
+def _traced_shift_out(seq: list, trace: list) -> None:
+    """The extended rules on a core normal form, in place."""
     # Shifts present in the source first move out to the end (rightmost
     # first, so each propagation path is shift-free), then blocked
     # corrections get another core pass.
@@ -331,9 +315,9 @@ def standardize_extended(pattern: Pattern) -> tuple[Pattern, list[RewriteStep]]:
     for pos in range(len(seq) - 1, -1, -1):
         if isinstance(seq[pos], Shift):
             had_shifts = True
-            _propagate_shift(seq, pos, trace)
+            _traced_propagate_shift(seq, pos, trace)
     if had_shifts:
-        _standardize_seq(seq, trace)
+        _traced_core(seq, trace)
     pos = 0
     while pos < len(seq):
         after = _split(seq[pos])
@@ -342,9 +326,231 @@ def standardize_extended(pattern: Pattern) -> tuple[Pattern, list[RewriteStep]]:
             continue
         trace.append(RewriteStep(Rule.SHIFT_SPLIT, pos, (seq[pos],), after))
         seq[pos : pos + 1] = after
-        _propagate_shift(seq, pos + 1, trace)
+        _traced_propagate_shift(seq, pos + 1, trace)
         pos += 1
-    return standard.with_commands(seq), trace
+
+
+def _traced_standardize(commands: tuple, extended: bool) -> list[RewriteStep]:
+    """Every step the rule engine takes from ``commands`` to the normal form."""
+    trace: list[RewriteStep] = []
+    seq = _traced_core(list(commands), trace)
+    if extended:
+        _traced_shift_out(seq, trace)
+    return trace
+
+
+class _LazyTrace(Sequence):
+    """The rewrite steps to a normal form, computed by the rule engine when first read.
+
+    It reads like the list of steps: by length, index and iteration, and it
+    compares equal to a list of the same steps.
+    """
+
+    __slots__ = ("_commands", "_extended", "_steps")
+
+    def __init__(self, commands: tuple, extended: bool):
+        self._commands = commands
+        self._extended = extended
+        self._steps = None
+
+    @property
+    def steps(self) -> list[RewriteStep]:
+        if self._steps is None:
+            self._steps = _traced_standardize(self._commands, self._extended)
+        return self._steps
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+    def __getitem__(self, index):
+        return self.steps[index]
+
+    def __iter__(self):
+        return iter(self.steps)
+
+    def __eq__(self, other) -> bool:
+        return self.steps == other
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        return repr(self.steps)
+
+
+# The direct construction.  The normal form is unique, so it is built from
+# what the rules do to each command, in one left-to-right pass, without
+# rewriting one window at a time.
+
+
+def _core(commands) -> list:
+    """The core normal form of a valid command sequence, in one pass.
+
+    An E joins the E block, and each live X on one of its qubits gains a Z
+    on the other qubit, with the X's signal, as its first child (EX); a Z
+    lets an E pass unchanged (EZ).  A Shift closes the open segment:
+    corrections and measurements never cross it, and an E does.  A
+    measurement absorbs each correction on its qubit in the open segment
+    (MX, MZ), nearest first, and passes the others (FREE_X, FREE_Z).  The
+    result is the E block, then for each segment its measurements, its
+    corrections, each followed by its children, and its Shift.
+    """
+    entangles, segments = [], []
+    measures, groups, pending = [], [], set()
+    # A group is [correction, or None once absorbed; its Zs in spawn order;
+    # the set of qubits with a correction in the group's segment].
+    live_x = {}  # qubit -> groups holding an X on it
+    for cmd in commands:
+        kind = type(cmd)
+        if kind is Entangle:
+            entangles.append(cmd)
+            for q, other in ((cmd.i, cmd.j), (cmd.j, cmd.i)):
+                for group in live_x.get(q, ()):
+                    group[1].append(CorrectZ(other, group[0].signal))
+                    group[2].add(other)
+        elif kind is Measure:
+            q = cmd.qubit
+            live_x.pop(q, None)
+            if q in pending:
+                pending.discard(q)
+                for group in reversed(groups):
+                    kept = []
+                    for z in group[1]:
+                        if z.qubit == q:
+                            cmd = Measure(q, cmd.angle, cmd.s, cmd.t + z.signal)
+                        else:
+                            kept.append(z)
+                    group[1] = kept
+                    c = group[0]
+                    if c is not None and c.qubit == q:
+                        if type(c) is CorrectX:
+                            cmd = Measure(q, cmd.angle, cmd.s + c.signal, cmd.t)
+                        else:
+                            cmd = Measure(q, cmd.angle, cmd.s, cmd.t + c.signal)
+                        group[0] = None
+            measures.append(cmd)
+        elif kind is Shift:
+            segments.append((measures, groups, cmd))
+            measures, groups, pending = [], [], set()
+        else:
+            group = [cmd, [], pending]
+            groups.append(group)
+            pending.add(cmd.qubit)
+            if kind is CorrectX:
+                live_x.setdefault(cmd.qubit, []).append(group)
+    segments.append((measures, groups, None))
+    out = entangles
+    for measures, groups, shift in segments:
+        out += measures
+        for c, children, _ in groups:
+            if c is not None:
+                out.append(c)
+            out += reversed(children)
+        if shift is not None:
+            out.append(shift)
+    return out
+
+
+def _shifted(cmd: Command, d: dict, shifts) -> Command:
+    """``cmd`` once each of ``shifts`` has passed it, in order.
+
+    ``d`` maps each shifted qubit q to the signal that the shifts, composed,
+    add wherever ``s_q`` occurs.  An inexact angle rounds at each negation
+    or pi that a rule adds, so a measurement at one takes the shifts one
+    SHIFT_M at a time, as the rules do.
+    """
+    kind = type(cmd)
+    if kind is Entangle:
+        return cmd
+    if kind is Measure:
+        if not cmd.angle.is_exact:
+            for shift in shifts:
+                cmd = _shift_m(shift, cmd)[1][0]
+            return cmd
+        s, t = _substituted(cmd.s, d), _substituted(cmd.t, d)
+        return cmd if s is cmd.s and t is cmd.t else Measure(cmd.qubit, cmd.angle, s, t)
+    signal = _substituted(cmd.signal, d)
+    return cmd if signal is cmd.signal else kind(cmd.qubit, signal)
+
+
+def _substituted(signal: Signal, d: dict) -> Signal:
+    for q in signal.support & d.keys():
+        signal = signal + d[q]
+    return signal
+
+
+def _shift_out(commands) -> list:
+    """The extended normal form of a core normal form, in two passes.
+
+    SHIFT_X, SHIFT_Z and SHIFT_M carry a Shift(q, t) to the end, putting
+    ``s_q + t`` in place of ``s_q`` in every signal on the way, and
+    SHIFT_DROP drops it there.  The source's shifts compose into one
+    substitution, left to right.  If there were any, the core pass runs
+    again between the two passes, since the corrections they held back can
+    now move.  Then each measurement that SHIFT_SPLIT rewrites adds its
+    shift to a fresh substitution, which every later command takes.
+    """
+    d: dict = {}
+    shifts, seq = [], []
+    for cmd in commands:
+        if type(cmd) is Shift:
+            q, t = cmd.qubit, _substituted(cmd.signal, d)
+            d[q] = d[q] + t if q in d else t
+            shifts.append(cmd)
+        else:
+            # the rules move the rightmost shift out first
+            seq.append(_shifted(cmd, d, reversed(shifts)))
+    if shifts:
+        seq = _core(seq)
+    d = {}
+    shifts, out = [], []
+    for cmd in seq:
+        cmd = _shifted(cmd, d, shifts)
+        after = _split(cmd)
+        if after is None:
+            out.append(cmd)
+        else:
+            measure, shift = after
+            out.append(measure)
+            d[shift.qubit] = shift.signal
+            shifts.append(shift)
+    return out
+
+
+def _check_valid(pattern: Pattern) -> None:
+    report = validate(pattern)
+    if not report.ok:
+        raise PatternError(f"cannot standardize an invalid pattern: {report}")
+
+
+def standardize(pattern: Pattern) -> tuple[Pattern, Sequence[RewriteStep]]:
+    """Rewrite to the unique core normal form.
+
+    For input without explicit shift commands the result is in EMC order
+    (entanglements, then measurements, then corrections).  Shifts are inert
+    under the core rules and stay put; use :func:`standardize_extended` to
+    move them out.  The input must satisfy the definiteness conditions; they
+    are preserved by every rule.
+
+    The normal form is built in one pass.  The trace is the rule engine's
+    list of steps to it, computed when the trace is first read.
+    """
+    _check_valid(pattern)
+    return pattern.with_commands(_core(pattern.commands)), _LazyTrace(pattern.commands, False)
+
+
+def standardize_extended(pattern: Pattern) -> tuple[Pattern, Sequence[RewriteStep]]:
+    """Core standardization followed by exhaustive signal shifting.
+
+    The result carries no pi-action signals on measurements and no shift
+    commands: those dependencies are folded into later measurement
+    sign-actions or into the final corrections.  As in :func:`standardize`,
+    the result is built directly and the trace is computed when first read.
+    """
+    _check_valid(pattern)
+    return (
+        pattern.with_commands(_shift_out(_core(pattern.commands))),
+        _LazyTrace(pattern.commands, True),
+    )
 
 
 def is_standard(pattern: Pattern) -> bool:
@@ -376,9 +582,7 @@ def random_order_standardize(pattern: Pattern, seed: int) -> Pattern:
     By confluence this must agree exactly with :func:`standardize` for every
     seed; it exists to test that property.
     """
-    report = validate(pattern)
-    if not report.ok:
-        raise PatternError(f"cannot standardize an invalid pattern: {report}")
+    _check_valid(pattern)
     rng = random.Random(seed)
     seq = list(pattern.commands)
     for _ in range(_step_budget(len(seq))):
@@ -390,7 +594,7 @@ def random_order_standardize(pattern: Pattern, seed: int) -> Pattern:
     raise RewriteError("rewrite step budget exceeded: rule loop?")
 
 
-def replay(pattern: Pattern, trace: list[RewriteStep]) -> Pattern:
+def replay(pattern: Pattern, trace: Iterable[RewriteStep]) -> Pattern:
     """Re-run a recorded trace; used to check traces reproduce their target."""
     seq = list(pattern.commands)
     for step in trace:
@@ -402,7 +606,7 @@ def replay(pattern: Pattern, trace: list[RewriteStep]) -> Pattern:
     return pattern.with_commands(seq)
 
 
-def format_trace(trace: list[RewriteStep]) -> str:
+def format_trace(trace: Iterable[RewriteStep]) -> str:
     """Line-oriented trace: ``<rule> @ <position>: <before> => <after>``.
 
     Command windows are printed right-to-left (the written order used in

@@ -342,7 +342,8 @@ def run_all_branches(pattern: Pattern, input_state=None) -> list[Branch]:
         Branch(outcomes, float(norms[0] / start[0]), out[0])
         for _, outcomes, out, norms in leaves
     ]
-    branches.sort(key=lambda b: tuple(b.outcomes[q] for q in sorted(b.outcomes, key=qubit_key)))
+    measured = sorted(pattern.measured, key=qubit_key)
+    branches.sort(key=lambda b: tuple(b.outcomes[q] for q in measured))
     return branches
 
 

@@ -1,15 +1,22 @@
+import io
+import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import aligned_distance
 
+from onewaylab import rewrite
 from onewaylab.angles import Angle
+from onewaylab.cli import main as cli_main
+from onewaylab.clifford import pauli_eliminate
 from onewaylab.commands import CorrectX, CorrectZ, Entangle, Measure, Shift
 from onewaylab.dsl import serialize
 from onewaylab.library import (
     cnot,
+    controlled_u,
     ghz,
     j_chain,
     p_half,
@@ -498,3 +505,53 @@ def test_semantics_preserved_on_random_circuits():
         for transformed in (standardize(wild)[0], standardize_extended(wild)[0]):
             u = extract_unitary(transformed, check_deterministic=False)
             assert aligned_distance(u, reference) < 1e-9
+
+
+# the direct construction and the lazy trace ---------------------------
+
+
+def with_extra_shifts(pattern, rng):
+    """``pattern`` with random shifts after some measurements, and some
+    angles made inexact, so that rounding shows where steps differ."""
+    commands, measured = [], []
+    for cmd in pattern.commands:
+        commands.append(cmd)
+        if isinstance(cmd, Measure):
+            if rng.random() < 0.3:
+                commands[-1] = Measure(cmd.qubit, Angle.from_radians(cmd.angle.radians + 0.1), cmd.s, cmd.t)
+            measured.append(cmd.qubit)
+            if rng.random() < 0.5:
+                support = [q for q in measured if rng.random() < 0.3]
+                commands.append(Shift(rng.choice(measured), signal(*support, constant=rng.randint(0, 1))))
+    return pattern.with_commands(commands)
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(4, 80), st.integers(0, 10**6), st.integers(0, 2**32 - 1))
+def test_direct_normal_form_is_where_the_rules_end(n, seed, extra_seed):
+    wild = with_extra_shifts(random_wild_pattern(n, seed), random.Random(extra_seed))
+    for run in (standardize, standardize_extended):
+        std, trace = run(wild)
+        assert replay(wild, trace).commands == std.commands
+        steps = list(trace)
+        assert len(trace) == len(steps) and trace == steps
+        if steps:
+            assert trace[-1] == steps[-1]
+
+
+def test_dropped_traces_never_run_the_rules(monkeypatch, capsys):
+    def unreachable(*args):
+        raise AssertionError("the rule engine ran for a trace nobody read")
+
+    for name in [name for name in vars(rewrite) if name.startswith("_traced_")]:
+        monkeypatch.setattr(rewrite, name, unreachable)
+    wild = random_wild_pattern(60, 7)
+    standardize(wild)
+    _, trace = standardize_extended(wild)
+    extract_unitary(controlled_u(0.3, 0.7, 1.1, 0.5))
+    pauli_eliminate(standardize(cnot())[0])
+    monkeypatch.setattr("sys.stdin", io.StringIO(serialize(wild, "wild")))
+    assert cli_main(["standardize"]) == 0
+    assert capsys.readouterr().out.startswith("pattern wild")
+    with pytest.raises(AssertionError, match="nobody read"):
+        len(trace)
