@@ -18,6 +18,11 @@ The format stores commands in execution order (first line runs first):
 Qubit labels are integers or words (primed labels like ``2'`` allowed).
 Angles are exact multiples of pi (``0``, ``pi``, ``1/2 pi``) or decimal
 radians; signals are sums like ``1 + s[1] + s[2]``.
+
+``parse_document`` first matches the text one whole command at a time
+(``_fast_document``).  Any text that path does not cover, and any text with
+an error, goes to the token-by-token ``_Parser``, which alone reports
+errors, so every ``DslError`` and its location are the located parser's.
 """
 
 from __future__ import annotations
@@ -308,8 +313,117 @@ class _Parser:
         return PatternDocument(name, pattern)
 
 
+# The fast path builds the same objects through the same constructors as
+# ``_Parser``, on a subset of its grammar: ASCII digits, no comments, and
+# angles in the forms ``serialize`` writes plus ``pi/q``.  Each piece below
+# ends where a token of ``_TOKEN_RE`` must end, so a match never splits the
+# text into tokens other than the located parser's.
+_FAST_LABEL = r"(?:[0-9]+'*|[A-Za-z_][A-Za-z0-9_']*)"
+_FAST_LIST = rf"(?:{_FAST_LABEL}(?:\s*,\s*{_FAST_LABEL})*)?"
+_FAST_TERM = rf"(?:s\s*\[\s*{_FAST_LABEL}\s*\]|[0-9]+)"
+_FAST_SIGNAL = rf"{_FAST_TERM}(?:\s*\+\s*{_FAST_TERM})*"
+_FAST_DECIMAL = r"(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[0-9]+[eE][+-]?[0-9]+"
+_FAST_ANGLE = rf"(?:-\s*)?(?:pi(?:\s*/\s*[0-9]+)?|[0-9]+(?:\s*/\s*[0-9]+)?\s*pi|0+|{_FAST_DECIMAL})"
+
+_FAST_HEADER_RE = re.compile(
+    rf"""\s*pattern\s+({_FAST_LABEL})\s*\{{
+    \s*space\s*:\s*({_FAST_LIST})\s*;
+    \s*input\s*:\s*({_FAST_LIST})\s*;
+    \s*output\s*:\s*({_FAST_LIST})\s*;
+    \s*seq\s*:""",
+    re.VERBOSE,
+)
+# One match per command with its ';'.  Where no command matches, the last
+# group takes the text up to the next non-space character, and the text is
+# declined.
+_FAST_COMMAND_RE = re.compile(
+    rf"""\s*(?:
+        E\s*\(\s*({_FAST_LABEL})\s*,\s*({_FAST_LABEL})\s*\)
+      | M\s*\(\s*({_FAST_LABEL})\s*,\s*({_FAST_ANGLE})
+          (?:\s*,\s*s\s*=\s*({_FAST_SIGNAL}))?(?:\s*,\s*t\s*=\s*({_FAST_SIGNAL}))?\s*\)
+      | ([XZS])\s*\(\s*({_FAST_LABEL})\s*,\s*({_FAST_SIGNAL})\s*\)
+    )\s*;
+  | (\s*\S)""",
+    re.VERBOSE,
+)
+_FAST_LABEL_RE = re.compile(_FAST_LABEL)
+# the pieces of a signal and of an angle that the command matched whole
+_FAST_TERM_RE = re.compile(rf"s\s*\[\s*({_FAST_LABEL})\s*\]|([0-9]+)")
+_FAST_ANGLE_RE = re.compile(
+    rf"(?:(-)\s*)?(?:pi(?:\s*/\s*([0-9]+))?|([0-9]+)(?:\s*/\s*([0-9]+))?\s*pi|(0+)|({_FAST_DECIMAL}))"
+)
+
+
+def _fast_signal(text: str, labels: dict) -> Signal:
+    support: set = set()
+    constant = 0
+    for label, digits in _FAST_TERM_RE.findall(text):
+        if label:
+            support ^= {labels[label]}
+        else:
+            constant ^= int(digits) % 2
+    return Signal(frozenset(support), constant)
+
+
+def _fast_angle(text: str) -> Angle:
+    negative, pi_den, num, den, zero, decimal = _FAST_ANGLE_RE.fullmatch(text).groups()
+    if decimal:
+        value = float(decimal)
+        return Angle.from_radians(-value if negative else value)
+    if zero:
+        int(zero)  # refuses as long a run of zeros as the located parser does
+        return Angle.exact(0)
+    frac = Fraction(int(num or 1), int(den or pi_den or 1))
+    return Angle.exact(-frac if negative else frac)
+
+
+def _fast_document(text: str) -> PatternDocument | None:
+    """``text``'s document when all of it is in the fast path's subset, else None.
+
+    A label must be written as in the ``space:`` list, so ``01`` for ``1``
+    is declined too.
+    """
+    head = _FAST_HEADER_RE.match(text)
+    body = text.rstrip()
+    if head is None or body[-1] != "}":
+        return None
+    # the body ends before the spaces ahead of '}', which no match can take
+    body_end = len(body[:-1].rstrip())
+    name, space, inputs, outputs = head.groups()
+    signals, angles = {"": Signal()}, {}
+    try:
+        words = _FAST_LABEL_RE.findall(space)
+        labels = {word: int(word) if word.isdigit() else word for word in words}
+        inputs = tuple(labels[word] for word in _FAST_LABEL_RE.findall(inputs))
+        outputs = tuple(labels[word] for word in _FAST_LABEL_RE.findall(outputs))
+        commands = []
+        for e1, e2, mq, angle, s, t, kind, q, signal, bad in _FAST_COMMAND_RE.findall(
+            text, head.end(), body_end
+        ):
+            if e1:
+                cmd = Entangle(labels[e1], labels[e2])
+            elif mq:
+                for key in (s, t):
+                    if key not in signals:
+                        signals[key] = _fast_signal(key, labels)
+                if angle not in angles:
+                    angles[angle] = _fast_angle(angle)
+                cmd = Measure(labels[mq], angles[angle], signals[s], signals[t])
+            elif kind:
+                if signal not in signals:
+                    signals[signal] = _fast_signal(signal, labels)
+                cmd = _QUBIT_SIGNAL_COMMANDS[kind](labels[q], signals[signal])
+            else:
+                return None
+            commands.append(cmd)
+        pattern = Pattern(frozenset(labels.values()), inputs, outputs, tuple(commands))
+    except (KeyError, ValueError, ZeroDivisionError):
+        return None
+    return PatternDocument(name, pattern)
+
+
 def parse_document(text: str) -> PatternDocument:
-    return _Parser(text).document()
+    return _fast_document(text) or _Parser(text).document()
 
 
 def parse(text: str) -> Pattern:

@@ -43,7 +43,7 @@ import numpy as np
 
 from .commands import CorrectX, CorrectZ, Entangle, Measure, Shift
 from .patterns import Pattern, PatternError, validate
-from .rewrite import standardize_extended
+from .rewrite import _core, _shift_out
 from .signals import qubit_key
 
 _INV_SQRT2 = 1.0 / sqrt(2.0)
@@ -203,12 +203,11 @@ def _check_valid(pattern: Pattern) -> None:
 
 
 def _layout(pattern: Pattern, rows: int) -> _Layout:
-    """Validate ``pattern`` and lay out a walk over ``rows`` input rows.
+    """Lay out a walk of a validated ``pattern`` over ``rows`` input rows.
 
     Raises before anything is allocated when the peak state, live qubits
     plus input-batch bits, would exceed ``MAX_AMPLITUDES``.
     """
-    _check_valid(pattern)
     live = list(pattern.inputs)
     peak = len(live)
     steps = []
@@ -336,6 +335,7 @@ def run_all_branches(pattern: Pattern, input_state=None) -> list[Branch]:
     probabilities sum to 1.  Branches come sorted by their outcome bits
     over the measured qubits in label order.
     """
+    _check_valid(pattern)
     layout = _layout(pattern, 1)
     leaves, start = _walk(layout, _input_vector(pattern, input_state)[None, :])
     branches = [
@@ -354,6 +354,7 @@ def branch_maps(pattern: Pattern) -> list[BranchMap]:
     ``run_all_branches`` checks on each of them, and drops a subtree only
     when it vanishes on every basis input.
     """
+    _check_valid(pattern)
     return _branch_maps(_layout(pattern, 2 ** len(pattern.inputs)))
 
 
@@ -400,11 +401,11 @@ def _maps_deterministic(maps: list[BranchMap], dim: int) -> bool:
 
 
 def _certified(pattern: Pattern) -> bool:
-    """Whether a GF(2) certificate proves ``pattern`` deterministic.
+    """Whether a GF(2) certificate proves the validated ``pattern`` deterministic.
 
     Sound but incomplete: True means every branch map equals every other up
-    to a phase; False decides nothing.  The test runs on
-    ``standardize_extended(pattern)``, which realises the same branch maps
+    to a phase; False decides nothing.  The test runs on the commands of
+    ``standardize_extended(pattern)``, which realise the same branch maps
     up to a relabelling of outcomes and is an E block, then measurements
     with sign-action signals only (no t-signals), then corrections, with no
     shifts.
@@ -434,9 +435,7 @@ def _certified(pattern: Pattern) -> bool:
     the pattern is deterministic, and on every input all 2^m branches have
     the same probability: 2^-m, since they sum to 1.
     """
-    _check_valid(pattern)
-    std = standardize_extended(pattern)[0]
-    index = {q: k for k, q in enumerate(sorted(std.space, key=qubit_key))}
+    index = {q: k for k, q in enumerate(sorted(pattern.space, key=qubit_key))}
     n = len(index)
 
     def x(q):
@@ -445,9 +444,9 @@ def _certified(pattern: Pattern) -> bool:
     def z(q):
         return 1 << (n + index[q])
 
-    neighbours = dict.fromkeys(std.space, 0)
+    neighbours = dict.fromkeys(pattern.space, 0)
     generators, flips = [], {}
-    for cmd in std.commands:
+    for cmd in _shift_out(_core(pattern.commands)):
         if isinstance(cmd, Entangle):
             neighbours[cmd.i] ^= z(cmd.j)
             neighbours[cmd.j] ^= z(cmd.i)
@@ -464,7 +463,7 @@ def _certified(pattern: Pattern) -> bool:
             op = x(cmd.qubit) if isinstance(cmd, CorrectX) else z(cmd.qubit)
             for i in cmd.signal.support:
                 flips[i] ^= op
-    generators += [x(v) | neighbours[v] for v in std.prepared]
+    generators += [x(v) | neighbours[v] for v in pattern.prepared]
 
     pivots = {}  # leading bit -> basis vector, for Gaussian elimination
 
@@ -495,9 +494,11 @@ def is_deterministic(pattern: Pattern) -> bool:
     differ.  The pseudorandom probes are what catch that, for all but a
     measure-zero set of probes.
     """
+    _check_valid(pattern)
     if _certified(pattern):
         return True
-    return _maps_deterministic(branch_maps(pattern), 2 ** len(pattern.inputs))
+    dim = 2 ** len(pattern.inputs)
+    return _maps_deterministic(_branch_maps(_layout(pattern, dim)), dim)
 
 
 def extract_unitary(pattern: Pattern, check_deterministic: bool = True) -> np.ndarray:
@@ -517,6 +518,7 @@ def extract_unitary(pattern: Pattern, check_deterministic: bool = True) -> np.nd
     a branch that vanishes, or whose norm underflows, raises
     ``SimulationError`` there.
     """
+    _check_valid(pattern)
     dim_in = 2 ** len(pattern.inputs)
     # laid out first, so an over-wide state fails before the certificate runs
     layout = _layout(pattern, dim_in)

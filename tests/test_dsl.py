@@ -1,10 +1,12 @@
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import TEXT_PIECES, mutated_texts
+from onewaylab import dsl
 from onewaylab.angles import Angle
 from onewaylab.commands import CorrectX, CorrectZ, Entangle, Measure, Shift
 from onewaylab.dsl import (
@@ -17,6 +19,7 @@ from onewaylab.dsl import (
     serialize,
 )
 from onewaylab.library import (
+    BUILDERS,
     cnot,
     controlled_u,
     cz,
@@ -24,6 +27,7 @@ from onewaylab.library import (
     h,
     j,
     p_half,
+    random_wild_pattern,
     rotation,
     rx,
     rz,
@@ -380,3 +384,123 @@ def test_any_text_parses_or_raises_dsl_error(text):
         parse(text)
     except DslError:
         pass
+
+
+# the fast path against the located parser ------------------------------
+
+
+def _located(text):
+    """What the located parser makes of ``text``: its document, or its error."""
+    try:
+        return dsl._Parser(text).document()
+    except DslError as exc:
+        return exc
+
+
+def assert_parses_as_located(text):
+    expected = _located(text)
+    try:
+        actual = parse_document(text)
+    except DslError as exc:
+        assert isinstance(expected, DslError), str(exc)
+        assert (str(exc), exc.line, exc.column) == (
+            str(expected), expected.line, expected.column
+        )
+    else:
+        assert actual == expected
+
+
+@settings(deadline=None, max_examples=300)
+@given(
+    st.one_of(
+        mutated_texts(),
+        TEXT_PIECES,
+        st.lists(TEXT_PIECES, max_size=12).map("".join),
+        patterns_with_text_labels().map(serialize),
+    )
+)
+def test_parse_agrees_with_the_located_parser(text):
+    assert_parses_as_located(text)
+
+
+def _document(seq: str, space: str = "1, 2") -> str:
+    return f"pattern p {{\n  space: {space};\n  input: 1;\n  output: 2;\n  seq:\n    {seq}\n}}\n"
+
+
+# (text, whether the fast path reads it rather than declining)
+_EDGE_CASES = {
+    "comment in seq": (_document("E(1,2);  # entangle\n    M(1, 0);"), False),
+    "float angle": (_document("M(1, 1.25);"), True),
+    "negative float angle": (_document("M(1, -0.5); M(2,-1.5e-3);"), True),
+    "negative exact angle": (_document("M(1, -1/4 pi);"), True),
+    "pi/4": (_document("M(1, pi/4);"), True),
+    "2pi": (_document("M(1, 2pi);"), True),
+    "-0": (_document("M(1, -0);"), True),
+    "integer radians": (_document("M(1, 3);"), False),
+    "primed and word labels": (
+        _document("E(2',a_1); M(a_1, 0, s=s[2']); X(2', s[a_1]);", "1, 2, 2', a_1"), True
+    ),
+    "newline inside a command": (_document("M(1,\n      1/4 pi,\n      s=s[2]);"), True),
+    "no spaces": (_document("M(1,1/4pi,s=s[2],t=1+s[2]);X(2,s[1]+1);"), True),
+    "s[1] + s[1]": (_document("X(2, s[1] + s[1]);"), True),
+    "signal constants from 2": (_document("X(2, 2 + s[1]); Z(2, 3);"), True),
+    "t before s": (_document("M(1, 1/4 pi, t=s[2], s=s[2]);"), False),
+    "label written another way": (_document("E(01,2);"), False),
+    "unicode digit label": (_document("E(1,\u0662);"), False),
+    "E(1,1)": (_document("E(1,1);"), False),
+    "command outside the space": (_document("E(1,3);"), False),
+    "5000-digit label": (_document(f"E(1,{_LONG});"), False),
+    "5000-digit signal constant": (_document(f"X(1, {_LONG});"), False),
+    "5000-digit numerator": (_document(f"M(1, {_LONG} pi);"), False),
+    "5000-digit zero": (_document(f"M(1, {'0' * 5000});"), False),
+    "zero denominator": (_document("M(1, pi/0);"), False),
+    "infinite angle": (_document("M(1, 1e999);"), False),
+    "signed angle": (_document("M(1, +1.5);"), False),
+    "text after the closing brace": (_document("E(1,2);") + "x", False),
+    "second closing brace": (_document("E(1,2);") + "}", False),
+}
+
+
+@pytest.mark.parametrize("text, fast", _EDGE_CASES.values(), ids=_EDGE_CASES)
+def test_edge_cases_parse_as_located(text, fast):
+    assert_parses_as_located(text)
+    assert (dsl._fast_document(text) is not None) == fast
+
+
+def _located_parser_refused(text):
+    raise AssertionError("the located parser ran")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fast_path_reads_wild_patterns(monkeypatch, seed):
+    pattern = random_wild_pattern(200, seed)
+    text = serialize(pattern)
+    monkeypatch.setattr(dsl, "_Parser", _located_parser_refused)
+    assert parse(text) == pattern
+
+
+_EXACT_ARGS = {
+    "j": (Fraction(1, 4),),
+    "teleport": (Fraction(1, 4), Fraction(1, 3)),
+    "rx": (Fraction(3, 8),),
+    "rz": (Fraction(-1, 2),),
+    "rotation": (Fraction(1, 4), Fraction(1, 3), Fraction(1, 5)),
+    "ghz": (4,),
+    "cu": (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(7, 8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BUILDERS))
+def test_fast_path_reads_every_builder(monkeypatch, name):
+    pattern = BUILDERS[name](*_EXACT_ARGS.get(name, ()))
+    text = serialize(pattern, name)
+    monkeypatch.setattr(dsl, "_Parser", _located_parser_refused)
+    assert parse_document(text) == dsl.PatternDocument(name, pattern)
+
+
+@settings(deadline=None, max_examples=200)
+@given(patterns_with_text_labels())
+def test_fast_path_reads_what_serialize_writes(pattern):
+    text = serialize(pattern)
+    with mock.patch.object(dsl, "_Parser", _located_parser_refused):
+        assert parse(text) == pattern

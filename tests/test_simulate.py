@@ -18,7 +18,7 @@ from conftest import (
 
 from onewaylab.angles import Angle
 from onewaylab.commands import CorrectX, CorrectZ, Entangle, Measure, Shift
-from onewaylab import simulate
+from onewaylab import patterns, rewrite, simulate
 from onewaylab.clifford import pauli_eliminate
 from onewaylab.library import (
     cnot,
@@ -36,7 +36,7 @@ from onewaylab.library import (
     rz,
     teleport,
 )
-from onewaylab.patterns import Pattern, PatternError, compose, rename, tensor
+from onewaylab.patterns import Pattern, PatternError, compose, rename, tensor, validate
 from onewaylab.rewrite import standardize, standardize_extended
 from onewaylab.signals import Signal, qubit_key, signal
 from onewaylab.simulate import (
@@ -422,7 +422,7 @@ def test_extract_unitary_checks_the_width_before_certifying(monkeypatch):
     def unreachable(pattern):
         raise AssertionError("the certificate ran before the width check")
 
-    monkeypatch.setattr(simulate, "standardize_extended", unreachable)
+    monkeypatch.setattr(simulate, "_certified", unreachable)
     with pytest.raises(SimulationError, match="qubits wide"):
         extract_unitary(ghz(5))
 
@@ -568,6 +568,33 @@ def test_certificate_validates_first():
         is_deterministic(bad)
     with pytest.raises(PatternError, match="cannot run an invalid pattern"):
         extract_unitary(bad)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: extract_unitary(controlled_u(0.3, 0.7, 1.1, 0.5)),
+        lambda: extract_unitary(h()),
+        lambda: extract_unitary(truncated_h(), check_deterministic=False),
+        lambda: is_deterministic(ghz(5)),
+        lambda: is_deterministic(truncated_h()),
+        lambda: run_all_branches(ghz(3)),
+        lambda: branch_maps(cnot()),
+    ],
+    ids=["extract cu", "extract h", "extract uncertified", "deterministic ghz5",
+         "deterministic uncertified", "run_all_branches", "branch_maps"],
+)
+def test_one_validation_per_call(monkeypatch, run):
+    calls = []
+
+    def counting(pattern):
+        calls.append(pattern)
+        return validate(pattern)
+
+    for module in (patterns, rewrite, simulate):
+        monkeypatch.setattr(module, "validate", counting)
+    run()
+    assert len(calls) == 1
 
 
 def _criterion_corpora():
