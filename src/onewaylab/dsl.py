@@ -64,7 +64,7 @@ class PatternDocument:
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+|\#[^\n]*)
-  | (?P<float>[+-]?(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|[+-]?\d+[eE][+-]?\d+)
+  | (?P<float>(?:\d+\.\d*|\.\d+)(?:[eE][+-]?\d+)?|\d+[eE][+-]?\d+)
   | (?P<word>"""
     + LABEL_WORD
     + r""")
@@ -178,22 +178,25 @@ class _Parser:
             self.fail("angle denominator is zero", tok)
         return den
 
-    def radians(self, negative: bool, tok: re.Match) -> Angle:
+    def radians(self, start: re.Match, tok: re.Match) -> Angle:
+        """The angle of radians ``tok``; ``start`` is the angle's first token,
+        a minus that negates it or ``tok`` itself."""
         value = float(tok[0])
         if not math.isfinite(value):
-            self.fail(f"angle {tok[0]!r} is not a finite number", tok)
-        return Angle.from_radians(-value if negative else value)
+            text = self.text[start.start():tok.end()]
+            self.fail(f"angle {text!r} is not a finite number", start)
+        return Angle.from_radians(-value if start is not tok else value)
 
     def angle(self) -> Angle:
         """``0`` | ``[-]pi`` | ``[-]p/q pi`` | ``[-]p pi`` | ``[-]pi/q`` | float radians."""
-        negative = False
-        if self.peek()[0] == "-":
+        start = self.peek()
+        negative = start[0] == "-"
+        if negative:
             self.next()
-            negative = True
         tok = self.peek()
         if tok.lastgroup == "float":
             self.next()
-            return self.radians(negative, tok)
+            return self.radians(start, tok)
         if tok[0] == "pi":
             self.next()
             num, den = 1, 1
@@ -217,7 +220,7 @@ class _Parser:
                 self.fail("fractional angle must be followed by 'pi'", tok)
             if num == 0:
                 return Angle.exact(0)
-            return self.radians(negative, tok)
+            return self.radians(start, tok)
         found = tok[0] or "end of input"
         self.fail(f"expected an angle, found {found!r}", tok)
 

@@ -1,18 +1,25 @@
-"""Branch-by-branch state-vector execution of measurement patterns.
+"""Batched state-vector execution of measurement patterns.
 
 One walk answers every question asked of a pattern.  It is a loop over
-an explicit stack of unfinished branches, not a recursion, so its depth is
-not bounded by Python's recursion limit.  On each branch it carries an
-unnormalized tensor of shape ``(rows, 2, ..., 2)`` whose leading axis
-batches input vectors: a walk over the input basis
-yields every branch's whole linear map (``branch_maps``), and a walk with
-one row runs one input state (``run_all_branches``).  The declared inputs
-hold the first qubit axes from the start.  Every other qubit joins the
-tensor as |+> when a command first touches it, which is the paper's N_i,
-and leaves it when it is measured; outputs that no command touches join at
-the end, and the result is transposed to the declared output order.  Which
-qubits are live after each command does not depend on the branch, so the
-axes, and the peak state size, are worked out once before the walk starts.
+an explicit stack of unfinished batches of branches, not a recursion, so
+its depth is not bounded by Python's recursion limit.  A batch is an
+unnormalized tensor of shape ``(branches, rows, 2, ..., 2)``: its branches
+have reached the same step, and every command acts on all of them at once,
+a correction only on the branches its signal selects.  The second axis
+batches input vectors: a walk over the input basis yields every branch's
+whole linear map (``branch_maps``), and a walk with one row runs one input
+state (``run_all_branches``).  The declared inputs hold the first qubit
+axes from the start.  Every other qubit joins the tensor as |+> when a step
+first touches it, which is the paper's N_i, and leaves it when it is
+measured; outputs that no step touches join at the end, and the result is
+transposed to the declared output order.
+
+The steps are the commands with each E moved to just before the first
+later command that acts on one of its qubits (``_schedule``).  A standard
+form puts every E first, so in command order all its qubits would be live
+at once; scheduled, it walks no wider than its builder's pattern.  Which
+qubits are live after each step does not depend on the branch, so the axes,
+and the peak state size, are worked out once before the walk starts.
 
 Projecting on a measurement outcome simply scales the tensor, and a
 branch's probability is its squared-norm ratio to the input's.
@@ -37,7 +44,7 @@ from __future__ import annotations
 import cmath
 from dataclasses import dataclass
 from functools import lru_cache
-from math import sqrt
+from math import prod, sqrt
 
 import numpy as np
 
@@ -60,6 +67,15 @@ _NORM_RTOL = 1e-12
 # The largest state, in amplitudes, that a simulation may allocate: 2^24
 # complex amplitudes are 256 MiB.  Checked before anything is allocated.
 MAX_AMPLITUDES = 1 << 24
+
+# (-1)^s and t * pi of a measurement's effective angle (-1)^s a + t pi, at
+# index 2s + t
+_PHASE_KEYS = tuple(((-1.0) ** s, t * np.pi) for s in (0, 1) for t in (0, 1))
+
+# A batch that would hold more than MAX_AMPLITUDES >> _BATCH_SHIFT amplitudes
+# at the walk's peak width is split in two (see ``_walk``).  At 2^16
+# amplitudes, 1 MiB, larger batches no longer walk faster.
+_BATCH_SHIFT = 8
 
 
 class SimulationError(RuntimeError):
@@ -182,18 +198,27 @@ def _ones_at(axes) -> tuple:
 
 @dataclass(frozen=True)
 class _Layout:
-    """The walk's axis bookkeeping, the same on every branch.
+    """The walk's step order and axis bookkeeping, the same on every branch.
 
-    The ``inputs`` qubits hold axes 1, 2, ... from the start (axis 0 is
-    the batch).  ``steps`` holds, per command, how many qubits join as |+>
-    just before it and the index of its qubits' |1> halves.  ``tail``
-    qubits join at the end, and ``perm`` then puts the axes in output order.
+    Axis 0 of the walk's tensor is the batch of branches and axis 1 the
+    input rows; the ``inputs`` qubits hold axes 2, 3, ... from the start.
+    ``steps`` holds the commands in ``_schedule`` order, each as
+    ``(cmd, joins, where, operand)``: how many qubits join as |+> just
+    before it; the index of its qubits' |1> halves, or for X the index that
+    flips its qubit's axis, or for a shift the column it changes; and its
+    compiled signal, or for a measurement what ``_layout`` says.
+    ``tail`` qubits join at the end, and ``perm`` then puts the axes in
+    output order.  ``measured`` lists the measured qubits in command order,
+    the order of the outcome columns, and ``width`` is the peak number of
+    live qubits.
     """
 
     inputs: int
     steps: tuple
     tail: int
     perm: tuple
+    measured: tuple
+    width: int
 
 
 def _check_valid(pattern: Pattern) -> None:
@@ -202,56 +227,141 @@ def _check_valid(pattern: Pattern) -> None:
         raise PatternError(f"cannot run an invalid pattern: {report}")
 
 
+def _schedule(commands) -> list:
+    """The walk's step order: each E moved to just before the first later
+    command that acts on one of its qubits, or to the end when none does.
+
+    E commutes with every command on other qubits and with every other E,
+    and no signal reads it, so no branch map changes; its qubits just join
+    the walk later.  Every other command keeps its place relative to the
+    rest, so the measurements keep their order.
+    """
+    waiting, on = {}, {}  # index -> E not yet placed; qubit -> indices of such E, in order
+    order = []
+    for k, cmd in enumerate(commands):
+        if isinstance(cmd, Entangle):
+            waiting[k] = cmd
+            on.setdefault(cmd.i, []).append(k)
+            on.setdefault(cmd.j, []).append(k)
+        elif isinstance(cmd, Shift) or cmd.qubit not in on:
+            order.append(cmd)
+        else:
+            order += [waiting.pop(e) for e in on.pop(cmd.qubit) if e in waiting]
+            order.append(cmd)
+    return order + list(waiting.values())
+
+
 def _layout(pattern: Pattern, rows: int) -> _Layout:
     """Lay out a walk of a validated ``pattern`` over ``rows`` input rows.
 
-    Raises before anything is allocated when the peak state, live qubits
-    plus input-batch bits, would exceed ``MAX_AMPLITUDES``.
+    The k-th measured qubit's outcome has column 2k as measured and 2k + 1
+    after shifts.  A signal is compiled to its constant and the columns it
+    reads, and a measurement to its two signals, its angle in radians and
+    its column.  Raises before anything is allocated when the peak state,
+    live qubits plus input-batch bits, would exceed ``MAX_AMPLITUDES``.
     """
+    shifted = {}  # measured qubit -> the column of its outcome after shifts
+
+    def compiled(signal):
+        return signal.constant, tuple(map(shifted.__getitem__, signal.support))
+
     live = list(pattern.inputs)
-    peak = len(live)
+    peak = 0
     steps = []
-    for cmd in pattern.commands:
-        if isinstance(cmd, Entangle):
-            targets = (cmd.i, cmd.j)
-        elif isinstance(cmd, Shift):
-            targets = ()
-        else:
-            targets = (cmd.qubit,)
+    for cmd in _schedule(pattern.commands):
+        if isinstance(cmd, Shift):
+            steps.append((cmd, 0, shifted[cmd.qubit], compiled(cmd.signal)))
+            continue
+        targets = (cmd.i, cmd.j) if isinstance(cmd, Entangle) else (cmd.qubit,)
         fresh = [q for q in targets if q not in live]
         live += fresh
-        peak = max(peak, len(live))
-        where = _ones_at([1 + live.index(q) for q in targets]) if targets else None
-        steps.append((cmd, len(fresh), where))
-        if isinstance(cmd, Measure):
+        axes = [2 + live.index(q) for q in targets]
+        if isinstance(cmd, Entangle):
+            where, operand = _ones_at(axes), None
+        elif isinstance(cmd, Measure):
+            # qubits leave only here, so the width peaks at a measurement or at the end
+            peak = max(peak, len(live))
+            column = 2 * len(shifted)
+            where = _ones_at(axes)
+            operand = (compiled(cmd.s), compiled(cmd.t), cmd.angle.radians, column)
+            shifted[cmd.qubit] = column + 1
             live.remove(cmd.qubit)
+        elif isinstance(cmd, CorrectX):
+            where = (slice(None),) * axes[0] + (slice(None, None, -1),)
+            operand = compiled(cmd.signal)
+        elif isinstance(cmd, CorrectZ):
+            where, operand = _ones_at(axes), compiled(cmd.signal)
+        else:
+            raise SimulationError(f"cannot execute {cmd!r}")
+        steps.append((cmd, len(fresh), where, operand))
     tail = [q for q in pattern.outputs if q not in live]
     live += tail
-    _check_width(max(peak, len(live)) + (rows - 1).bit_length())
-    perm = (0,) + tuple(1 + live.index(q) for q in pattern.outputs)
-    return _Layout(len(pattern.inputs), tuple(steps), len(tail), perm)
+    width = max(peak, len(live))
+    _check_width(width + (rows - 1).bit_length())
+    perm = (0, 1) + tuple(2 + live.index(q) for q in pattern.outputs)
+    return _Layout(len(pattern.inputs), tuple(steps), len(tail), perm, tuple(shifted), width)
 
 
-def _row_norms(tensor: np.ndarray) -> np.ndarray:
-    """Squared norm of each row (leading-axis slice) of a complex tensor."""
-    flat = np.ascontiguousarray(tensor).reshape(tensor.shape[0], -1).view(np.float64)
-    return np.einsum("ij,ij->i", flat, flat)
+def _row_norms(tensor: np.ndarray, lead: int = 1) -> np.ndarray:
+    """Squared norm of each slice over the ``lead`` leading axes of a complex tensor."""
+    shape = tensor.shape[:lead]
+    flat = np.ascontiguousarray(tensor).reshape(prod(shape), -1).view(np.float64)
+    return np.einsum("ij,ij->i", flat, flat).reshape(shape)
+
+
+def _phase(radians: float, index: int) -> complex:
+    """e^{-i a'} / sqrt(2) for the effective angle a' of a measurement at
+    ``radians`` whose signals read s and t, with ``index`` 2s + t."""
+    sign, turn = _PHASE_KEYS[index]
+    return cmath.exp(-1j * (sign * radians + turn)) * _INV_SQRT2
+
+
+def _value(signal, bits: np.ndarray):
+    """A compiled signal on every branch of a batch: an int8 vector over the
+    branches, or an int when the signal reads no outcome."""
+    constant, columns = signal
+    if not columns:
+        return constant
+    value = bits[:, columns[0]]
+    for c in columns[1:]:
+        value = value ^ bits[:, c]
+    return value ^ constant if constant else value
+
+
+def _chosen(value):
+    """The branches a signal value selects: None for none, ``slice(None)``
+    for all, otherwise their indices."""
+    if isinstance(value, int):
+        return slice(None) if value else None
+    count = np.count_nonzero(value)
+    if count == len(value):
+        return slice(None)
+    return np.flatnonzero(value) if count else None
 
 
 def _walk(layout: _Layout, batch: np.ndarray, plan=None):
     """Every branch of a laid-out pattern run on the rows of ``batch``.
 
     ``batch`` is a fresh ``(rows, 2**inputs)`` array; it is used as the
-    walk's starting tensor.  Returns the surviving branches as
-    ``(raw, outcomes, out, norms)`` with ``out`` of shape
-    ``(rows, 2**outputs)`` and ``norms`` its rows' squared norms, together
-    with the input rows' squared norms.  A subtree is dropped only when
-    every row is below the cutoff.  Checks norm conservation at each
-    measurement and that each row's branch probabilities sum to 1.
+    walk's starting tensor.  Returns ``(bits, out, norms, start)`` over the
+    surviving branches, in the order of a depth-first walk that explores
+    outcome 1 before outcome 0: ``bits`` holds each branch's outcome of the
+    k-th of ``layout.measured`` in column 2k as measured and in column
+    2k + 1 after shifts; ``out`` has shape ``(branches, rows, 2**outputs)``
+    and ``norms`` its squared norms; ``start`` holds the input rows' squared
+    norms.  A branch is dropped only when every row is below the cutoff.
+    Checks norm conservation at each measurement and that each row's branch
+    probabilities sum to 1.
 
-    The walk is a loop over an explicit stack of unfinished branches, each
-    a tensor, its outcomes and its next step, so its depth is not bounded
-    by Python's recursion limit.  Outcome 1 is explored before outcome 0.
+    The walk is a loop over an explicit stack of unfinished batches, so its
+    depth is not bounded by Python's recursion limit.  A batch is a tensor
+    of shape ``(branches, rows, 2, ..., 2)`` with the branches' outcome bits.
+    At a measurement the two outcomes of each branch are interleaved on the
+    branch axis, 1 before 0, so the batch stays in walk order; signals are
+    evaluated on every branch at once, and a correction acts on the branches
+    it selects.  When the batch at the walk's peak width would hold more
+    than ``MAX_AMPLITUDES >> _BATCH_SHIFT`` amplitudes, its two halves walk
+    on as separate batches instead, down to one branch each.
 
     ``plan``, a map from every measured qubit to a raw outcome, restricts
     the walk to that one branch, with no cutoff; it is for certified
@@ -264,67 +374,93 @@ def _walk(layout: _Layout, batch: np.ndarray, plan=None):
     if not start.all():
         raise SimulationError("input state is the zero vector")
     cutoff = _BRANCH_CUTOFF * start
+    cap = MAX_AMPLITUDES >> _BATCH_SHIFT
     steps, perm = layout.steps, layout.perm
     leaves = []
-    stack = [(batch.reshape((rows,) + (2,) * layout.inputs), {}, {}, 0)]
+    tensor = batch.reshape((1, rows) + (2,) * layout.inputs)
+    stack = [(tensor, np.zeros((1, 2 * len(layout.measured)), dtype=np.int8), 0)]
     while stack:
-        tensor, raw, outcomes, pos = stack.pop()
+        tensor, bits, pos = stack.pop()
         for i in range(pos, len(steps)):
-            cmd, joins, where = steps[i]
+            cmd, joins, where, operand = steps[i]
             for _ in range(joins):
                 tensor = tensor[..., None] * _PLUS
             if isinstance(cmd, Entangle):
                 tensor[where] *= -1.0
             elif isinstance(cmd, Measure):
-                s_val = cmd.s.evaluate(outcomes)
-                t_val = cmd.t.evaluate(outcomes)
-                angle = (-1.0) ** s_val * cmd.angle.radians + t_val * np.pi
+                s, t, radians, col = operand
+                index = 2 * _value(s, bits) + _value(t, bits)
+                if isinstance(index, int):
+                    phase = _phase(radians, index)
+                else:
+                    table = np.array([_phase(radians, k) for k in range(4)])
+                    phase = table[index].reshape((-1,) + (1,) * (tensor.ndim - 2))
                 zero = tensor[where[:-1] + (0,)] * _INV_SQRT2
-                one = tensor[where] * (cmath.exp(-1j * angle) * _INV_SQRT2)
-                lo, hi = zero + one, zero - one
-                pre, n_lo, n_hi = _row_norms(tensor), _row_norms(lo), _row_norms(hi)
-                error = np.abs(n_lo + n_hi - pre) - _NORM_RTOL * np.maximum(pre, 1.0)
-                if (error > 0).any():
+                one = tensor[where] * phase
+                # outcome 1, then outcome 0, of each branch
+                halves = np.empty((len(zero), 2) + zero.shape[1:], dtype=complex)
+                np.subtract(zero, one, out=halves[:, 0])
+                np.add(zero, one, out=halves[:, 1])
+                pre, norms = _row_norms(tensor, 2), _row_norms(halves, 3)
+                post = norms[:, 0] + norms[:, 1]
+                error = np.abs(post - pre) - _NORM_RTOL * np.maximum(pre, 1.0)
+                if error.max() > 0:
                     k = int(np.argmax(error))
                     raise SimulationError(
                         f"norm not conserved at measurement of {cmd.qubit!r}: "
-                        f"{pre[k]} -> {n_lo[k] + n_hi[k]}"
+                        f"{pre.flat[k]} -> {post.flat[k]}"
                     )
-                q = cmd.qubit
-                for bit, half, norms in ((0, lo, n_lo), (1, hi, n_hi)):
-                    if (norms > cutoff).any() if plan is None else plan[q] == bit:
-                        stack.append((half, {**raw, q: bit}, {**outcomes, q: bit}, i + 1))
-                break
+                if plan is not None:
+                    bit = plan[cmd.qubit]
+                    tensor = halves[:, 1 - bit]
+                    bits[:, col:col + 2] = bit
+                    continue
+                size = 2 * len(zero)
+                tensor = halves.reshape((size,) + halves.shape[2:])
+                bits = np.repeat(bits, 2, axis=0)
+                bits[::2, col:col + 2] = 1
+                keep = np.logical_or.reduce(norms.reshape(size, rows) > cutoff, axis=1)
+                if np.count_nonzero(keep) < size:
+                    tensor, bits = tensor[keep], bits[keep]
+                    size = len(tensor)
+                    if not size:
+                        break
+                if size > 1 and (size * rows) << layout.width > cap:
+                    half = (size + 1) // 2
+                    stack.append((tensor[half:], bits[half:], i + 1))
+                    stack.append((tensor[:half], bits[:half], i + 1))
+                    break
             elif isinstance(cmd, CorrectX):
-                if cmd.signal.evaluate(outcomes):
-                    # the qubit's axis is the last one ``where`` names
-                    tensor = np.flip(tensor, axis=len(where) - 1)
+                chosen = _chosen(_value(operand, bits))
+                if isinstance(chosen, slice):
+                    tensor = tensor[where]
+                elif chosen is not None:
+                    tensor[chosen] = tensor[chosen][where]
             elif isinstance(cmd, CorrectZ):
-                if cmd.signal.evaluate(outcomes):
-                    tensor[where] *= -1.0
-            elif isinstance(cmd, Shift):
-                outcomes[cmd.qubit] ^= cmd.signal.evaluate(outcomes)
-            else:
-                raise SimulationError(f"cannot execute {cmd!r}")
+                chosen = _chosen(_value(operand, bits))
+                if chosen is not None:
+                    tensor[(chosen,) + where[1:]] *= -1.0
+            else:  # Shift
+                bits[:, where] ^= _value(operand, bits)
         else:
             for _ in range(layout.tail):
                 tensor = tensor[..., None] * _PLUS
-            out = np.transpose(tensor, perm).reshape(rows, -1)
-            leaves.append((raw, outcomes, out, _row_norms(out)))
+            out = np.transpose(tensor, perm).reshape(len(tensor), rows, -1)
+            leaves.append((bits, out, _row_norms(out, 2)))
     if plan is None:
-        total = sum((leaf[3] for leaf in leaves), np.zeros(rows)) / start
+        total = sum((norms.sum(axis=0) for *_, norms in leaves), np.zeros(rows)) / start
         gap = np.abs(total - 1.0)
         if not (gap <= 1e-9).all():
             raise SimulationError(f"branch probabilities sum to {total[np.argmax(gap)]}, not 1")
-    else:
-        for *_, norms in leaves:
-            prob = norms / start
-            gap = np.abs(np.ldexp(prob, len(plan)) - 1.0)
-            if not (gap <= 1e-9).all():
-                raise SimulationError(
-                    f"planned branch has probability {prob[np.argmax(gap)]}, not 2^-{len(plan)}"
-                )
-    return leaves, start
+    bits, out, norms = leaves[0] if len(leaves) == 1 else map(np.concatenate, zip(*leaves))
+    if plan is not None:
+        prob = norms / start
+        gap = np.abs(np.ldexp(prob, len(plan)) - 1.0)
+        if not (gap <= 1e-9).all():
+            raise SimulationError(
+                f"planned branch has probability {prob.flat[np.argmax(gap)]}, not 2^-{len(plan)}"
+            )
+    return bits, out, norms, start
 
 
 def run_all_branches(pattern: Pattern, input_state=None) -> list[Branch]:
@@ -337,14 +473,16 @@ def run_all_branches(pattern: Pattern, input_state=None) -> list[Branch]:
     """
     _check_valid(pattern)
     layout = _layout(pattern, 1)
-    leaves, start = _walk(layout, _input_vector(pattern, input_state)[None, :])
-    branches = [
-        Branch(outcomes, float(norms[0] / start[0]), out[0])
-        for _, outcomes, out, norms in leaves
+    bits, out, norms, start = _walk(layout, _input_vector(pattern, input_state)[None, :])
+    measured, outcomes = layout.measured, bits[:, 1::2]
+    probabilities = (norms[:, 0] / start[0]).tolist()
+    # lexsort is stable and reads its last key first
+    labels = sorted(range(len(measured)), key=lambda k: qubit_key(measured[k]), reverse=True)
+    order = np.lexsort([outcomes[:, k] for k in labels]).tolist() if labels else [0]
+    return [
+        Branch(dict(zip(measured, outcomes[k].tolist())), probabilities[k], out[k, 0])
+        for k in order
     ]
-    measured = sorted(pattern.measured, key=qubit_key)
-    branches.sort(key=lambda b: tuple(b.outcomes[q] for q in measured))
-    return branches
 
 
 def branch_maps(pattern: Pattern) -> list[BranchMap]:
@@ -361,8 +499,12 @@ def branch_maps(pattern: Pattern) -> list[BranchMap]:
 def _branch_maps(layout: _Layout, plan=None) -> list[BranchMap]:
     """``branch_maps`` of a laid-out pattern; with a ``plan`` of raw outcomes
     for a certified pattern, only that branch is walked (see ``_walk``)."""
-    leaves, _ = _walk(layout, np.eye(2**layout.inputs, dtype=complex), plan)
-    return [BranchMap(raw, outcomes, out.T) for raw, outcomes, out, _ in leaves]
+    bits, out, _, _ = _walk(layout, np.eye(2**layout.inputs, dtype=complex), plan)
+    measured = layout.measured
+    return [
+        BranchMap(dict(zip(measured, row[::2])), dict(zip(measured, row[1::2])), matrix.T)
+        for row, matrix in zip(bits.tolist(), out)
+    ]
 
 
 @lru_cache(maxsize=None)
@@ -542,8 +684,9 @@ def extract_unitary(pattern: Pattern, check_deterministic: bool = True) -> np.nd
                     f"forced branch vanishes on basis input {k}; pattern not deterministic"
                 )
     u = branch.matrix / np.sqrt(norms)
-    gram = u.conj().T @ u
-    if not np.allclose(gram, np.eye(dim_in), atol=1e-9):
+    # np.allclose(u^H u, 1, atol=1e-9) written out, without its overhead
+    eye = np.eye(dim_in)
+    if not (np.abs(u.conj().T @ u - eye) <= 1e-9 + 1e-5 * eye).all():
         raise SimulationError("extracted columns are not orthonormal")
     return u
 

@@ -37,6 +37,17 @@ CNOT_MAT = np.array(
 )
 P_HALF_MAT = np.diag([1, 1j]).astype(complex)
 
+# exact arguments for the ``library.BUILDERS`` entries that take some
+BUILDER_ARGS = {
+    "j": (Fraction(1, 4),),
+    "teleport": (Fraction(1, 4), Fraction(1, 3)),
+    "rx": (Fraction(3, 8),),
+    "rz": (Fraction(-1, 2),),
+    "rotation": (Fraction(1, 4), Fraction(1, 3), Fraction(1, 5)),
+    "ghz": (4,),
+    "cu": (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(7, 8)),
+}
+
 
 def j_mat(theta: float) -> np.ndarray:
     return np.array(

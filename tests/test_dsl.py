@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import TEXT_PIECES, mutated_texts
+from conftest import BUILDER_ARGS, TEXT_PIECES, mutated_texts
 from onewaylab import dsl
 from onewaylab.angles import Angle
 from onewaylab.commands import CorrectX, CorrectZ, Entangle, Measure, Shift
@@ -427,44 +427,50 @@ def _document(seq: str, space: str = "1, 2") -> str:
     return f"pattern p {{\n  space: {space};\n  input: 1;\n  output: 2;\n  seq:\n    {seq}\n}}\n"
 
 
-# (text, whether the fast path reads it rather than declining)
+# (text, what reads it: the fast path, only the located parser, or neither, a
+# located error)
 _EDGE_CASES = {
-    "comment in seq": (_document("E(1,2);  # entangle\n    M(1, 0);"), False),
-    "float angle": (_document("M(1, 1.25);"), True),
-    "negative float angle": (_document("M(1, -0.5); M(2,-1.5e-3);"), True),
-    "negative exact angle": (_document("M(1, -1/4 pi);"), True),
-    "pi/4": (_document("M(1, pi/4);"), True),
-    "2pi": (_document("M(1, 2pi);"), True),
-    "-0": (_document("M(1, -0);"), True),
-    "integer radians": (_document("M(1, 3);"), False),
+    "comment in seq": (_document("E(1,2);  # entangle\n    M(1, 0);"), "located"),
+    "float angle": (_document("M(1, 1.25);"), "fast"),
+    "negative float angle": (_document("M(1, -0.5); M(2,-1.5e-3);"), "fast"),
+    "negative exact angle": (_document("M(1, -1/4 pi);"), "fast"),
+    "pi/4": (_document("M(1, pi/4);"), "fast"),
+    "2pi": (_document("M(1, 2pi);"), "fast"),
+    "-0": (_document("M(1, -0);"), "fast"),
+    "integer radians": (_document("M(1, 3);"), "located"),
     "primed and word labels": (
-        _document("E(2',a_1); M(a_1, 0, s=s[2']); X(2', s[a_1]);", "1, 2, 2', a_1"), True
+        _document("E(2',a_1); M(a_1, 0, s=s[2']); X(2', s[a_1]);", "1, 2, 2', a_1"), "fast"
     ),
-    "newline inside a command": (_document("M(1,\n      1/4 pi,\n      s=s[2]);"), True),
-    "no spaces": (_document("M(1,1/4pi,s=s[2],t=1+s[2]);X(2,s[1]+1);"), True),
-    "s[1] + s[1]": (_document("X(2, s[1] + s[1]);"), True),
-    "signal constants from 2": (_document("X(2, 2 + s[1]); Z(2, 3);"), True),
-    "t before s": (_document("M(1, 1/4 pi, t=s[2], s=s[2]);"), False),
-    "label written another way": (_document("E(01,2);"), False),
-    "unicode digit label": (_document("E(1,\u0662);"), False),
-    "E(1,1)": (_document("E(1,1);"), False),
-    "command outside the space": (_document("E(1,3);"), False),
-    "5000-digit label": (_document(f"E(1,{_LONG});"), False),
-    "5000-digit signal constant": (_document(f"X(1, {_LONG});"), False),
-    "5000-digit numerator": (_document(f"M(1, {_LONG} pi);"), False),
-    "5000-digit zero": (_document(f"M(1, {'0' * 5000});"), False),
-    "zero denominator": (_document("M(1, pi/0);"), False),
-    "infinite angle": (_document("M(1, 1e999);"), False),
-    "signed angle": (_document("M(1, +1.5);"), False),
-    "text after the closing brace": (_document("E(1,2);") + "x", False),
-    "second closing brace": (_document("E(1,2);") + "}", False),
+    "newline inside a command": (_document("M(1,\n      1/4 pi,\n      s=s[2]);"), "fast"),
+    "no spaces": (_document("M(1,1/4pi,s=s[2],t=1+s[2]);X(2,s[1]+1);"), "fast"),
+    "s[1] + s[1]": (_document("X(2, s[1] + s[1]);"), "fast"),
+    "signal constants from 2": (_document("X(2, 2 + s[1]); Z(2, 3);"), "fast"),
+    "t before s": (_document("M(1, 1/4 pi, t=s[2], s=s[2]);"), "located"),
+    "label written another way": (_document("E(01,2);"), "located"),
+    "unicode digit label": (_document("E(1,\u0662);"), "located"),
+    "E(1,1)": (_document("E(1,1);"), "error"),
+    "command outside the space": (_document("E(1,3);"), "error"),
+    "5000-digit label": (_document(f"E(1,{_LONG});"), "error"),
+    "5000-digit signal constant": (_document(f"X(1, {_LONG});"), "error"),
+    "5000-digit numerator": (_document(f"M(1, {_LONG} pi);"), "error"),
+    "5000-digit zero": (_document(f"M(1, {'0' * 5000});"), "error"),
+    "zero denominator": (_document("M(1, pi/0);"), "error"),
+    "infinite angle": (_document("M(1, 1e999);"), "error"),
+    "signed angle": (_document("M(1, +1.5);"), "error"),
+    "doubled minus": (_document("M(1, --1.5);"), "error"),
+    "spaced doubled minus": (_document("M(1, - -1.5);"), "error"),
+    "minus then plus": (_document("M(1, -+1.5);"), "error"),
+    "exponents": (_document("M(1, -1e1); M(2, 1e-3);"), "fast"),
+    "text after the closing brace": (_document("E(1,2);") + "x", "error"),
+    "second closing brace": (_document("E(1,2);") + "}", "error"),
 }
 
 
-@pytest.mark.parametrize("text, fast", _EDGE_CASES.values(), ids=_EDGE_CASES)
-def test_edge_cases_parse_as_located(text, fast):
+@pytest.mark.parametrize("text, reader", _EDGE_CASES.values(), ids=_EDGE_CASES)
+def test_edge_cases_parse_as_located(text, reader):
     assert_parses_as_located(text)
-    assert (dsl._fast_document(text) is not None) == fast
+    assert (dsl._fast_document(text) is not None) == (reader == "fast")
+    assert isinstance(_located(text), DslError) == (reader == "error")
 
 
 def _located_parser_refused(text):
@@ -479,20 +485,9 @@ def test_fast_path_reads_wild_patterns(monkeypatch, seed):
     assert parse(text) == pattern
 
 
-_EXACT_ARGS = {
-    "j": (Fraction(1, 4),),
-    "teleport": (Fraction(1, 4), Fraction(1, 3)),
-    "rx": (Fraction(3, 8),),
-    "rz": (Fraction(-1, 2),),
-    "rotation": (Fraction(1, 4), Fraction(1, 3), Fraction(1, 5)),
-    "ghz": (4,),
-    "cu": (Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(7, 8)),
-}
-
-
 @pytest.mark.parametrize("name", sorted(BUILDERS))
 def test_fast_path_reads_every_builder(monkeypatch, name):
-    pattern = BUILDERS[name](*_EXACT_ARGS.get(name, ()))
+    pattern = BUILDERS[name](*BUILDER_ARGS.get(name, ()))
     text = serialize(pattern, name)
     monkeypatch.setattr(dsl, "_Parser", _located_parser_refused)
     assert parse_document(text) == dsl.PatternDocument(name, pattern)

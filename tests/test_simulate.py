@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import (
+    BUILDER_ARGS,
     CZ_MAT,
     H_MAT,
     SQ2,
@@ -18,7 +19,7 @@ from conftest import (
 
 from onewaylab.angles import Angle
 from onewaylab.commands import CorrectX, CorrectZ, Entangle, Measure, Shift
-from onewaylab import patterns, rewrite, simulate
+from onewaylab import library, patterns, rewrite, simulate
 from onewaylab.clifford import pauli_eliminate
 from onewaylab.library import (
     cnot,
@@ -367,10 +368,24 @@ def _random_state(dim, seed):
     return v / np.linalg.norm(v)
 
 
+_FORMS = {
+    "built": lambda pattern: pattern,
+    "standard": lambda pattern: standardize(pattern)[0],
+    "extended": lambda pattern: standardize_extended(pattern)[0],
+}
+
+
 @settings(deadline=None, max_examples=60)
-@given(st.integers(1, 14), st.integers(0, 10**6), st.integers(0, 2**32 - 1))
-def test_walk_matches_reference_on_wild_patterns(n_commands, seed, psi_seed):
-    pattern = random_wild_pattern(n_commands, seed)
+@given(
+    st.integers(1, 14),
+    st.integers(0, 10**6),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from(sorted(_FORMS)),
+)
+def test_walk_matches_reference_on_wild_patterns(n_commands, seed, psi_seed, form):
+    # the walk schedules each E at its first use; the reference keeps the
+    # command order
+    pattern = _FORMS[form](random_wild_pattern(n_commands, seed))
     psi = _random_state(2 ** len(pattern.inputs), psi_seed)
     assert_walk_matches_reference(pattern, psi)
 
@@ -400,20 +415,81 @@ def test_walk_matches_reference_on_builders(name, psi_seed):
     assert_walk_matches_reference(pattern, _random_state(2 ** len(pattern.inputs), psi_seed))
 
 
+def _unreachable(*args):
+    raise AssertionError("the walk started")
+
+
 def test_state_size_guard(monkeypatch):
     monkeypatch.setattr(simulate, "MAX_AMPLITUDES", 4)
     chain = j_chain([Fraction(1, 4)] * 5)  # 6 qubits, at most 2 live at once
     assert len(chain.space) == 6
     # one input row and 2 live qubits fit in 4 amplitudes
-    assert len(run_all_branches(chain, [1.0, 0.0])) == 32
+    built = run_all_branches(chain, [1.0, 0.0])
+    assert len(built) == 32
     # the basis walk adds one batch bit
     with pytest.raises(SimulationError, match="3 qubits wide"):
         branch_maps(chain)
-    # standardized, every E comes first and all 6 qubits are live at once
-    with pytest.raises(SimulationError, match="6 qubits wide"):
-        run_all_branches(standardize(chain)[0], [1.0, 0.0])
+    # standardized, every E comes first, but the walk schedules each at its
+    # first use: it fits in the same 4 amplitudes and gives the builder's
+    # branches, each up to its phase
+    standard = run_all_branches(standardize(chain)[0], [1.0, 0.0])
+    assert [b.outcomes for b in standard] == [b.outcomes for b in built]
+    for a, b in zip(standard, built):
+        assert abs(a.probability - b.probability) <= 1e-9
+        assert aligned_distance(a.output, b.output) <= 1e-9
+    # ghz(3) is 4 qubits wide however it is scheduled; the guard fires
+    # before the walk allocates anything
+    monkeypatch.setattr(simulate, "_walk", _unreachable)
+    with pytest.raises(SimulationError, match="4 qubits wide"):
+        run_all_branches(ghz(3))
+    # the eager reference prepares the whole space
     with pytest.raises(SimulationError, match="6 qubits wide"):
         run_branch(chain, {}, [1.0, 0.0])
+
+
+@pytest.mark.parametrize("name", sorted(library.BUILDERS))
+def test_standard_forms_walk_no_wider_than_their_builder(name):
+    built = library.BUILDERS[name](*BUILDER_ARGS.get(name, ()))
+    width = simulate._layout(built, 1).width
+    for form in (standardize, standardize_extended):
+        assert simulate._layout(form(built)[0], 1).width <= width
+
+
+def test_standard_chain_of_30_walks_at_builder_width():
+    chain = j_chain([0] * 30)  # H^30 on 31 qubits, at most 2 live at once
+    standard = standardize(chain)[0]
+    assert simulate._layout(standard, 2).width == simulate._layout(chain, 2).width == 2
+    u = extract_unitary(standard)
+    assert np.allclose(u, extract_unitary(chain), rtol=0, atol=1e-9)
+
+
+def _same_leaves(a, b):
+    """Two lists of branches or branch maps, equal bit for bit."""
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        if isinstance(x, simulate.Branch):
+            assert list(x.outcomes.items()) == list(y.outcomes.items())
+            assert x.probability == y.probability
+            assert np.array_equal(x.output, y.output)
+        else:
+            assert list(x.raw.items()) == list(y.raw.items())
+            assert list(x.outcomes.items()) == list(y.outcomes.items())
+            assert np.array_equal(x.matrix, y.matrix)
+
+
+def test_split_batches_give_the_same_leaves(monkeypatch):
+    wild = [random_wild_pattern(14, seed) for seed in range(30)]
+    wild += [form(p)[0] for p in wild[:10] for form in (standardize, standardize_extended)]
+
+    def leaves():
+        return [run_all_branches(ghz(6)), *map(branch_maps, wild)]
+
+    batched = leaves()
+    # a cap of 0 amplitudes splits every batch of two or more branches at
+    # every measurement: the walk goes one branch at a time
+    monkeypatch.setattr(simulate, "_BATCH_SHIFT", 64)
+    for a, b in zip(leaves(), batched, strict=True):
+        _same_leaves(a, b)
 
 
 def test_extract_unitary_checks_the_width_before_certifying(monkeypatch):
