@@ -46,6 +46,14 @@ class Angle:
     def from_radians(cls, radians: float) -> "Angle":
         return cls(rad=radians)
 
+    @classmethod
+    def _reduced(cls, frac: Fraction) -> "Angle":
+        """The exact angle of a ``Fraction`` already in [0, 2), built without reducing it again."""
+        angle = object.__new__(cls)
+        angle._frac = frac
+        angle._rad = None
+        return angle
+
     @property
     def is_exact(self) -> bool:
         return self._frac is not None
@@ -65,25 +73,27 @@ class Angle:
 
     def negated(self) -> "Angle":
         """-alpha, normalized."""
-        if self._frac is not None:
-            return Angle(frac=-self._frac)
+        frac = self._frac
+        if frac is not None:
+            return Angle._reduced(2 - frac if frac else frac)
         return Angle(rad=-self._rad)
 
     def plus_pi(self) -> "Angle":
         """alpha + pi, normalized."""
-        if self._frac is not None:
-            return Angle(frac=self._frac + 1)
+        frac = self._frac
+        if frac is not None:
+            return Angle._reduced(frac + 1 if frac < 1 else frac - 1)
         return Angle(rad=self._rad + math.pi)
 
     @property
     def is_x_axis(self) -> bool:
         """True for angle 0 or pi: the X-action on such a measurement is trivial."""
-        return self._frac is not None and self._frac in (0, 1)
+        return self._frac is not None and self._frac.denominator == 1
 
     @property
     def is_y_axis(self) -> bool:
         """True for angle pi/2 or 3*pi/2."""
-        return self._frac is not None and self._frac in (Fraction(1, 2), Fraction(3, 2))
+        return self._frac is not None and self._frac.denominator == 2
 
     @property
     def is_pauli_axis(self) -> bool:

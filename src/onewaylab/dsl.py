@@ -27,6 +27,7 @@ errors, so every ``DslError`` and its location are the located parser's.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass
@@ -368,6 +369,10 @@ def _fast_signal(text: str, labels: dict) -> Signal:
     return Signal(frozenset(support), constant)
 
 
+# Angles are immutable and a corpus writes few distinct angle texts, so they
+# are interned across documents; signal texts name labels, so they are read
+# again in each document.
+@functools.lru_cache(maxsize=1024)
 def _fast_angle(text: str) -> Angle:
     negative, pi_den, num, den, zero, decimal = _FAST_ANGLE_RE.fullmatch(text).groups()
     if decimal:
@@ -393,7 +398,7 @@ def _fast_document(text: str) -> PatternDocument | None:
     # the body ends before the spaces ahead of '}', which no match can take
     body_end = len(body[:-1].rstrip())
     name, space, inputs, outputs = head.groups()
-    signals, angles = {"": Signal()}, {}
+    signals = {"": Signal()}
     try:
         words = _FAST_LABEL_RE.findall(space)
         labels = {word: int(word) if word.isdigit() else word for word in words}
@@ -409,9 +414,7 @@ def _fast_document(text: str) -> PatternDocument | None:
                 for key in (s, t):
                     if key not in signals:
                         signals[key] = _fast_signal(key, labels)
-                if angle not in angles:
-                    angles[angle] = _fast_angle(angle)
-                cmd = Measure(labels[mq], angles[angle], signals[s], signals[t])
+                cmd = Measure(labels[mq], _fast_angle(angle), signals[s], signals[t])
             elif kind:
                 if signal not in signals:
                     signals[signal] = _fast_signal(signal, labels)
@@ -449,31 +452,35 @@ def format_angle(angle: Angle) -> str:
         # repr is the shortest decimal that parses back to the same float
         return repr(angle.radians)
     frac = angle.fraction
-    if frac == 0:
+    num, den = frac.numerator, frac.denominator
+    if den != 1:
+        return f"{num}/{den} pi"
+    if num == 0:
         return "0"
-    if frac == 1:
-        return "pi"
-    if frac.denominator == 1:
-        return f"{frac.numerator} pi"
-    return f"{frac.numerator}/{frac.denominator} pi"
+    return "pi" if num == 1 else f"{num} pi"
 
 
 def format_command(cmd) -> str:
+    return _format_command(cmd, str)
+
+
+def _format_command(cmd, signal_text) -> str:
+    """``cmd`` as text, each of its signals written by ``signal_text``."""
     if isinstance(cmd, Entangle):
         return f"E({cmd.i},{cmd.j})"
     if isinstance(cmd, Measure):
         parts = [str(cmd.qubit), format_angle(cmd.angle)]
         if cmd.s:
-            parts.append(f"s={cmd.s}")
+            parts.append(f"s={signal_text(cmd.s)}")
         if cmd.t:
-            parts.append(f"t={cmd.t}")
+            parts.append(f"t={signal_text(cmd.t)}")
         return f"M({', '.join(parts)})"
     if isinstance(cmd, CorrectX):
-        return f"X({cmd.qubit}, {cmd.signal})"
+        return f"X({cmd.qubit}, {signal_text(cmd.signal)})"
     if isinstance(cmd, CorrectZ):
-        return f"Z({cmd.qubit}, {cmd.signal})"
+        return f"Z({cmd.qubit}, {signal_text(cmd.signal)})"
     if isinstance(cmd, Shift):
-        return f"S({cmd.qubit}, {cmd.signal})"
+        return f"S({cmd.qubit}, {signal_text(cmd.signal)})"
     raise TypeError(f"unknown command {cmd!r}")
 
 
@@ -492,7 +499,18 @@ def serialize(pattern: Pattern, name: str = "p", paper_order: bool = False) -> s
     lines.append("  input: " + ", ".join(map(str, pattern.inputs)) + ";")
     lines.append("  output: " + ", ".join(map(str, pattern.outputs)) + ";")
     lines.append("  seq:")
+    # each distinct signal is written once for this document, keyed by its
+    # fields, whose tuple hashes faster than the dataclass does
+    texts = {}
+
+    def signal_text(signal: Signal) -> str:
+        key = (signal.support, signal.constant)
+        text = texts.get(key)
+        if text is None:
+            text = texts[key] = str(signal)
+        return text
+
     for cmd in commands:
-        lines.append(f"    {format_command(cmd)};")
+        lines.append(f"    {_format_command(cmd, signal_text)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

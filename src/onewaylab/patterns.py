@@ -7,10 +7,10 @@ the first element of ``commands`` runs first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
-from .commands import Command, Measure, Shift, command_signals, rename_command
+from .commands import Command, Entangle, Measure, Shift, command_signals, rename_command
 from .signals import Qubit, is_label, qubit_key
 
 
@@ -50,14 +50,16 @@ class Pattern:
         for q in (*self.inputs, *self.outputs):
             if q not in self.space:
                 raise PatternError(f"input/output qubit {q!r} not in space")
-        for cmd in self.commands:
-            for q in cmd.qubits:
-                if q not in self.space:
-                    raise PatternError(f"command {cmd!r} acts outside the space", cmd)
-            for sig in command_signals(cmd):
-                for q in sig.support:
+        if not _named_qubits(self.commands) <= self.space:
+            # rescan in order, so the error names the first command at fault
+            for cmd in self.commands:
+                for q in cmd.qubits:
                     if q not in self.space:
-                        raise PatternError(f"signal qubit {q!r} not in space", cmd)
+                        raise PatternError(f"command {cmd!r} acts outside the space", cmd)
+                for sig in command_signals(cmd):
+                    for q in sig.support:
+                        if q not in self.space:
+                            raise PatternError(f"signal qubit {q!r} not in space", cmd)
 
     @property
     def input_set(self) -> frozenset:
@@ -77,7 +79,25 @@ class Pattern:
         return frozenset(c.qubit for c in self.commands if isinstance(c, Measure))
 
     def with_commands(self, commands: Iterable[Command]) -> "Pattern":
-        return replace(self, commands=tuple(commands))
+        return Pattern(self.space, self.inputs, self.outputs, tuple(commands))
+
+
+def _named_qubits(commands) -> set:
+    """Every qubit that a command acts on or that one of its signals reads."""
+    named = set()
+    add, update = named.add, named.update
+    for cmd in commands:
+        kind = type(cmd)
+        if kind is Entangle:
+            add(cmd.i)
+            add(cmd.j)
+        elif kind is Measure:
+            add(cmd.qubit)
+            update(cmd.s.support, cmd.t.support)
+        else:
+            add(cmd.qubit)
+            update(cmd.signal.support)
+    return named
 
 
 @dataclass(frozen=True)
@@ -110,20 +130,23 @@ def validate(pattern: Pattern) -> ValidityReport:
     d0 = d1 = d2 = None
     bad_qubits: set = set()
     for idx, cmd in enumerate(pattern.commands):
+        kind = type(cmd)
+        if kind is Entangle:
+            if d1 is None and (cmd.i in measured or cmd.j in measured):
+                d1 = idx
+            continue
         if d0 is None:
-            deps = set()
-            for sig in command_signals(cmd):
-                deps |= sig.support
-            if isinstance(cmd, Shift):
-                deps.add(cmd.qubit)
-            if not deps <= measured:
+            if kind is Measure:
+                ready = cmd.s.support <= measured and cmd.t.support <= measured
+            else:
+                ready = cmd.signal.support <= measured
+                if kind is Shift:
+                    ready = ready and cmd.qubit in measured
+            if not ready:
                 d0 = idx
-        if d1 is None and not isinstance(cmd, Shift):
-            if cmd.qubits & measured:
-                d1 = idx
-        if isinstance(cmd, Measure):
-            if cmd.qubit in measured and d1 is None:
-                d1 = idx
+        if d1 is None and kind is not Shift and cmd.qubit in measured:
+            d1 = idx
+        if kind is Measure:
             measured.add(cmd.qubit)
     should_measure = pattern.space - pattern.output_set
     if measured != should_measure:

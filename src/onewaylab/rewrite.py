@@ -473,8 +473,12 @@ def _shifted(cmd: Command, d: dict, shifts) -> Command:
 
 
 def _substituted(signal: Signal, d: dict) -> Signal:
-    for q in signal.support & d.keys():
-        signal = signal + d[q]
+    if not d:
+        return signal
+    # a signal's support is small, and usually smaller than ``d``
+    for q in signal.support:
+        if q in d:
+            signal = signal + d[q]
     return signal
 
 

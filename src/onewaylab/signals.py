@@ -31,6 +31,9 @@ def qubit_key(q: Qubit):
     return (q.__class__.__name__, q)
 
 
+_set_field = object.__setattr__
+
+
 class MissingOutcomeError(KeyError):
     """A signal was evaluated against an outcome map missing one of its qubits."""
 
@@ -57,7 +60,12 @@ class Signal:
         return not self.support and self.constant == 0
 
     def __add__(self, other: "Signal") -> "Signal":
-        return Signal(self.support ^ other.support, self.constant ^ other.constant)
+        # the xor of two bits is a bit and ``^`` of two frozensets is a
+        # frozenset, so the sum skips the constructor's checks
+        total = object.__new__(Signal)
+        _set_field(total, "support", self.support ^ other.support)
+        _set_field(total, "constant", self.constant ^ other.constant)
+        return total
 
     def __bool__(self) -> bool:
         return not self.is_zero

@@ -339,6 +339,18 @@ def _chosen(value):
     return np.flatnonzero(value) if count else None
 
 
+def _join_plus(tensor: np.ndarray) -> np.ndarray:
+    """``tensor`` with a new last axis for a qubit joining in |+>.
+
+    Both halves of the new axis are written whole, rather than through a
+    broadcast product whose inner loop is two elements long.
+    """
+    out = np.empty(tensor.shape + (2,), dtype=complex)
+    np.multiply(tensor, _INV_SQRT2, out=out[..., 0])
+    out[..., 1] = out[..., 0]
+    return out
+
+
 def _walk(layout: _Layout, batch: np.ndarray, plan=None):
     """Every branch of a laid-out pattern run on the rows of ``batch``.
 
@@ -384,7 +396,7 @@ def _walk(layout: _Layout, batch: np.ndarray, plan=None):
         for i in range(pos, len(steps)):
             cmd, joins, where, operand = steps[i]
             for _ in range(joins):
-                tensor = tensor[..., None] * _PLUS
+                tensor = _join_plus(tensor)
             if isinstance(cmd, Entangle):
                 tensor[where] *= -1.0
             elif isinstance(cmd, Measure):
@@ -444,7 +456,7 @@ def _walk(layout: _Layout, batch: np.ndarray, plan=None):
                 bits[:, where] ^= _value(operand, bits)
         else:
             for _ in range(layout.tail):
-                tensor = tensor[..., None] * _PLUS
+                tensor = _join_plus(tensor)
             out = np.transpose(tensor, perm).reshape(len(tensor), rows, -1)
             leaves.append((bits, out, _row_norms(out, 2)))
     if plan is None:

@@ -71,3 +71,31 @@ def test_tiny_negative_radians_reduce_below_two_pi():
 def test_non_finite_radians_refused(value):
     with pytest.raises(ValueError, match="finite"):
         Angle.from_radians(value)
+
+
+EVERY_SMALL_FRACTION = sorted({Fraction(p, q) for q in range(1, 17) for p in range(2 * q)})
+
+
+@pytest.mark.parametrize("frac", EVERY_SMALL_FRACTION, ids=str)
+def test_exact_operations_match_their_fraction_definitions(frac):
+    a = Angle.exact(frac)
+    assert a.negated() == Angle.exact(-frac)
+    assert a.plus_pi() == Angle.exact(frac + 1)
+    assert a.is_x_axis == (frac in (0, 1))
+    assert a.is_y_axis == (frac in (Fraction(1, 2), Fraction(3, 2)))
+    for result in (a.negated(), a.plus_pi()):
+        assert result.is_exact
+        assert type(result.fraction) is Fraction
+        assert 0 <= result.fraction < 2
+        assert hash(result) == hash(Angle.exact(result.fraction))
+
+
+@pytest.mark.parametrize("radians", [0.0, 1.0, math.pi, 3.0, 2 * math.pi - 1e-9])
+def test_inexact_operations_unchanged(radians):
+    a = Angle.from_radians(radians)
+    assert a.negated() == Angle.from_radians(-radians)
+    assert a.plus_pi() == Angle.from_radians(radians + math.pi)
+    for result in (a.negated(), a.plus_pi()):
+        assert not result.is_exact
+        assert 0 <= result.radians < 2 * math.pi
+    assert not a.is_x_axis and not a.is_y_axis

@@ -447,6 +447,7 @@ _EDGE_CASES = {
     "signal constants from 2": (_document("X(2, 2 + s[1]); Z(2, 3);"), "fast"),
     "t before s": (_document("M(1, 1/4 pi, t=s[2], s=s[2]);"), "located"),
     "label written another way": (_document("E(01,2);"), "located"),
+    "signal label written another way": (_document("X(2, s[01]);"), "located"),
     "unicode digit label": (_document("E(1,\u0662);"), "located"),
     "E(1,1)": (_document("E(1,1);"), "error"),
     "command outside the space": (_document("E(1,3);"), "error"),
@@ -471,6 +472,24 @@ def test_edge_cases_parse_as_located(text, reader):
     assert_parses_as_located(text)
     assert (dsl._fast_document(text) is not None) == (reader == "fast")
     assert isinstance(_located(text), DslError) == (reader == "error")
+
+
+def test_no_signal_text_outlives_its_document():
+    # the same signal texts read, one after the other, in a document whose
+    # space holds their label and in one whose space does not
+    holds_a = "pattern p { space: 1, a; input: 1; output: a; seq: X(a, s[1]); M(1, 0, s=s[a]); }"
+    assert parse(holds_a).space == frozenset((1, "a"))
+    lacks_a = _document("E(1,2); X(2, s[a]);")
+    with pytest.raises(DslError, match=r"line 6, column 13: command X\(2, s\[a\]\)"):
+        parse(lacks_a)
+    assert_parses_as_located(lacks_a)
+    # ``01`` is a label of the first space only, so the fast path declines
+    # ``s[01]`` in the second, and the located parser reads it as 1
+    holds_01 = "pattern p { space: 01, 2; input: 01; output: 2; seq: X(2, s[01]); }"
+    assert dsl._fast_document(holds_01) is not None
+    lacks_01 = _document("X(2, s[01]);")
+    assert dsl._fast_document(lacks_01) is None
+    assert parse(lacks_01).commands == (CorrectX(2, Signal(frozenset((1,)))),)
 
 
 def _located_parser_refused(text):

@@ -33,6 +33,41 @@ def test_structural_checks():
         Pattern(frozenset((1, 2)), (1,), (2,), (CorrectX(2, signal(9)),))
 
 
+_OUTSIDE = "command {first!r} acts outside the space"
+
+
+@pytest.mark.parametrize(
+    "first, second, message",
+    [
+        (Entangle(1, 7), CorrectX(2, signal(8)), _OUTSIDE),
+        (Measure(7, Angle.exact(0)), Entangle(2, 8), _OUTSIDE),
+        (CorrectZ(2, signal(7)), CorrectX(8, signal(1)), "signal qubit 7 not in space"),
+        (Measure(1, Angle.exact(1, 4), signal(7)), Shift(8, signal(1)), "signal qubit 7 not in space"),
+        # a command whose qubit and signal are both outside fails on its qubit
+        (CorrectX(7, signal(8)), Entangle(2, 9), _OUTSIDE),
+    ],
+    ids=["entangle", "measure", "correction-signal", "measure-signal", "qubit-before-signal"],
+)
+def test_error_names_the_first_command_outside_the_space(first, second, message):
+    commands = (Entangle(1, 2), first, Measure(1, Angle.exact(0)), second)
+    with pytest.raises(PatternError) as info:
+        Pattern(frozenset((1, 2)), (1,), (2,), commands)
+    assert info.value.command == first
+    assert str(info.value) == message.format(first=first)
+    with pytest.raises(PatternError) as info:
+        h_pattern().with_commands(commands)
+    assert info.value.command == first
+
+
+def test_with_commands_keeps_the_interface_and_checks():
+    p = h_pattern()
+    q = p.with_commands(reversed(p.commands))
+    assert (q.space, q.inputs, q.outputs) == (p.space, p.inputs, p.outputs)
+    assert q.commands == tuple(reversed(p.commands))
+    with pytest.raises(PatternError, match="acts outside the space"):
+        p.with_commands(p.commands + (CorrectZ(3, signal(1)),))
+
+
 def test_measure_constructor_normalizes_constants():
     m = Measure(1, Angle.exact(1, 4), signal(2, constant=1), signal(3, constant=1))
     assert m.angle == Angle.exact(3, 4)  # -1/4 pi + pi

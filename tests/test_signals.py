@@ -33,6 +33,20 @@ def test_evaluate_is_homomorphism(a, outcomes):
     ) % 2
 
 
+@given(signals, signals)
+def test_sum_equals_constructed_signal(a, b):
+    total = a + b
+    expected = Signal(a.support ^ b.support, a.constant ^ b.constant)
+    assert total == expected
+    assert hash(total) == hash(expected)
+    assert type(total.support) is frozenset
+
+
+def test_constructor_still_checks_its_constant():
+    with pytest.raises(ValueError, match="0 or 1"):
+        Signal(frozenset(), 2)
+
+
 def test_evaluate_missing_outcome():
     with pytest.raises(MissingOutcomeError):
         signal(3).evaluate({1: 0})
