@@ -24,10 +24,6 @@ class Entangle:
             object.__setattr__(self, "i", i)
             object.__setattr__(self, "j", j)
 
-    @property
-    def qubits(self) -> frozenset:
-        return frozenset((self.i, self.j))
-
 
 @dataclass(frozen=True)
 class Measure:
@@ -64,10 +60,6 @@ class Measure:
         object.__setattr__(self, "s", s)
         object.__setattr__(self, "t", t)
 
-    @property
-    def qubits(self) -> frozenset:
-        return frozenset((self.qubit,))
-
 
 @dataclass(frozen=True)
 class CorrectX:
@@ -75,10 +67,6 @@ class CorrectX:
 
     qubit: Qubit
     signal: Signal = ONE
-
-    @property
-    def qubits(self) -> frozenset:
-        return frozenset((self.qubit,))
 
 
 @dataclass(frozen=True)
@@ -88,10 +76,6 @@ class CorrectZ:
     qubit: Qubit
     signal: Signal = ONE
 
-    @property
-    def qubits(self) -> frozenset:
-        return frozenset((self.qubit,))
-
 
 @dataclass(frozen=True)
 class Shift:
@@ -99,10 +83,6 @@ class Shift:
 
     qubit: Qubit
     signal: Signal
-
-    @property
-    def qubits(self) -> frozenset:
-        return frozenset((self.qubit,))
 
 
 Command = Union[Entangle, Measure, CorrectX, CorrectZ, Shift]
@@ -122,10 +102,6 @@ def rename_command(cmd: Command, mapping) -> Command:
         return Entangle(mapping[cmd.i], mapping[cmd.j])
     if isinstance(cmd, Measure):
         return Measure(mapping[cmd.qubit], cmd.angle, cmd.s.renamed(mapping), cmd.t.renamed(mapping))
-    if isinstance(cmd, CorrectX):
-        return CorrectX(mapping[cmd.qubit], cmd.signal.renamed(mapping))
-    if isinstance(cmd, CorrectZ):
-        return CorrectZ(mapping[cmd.qubit], cmd.signal.renamed(mapping))
-    if isinstance(cmd, Shift):
-        return Shift(mapping[cmd.qubit], cmd.signal.renamed(mapping))
+    if isinstance(cmd, (CorrectX, CorrectZ, Shift)):
+        return type(cmd)(mapping[cmd.qubit], cmd.signal.renamed(mapping))
     raise TypeError(f"unknown command {cmd!r}")

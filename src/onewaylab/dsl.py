@@ -42,12 +42,15 @@ from .signals import LABEL_WORD, Qubit, Signal, qubit_key
 class DslError(ValueError):
     """Syntax or structural error in pattern text, with location."""
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
-        if line is not None:
-            message = f"line {line}, column {column}: {message}"
-        super().__init__(message)
+    def __init__(self, message: str, line: int, column: int):
+        super().__init__(f"line {line}, column {column}: {message}")
+        self._message = message
         self.line = line
         self.column = column
+
+    def __reduce__(self):
+        # unpickling calls the constructor, which needs the location
+        return type(self), (self._message, self.line, self.column)
 
 
 @dataclass(frozen=True)
@@ -78,6 +81,7 @@ _TOKEN_RE = re.compile(
 
 
 _QUBIT_SIGNAL_COMMANDS = {"X": CorrectX, "Z": CorrectZ, "S": Shift}
+_COMMAND_LETTERS = {kind: letter for letter, kind in _QUBIT_SIGNAL_COMMANDS.items()}
 
 
 class _Parser:
@@ -106,8 +110,8 @@ class _Parser:
         line = self.text.count("\n", 0, offset) + 1
         return DslError(message, line, offset - self.text.rfind("\n", 0, offset))
 
-    def fail(self, message: str, tok: re.Match | None = None):
-        raise self.error(message, tok or self.peek())
+    def fail(self, message: str, tok: re.Match):
+        raise self.error(message, tok)
 
     def expect(self, text: str) -> re.Match:
         tok = self.next()
@@ -318,11 +322,12 @@ class _Parser:
 
 
 # The fast path builds the same objects through the same constructors as
-# ``_Parser``, on a subset of its grammar: ASCII digits, no comments, and
-# angles in the forms ``serialize`` writes plus ``pi/q``.  Each piece below
+# ``_Parser``, on a subset of its grammar: ASCII digits and whitespace
+# (``re.ASCII``), no comments, and angles in the forms ``serialize`` writes
+# plus ``pi/q``.  Labels are ``signals.LABEL_WORD``.  Each piece below
 # ends where a token of ``_TOKEN_RE`` must end, so a match never splits the
 # text into tokens other than the located parser's.
-_FAST_LABEL = r"(?:[0-9]+'*|[A-Za-z_][A-Za-z0-9_']*)"
+_FAST_LABEL = rf"(?:{LABEL_WORD})"
 _FAST_LIST = rf"(?:{_FAST_LABEL}(?:\s*,\s*{_FAST_LABEL})*)?"
 _FAST_TERM = rf"(?:s\s*\[\s*{_FAST_LABEL}\s*\]|[0-9]+)"
 _FAST_SIGNAL = rf"{_FAST_TERM}(?:\s*\+\s*{_FAST_TERM})*"
@@ -335,7 +340,7 @@ _FAST_HEADER_RE = re.compile(
     \s*input\s*:\s*({_FAST_LIST})\s*;
     \s*output\s*:\s*({_FAST_LIST})\s*;
     \s*seq\s*:""",
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
 # One match per command with its ';'.  Where no command matches, the last
 # group takes the text up to the next non-space character, and the text is
@@ -348,13 +353,14 @@ _FAST_COMMAND_RE = re.compile(
       | ([XZS])\s*\(\s*({_FAST_LABEL})\s*,\s*({_FAST_SIGNAL})\s*\)
     )\s*;
   | (\s*\S)""",
-    re.VERBOSE,
+    re.VERBOSE | re.ASCII,
 )
-_FAST_LABEL_RE = re.compile(_FAST_LABEL)
+_FAST_LABEL_RE = re.compile(_FAST_LABEL, re.ASCII)
 # the pieces of a signal and of an angle that the command matched whole
-_FAST_TERM_RE = re.compile(rf"s\s*\[\s*({_FAST_LABEL})\s*\]|([0-9]+)")
+_FAST_TERM_RE = re.compile(rf"s\s*\[\s*({_FAST_LABEL})\s*\]|([0-9]+)", re.ASCII)
 _FAST_ANGLE_RE = re.compile(
-    rf"(?:(-)\s*)?(?:pi(?:\s*/\s*([0-9]+))?|([0-9]+)(?:\s*/\s*([0-9]+))?\s*pi|(0+)|({_FAST_DECIMAL}))"
+    rf"(?:(-)\s*)?(?:pi(?:\s*/\s*([0-9]+))?|([0-9]+)(?:\s*/\s*([0-9]+))?\s*pi|(0+)|({_FAST_DECIMAL}))",
+    re.ASCII,
 )
 
 
@@ -475,12 +481,9 @@ def _format_command(cmd, signal_text) -> str:
         if cmd.t:
             parts.append(f"t={signal_text(cmd.t)}")
         return f"M({', '.join(parts)})"
-    if isinstance(cmd, CorrectX):
-        return f"X({cmd.qubit}, {signal_text(cmd.signal)})"
-    if isinstance(cmd, CorrectZ):
-        return f"Z({cmd.qubit}, {signal_text(cmd.signal)})"
-    if isinstance(cmd, Shift):
-        return f"S({cmd.qubit}, {signal_text(cmd.signal)})"
+    letter = _COMMAND_LETTERS.get(type(cmd))
+    if letter is not None:
+        return f"{letter}({cmd.qubit}, {signal_text(cmd.signal)})"
     raise TypeError(f"unknown command {cmd!r}")
 
 

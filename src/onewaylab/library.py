@@ -16,6 +16,7 @@ import networkx as nx
 
 from .angles import Angle, as_angle
 from .commands import CorrectX, CorrectZ, Entangle, Measure, Shift, command_signals
+from .dsl import format_command
 from .patterns import Pattern, PatternError, compose, tensor
 from .rewrite import is_emc
 from .signals import Qubit, Signal, qubit_key, signal
@@ -400,8 +401,6 @@ def entanglement_dot(pattern: Pattern) -> str:
 
 
 def dependency_dot(pattern: Pattern) -> str:
-    from .dsl import format_command
-
     graph = dependency_graph(pattern)
     lines = ["digraph dependency {"]
     for idx in sorted(graph.nodes):

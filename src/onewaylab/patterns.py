@@ -53,7 +53,7 @@ class Pattern:
         if not _named_qubits(self.commands) <= self.space:
             # rescan in order, so the error names the first command at fault
             for cmd in self.commands:
-                for q in cmd.qubits:
+                for q in (cmd.i, cmd.j) if type(cmd) is Entangle else (cmd.qubit,):
                     if q not in self.space:
                         raise PatternError(f"command {cmd!r} acts outside the space", cmd)
                 for sig in command_signals(cmd):

@@ -23,6 +23,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .commands import Command, CorrectX, CorrectZ, Entangle, Measure, Shift
+from .dsl import format_command
 from .patterns import Pattern, PatternError, validate
 from .signals import Signal
 
@@ -74,32 +75,20 @@ def termination_measure(pattern: Pattern) -> tuple[int, int]:
     return e_sum, c_sum
 
 
-def _splittable(cmd: Command) -> bool:
-    """Measurements the extended pass rewrites via an outcome shift.
-
-    Either the measurement carries a pi-action signal, or its exact angle is
-    pi or 3*pi/2 with no sign-action dependency, in which case a constant
-    shift turns it into a plain Pauli-axis measurement (this is how the
-    phase-gate pattern acquires its ``s1 + 1`` correction signal).
-    """
-    if not isinstance(cmd, Measure):
-        return False
-    if cmd.t:
-        return True
-    return (
-        not cmd.s
-        and cmd.angle.is_exact
-        and cmd.angle.fraction in (Fraction(1), Fraction(3, 2))
-    )
-
-
 def _split(cmd: Command) -> tuple | None:
-    """SHIFT_SPLIT's replacement for a measurement, or None when it does not apply."""
-    if not _splittable(cmd):
+    """SHIFT_SPLIT's replacement for a measurement, or None when it does not apply.
+
+    The rule rewrites a measurement that carries a pi-action signal, or one
+    whose exact angle is pi or 3*pi/2 with no sign-action dependency: there
+    a constant shift turns it into a plain Pauli-axis measurement (this is
+    how the phase-gate pattern acquires its ``s1 + 1`` correction signal).
+    """
+    if type(cmd) is not Measure:
         return None
     angle, t = cmd.angle, cmd.t
     if not t:
-        # an exact pi or 3*pi/2 angle (see _splittable): shift by a constant
+        if cmd.s or not angle.is_exact or angle.fraction not in (Fraction(1), Fraction(3, 2)):
+            return None
         angle = angle.plus_pi()
         t = Signal(t.support, t.constant ^ 1)
     return (Measure(cmd.qubit, angle, cmd.s, Signal()), Shift(cmd.qubit, t))
@@ -161,14 +150,11 @@ _ALSO_FREE_E = {(Rule.FREE_X, CorrectX), (Rule.FREE_Z, CorrectZ)}
 # do not hold the shifted qubit is passed unchanged.
 
 
-def _shift_x(a: Shift, b: CorrectX) -> tuple:
+def _shift_correction(a: Shift, b: CorrectX | CorrectZ) -> tuple:
+    kind = type(b)
     signal = b.signal.substitute(a.qubit, a.signal)
-    return Rule.SHIFT_X, (b if signal is b.signal else CorrectX(b.qubit, signal), a)
-
-
-def _shift_z(a: Shift, b: CorrectZ) -> tuple:
-    signal = b.signal.substitute(a.qubit, a.signal)
-    return Rule.SHIFT_Z, (b if signal is b.signal else CorrectZ(b.qubit, signal), a)
+    rule = Rule.SHIFT_X if kind is CorrectX else Rule.SHIFT_Z
+    return rule, (b if signal is b.signal else kind(b.qubit, signal), a)
 
 
 def _shift_m(a: Shift, b: Measure) -> tuple:
@@ -180,48 +166,31 @@ def _shift_m(a: Shift, b: Measure) -> tuple:
 
 
 _SHIFT_PAIRS = {
-    (Shift, CorrectX): _shift_x,
-    (Shift, CorrectZ): _shift_z,
+    (Shift, CorrectX): _shift_correction,
+    (Shift, CorrectZ): _shift_correction,
     (Shift, Measure): _shift_m,
 }
 
 
-def _pair_redex(a: Command, b: Command, extended: bool) -> tuple | None:
-    """The (rule, replacement) of the window ``a b``, or None when no rule matches."""
-    key = (type(a), type(b))
-    rewrite = _CORE_PAIRS.get(key)
-    if rewrite is None and extended:
-        rewrite = _SHIFT_PAIRS.get(key)
-    return None if rewrite is None else rewrite(a, b)
-
-
-def _redexes(seq, extended: bool = False) -> list[tuple[Rule, int]]:
+def _redexes(seq) -> list[tuple[Rule, int]]:
     found = []
-    last = len(seq) - 1
-    for pos, cmd in enumerate(seq):
-        if pos < last:
-            match = _pair_redex(cmd, seq[pos + 1], extended)
-            if match is not None:
-                found.append((match[0], pos))
-                continue
-        # SHIFT_SPLIT takes a measurement and the shift pairs start with a
-        # shift, so trying the one-command rules after every pair keeps the
-        # priority order
-        if extended:
-            if _splittable(cmd):
-                found.append((Rule.SHIFT_SPLIT, pos))
-            elif pos == last and isinstance(cmd, Shift):
-                found.append((Rule.SHIFT_DROP, pos))
+    for pos in range(len(seq) - 1):
+        a, b = seq[pos], seq[pos + 1]
+        rewrite = _CORE_PAIRS.get((type(a), type(b)))
+        match = None if rewrite is None else rewrite(a, b)
+        if match is not None:
+            found.append((match[0], pos))
     return found
 
 
-def applicable_redexes(pattern: Pattern, extended: bool = False) -> list[tuple[Rule, int]]:
-    """All (rule, position) pairs matching the sequence, in position order.
+def applicable_redexes(pattern: Pattern) -> list[tuple[Rule, int]]:
+    """All (rule, position) pairs of the core rules matching the sequence, in
+    position order.
 
     At a given position, only the highest-priority matching rule is listed
     (free commutations overlap pairwise, never with a propagation rule).
     """
-    return _redexes(pattern.commands, extended)
+    return _redexes(pattern.commands)
 
 
 def _apply(seq: list, rule: Rule, pos: int) -> None:
@@ -235,8 +204,10 @@ def _apply(seq: list, rule: Rule, pos: int) -> None:
             if pos == len(seq) - 1 and isinstance(seq[pos], Shift):
                 after = ()
         else:
-            a = seq[pos]
-            match = _pair_redex(a, seq[pos + 1], extended=True)
+            a, b = seq[pos], seq[pos + 1]
+            key = (type(a), type(b))
+            rewrite = _CORE_PAIRS.get(key) or _SHIFT_PAIRS.get(key)
+            match = None if rewrite is None else rewrite(a, b)
             if match is not None and (
                 match[0] is rule or (match[0] is Rule.FREE_E and (rule, type(a)) in _ALSO_FREE_E)
             ):
@@ -616,8 +587,6 @@ def format_trace(trace: Iterable[RewriteStep]) -> str:
     Command windows are printed right-to-left (the written order used in
     hand derivations, where the rightmost command executes first).
     """
-    from .dsl import format_command  # local import to avoid a cycle
-
     lines = []
     for step in trace:
         before = " ".join(format_command(c) for c in reversed(step.before))

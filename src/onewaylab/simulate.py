@@ -351,7 +351,7 @@ def _join_plus(tensor: np.ndarray) -> np.ndarray:
     return out
 
 
-def _walk(layout: _Layout, batch: np.ndarray, plan=None):
+def _walk(layout: _Layout, batch: np.ndarray, planned: bool = False):
     """Every branch of a laid-out pattern run on the rows of ``batch``.
 
     ``batch`` is a fresh ``(rows, 2**inputs)`` array; it is used as the
@@ -375,11 +375,12 @@ def _walk(layout: _Layout, batch: np.ndarray, plan=None):
     than ``MAX_AMPLITUDES >> _BATCH_SHIFT`` amplitudes, its two halves walk
     on as separate batches instead, down to one branch each.
 
-    ``plan``, a map from every measured qubit to a raw outcome, restricts
-    the walk to that one branch, with no cutoff; it is for certified
-    patterns (see ``_certified``), whose 2^m branches each have probability
-    2^-m, so the sum check becomes a check that each row's probability is
-    2^-m, which also catches a planned branch that vanishes.
+    ``planned`` restricts the walk to the all-zero branch, with no cutoff;
+    it is for certified patterns (see ``_certified``), whose 2^m branches
+    each have probability 2^-m, so the sum check becomes a check that each
+    row's probability is 2^-m, which also catches a planned branch that
+    vanishes.  Its outcome bits stay 0, since no shift acts on a qubit
+    before it is measured.
     """
     rows = batch.shape[0]
     start = _row_norms(batch)
@@ -422,10 +423,8 @@ def _walk(layout: _Layout, batch: np.ndarray, plan=None):
                         f"norm not conserved at measurement of {cmd.qubit!r}: "
                         f"{pre.flat[k]} -> {post.flat[k]}"
                     )
-                if plan is not None:
-                    bit = plan[cmd.qubit]
-                    tensor = halves[:, 1 - bit]
-                    bits[:, col:col + 2] = bit
+                if planned:
+                    tensor = halves[:, 1]
                     continue
                 size = 2 * len(zero)
                 tensor = halves.reshape((size,) + halves.shape[2:])
@@ -459,18 +458,19 @@ def _walk(layout: _Layout, batch: np.ndarray, plan=None):
                 tensor = _join_plus(tensor)
             out = np.transpose(tensor, perm).reshape(len(tensor), rows, -1)
             leaves.append((bits, out, _row_norms(out, 2)))
-    if plan is None:
+    if not planned:
         total = sum((norms.sum(axis=0) for *_, norms in leaves), np.zeros(rows)) / start
         gap = np.abs(total - 1.0)
         if not (gap <= 1e-9).all():
             raise SimulationError(f"branch probabilities sum to {total[np.argmax(gap)]}, not 1")
     bits, out, norms = leaves[0] if len(leaves) == 1 else map(np.concatenate, zip(*leaves))
-    if plan is not None:
+    if planned:
+        m = len(layout.measured)
         prob = norms / start
-        gap = np.abs(np.ldexp(prob, len(plan)) - 1.0)
+        gap = np.abs(np.ldexp(prob, m) - 1.0)
         if not (gap <= 1e-9).all():
             raise SimulationError(
-                f"planned branch has probability {prob.flat[np.argmax(gap)]}, not 2^-{len(plan)}"
+                f"planned branch has probability {prob.flat[np.argmax(gap)]}, not 2^-{m}"
             )
     return bits, out, norms, start
 
@@ -508,10 +508,10 @@ def branch_maps(pattern: Pattern) -> list[BranchMap]:
     return _branch_maps(_layout(pattern, 2 ** len(pattern.inputs)))
 
 
-def _branch_maps(layout: _Layout, plan=None) -> list[BranchMap]:
-    """``branch_maps`` of a laid-out pattern; with a ``plan`` of raw outcomes
-    for a certified pattern, only that branch is walked (see ``_walk``)."""
-    bits, out, _, _ = _walk(layout, np.eye(2**layout.inputs, dtype=complex), plan)
+def _branch_maps(layout: _Layout, planned: bool = False) -> list[BranchMap]:
+    """``branch_maps`` of a laid-out pattern; ``planned``, for a certified
+    pattern, walks only its all-zero branch (see ``_walk``)."""
+    bits, out, _, _ = _walk(layout, np.eye(2**layout.inputs, dtype=complex), planned)
     measured = layout.measured
     return [
         BranchMap(dict(zip(measured, row[::2])), dict(zip(measured, row[1::2])), matrix.T)
@@ -520,10 +520,10 @@ def _branch_maps(layout: _Layout, plan=None) -> list[BranchMap]:
 
 
 @lru_cache(maxsize=None)
-def _pseudorandom_states(dim: int, count: int = 8) -> tuple[np.ndarray, ...]:
+def _pseudorandom_states(dim: int) -> tuple[np.ndarray, ...]:
     rng = np.random.default_rng(0x1D2C3B4A)
     states = []
-    for _ in range(count):
+    for _ in range(8):
         v = rng.normal(size=dim) + 1j * rng.normal(size=dim)
         states.append(v / np.linalg.norm(v))
     return tuple(states)
@@ -677,7 +677,7 @@ def extract_unitary(pattern: Pattern, check_deterministic: bool = True) -> np.nd
     # laid out first, so an over-wide state fails before the certificate runs
     layout = _layout(pattern, dim_in)
     if _certified(pattern):
-        (branch,) = _branch_maps(layout, dict.fromkeys(pattern.measured, 0))
+        (branch,) = _branch_maps(layout, planned=True)
         norms = _row_norms(branch.matrix.T)
     else:
         maps = _branch_maps(layout)

@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 from unittest import mock
 
@@ -155,6 +156,15 @@ def test_error_reports_location():
         parse("pattern p {\n  space 1;\n}")
     assert err.value.line == 2
     assert "space" in str(err.value) or "expected" in str(err.value)
+
+
+def test_dsl_error_needs_a_location():
+    with pytest.raises(TypeError):
+        DslError("message")
+    err = DslError("message", 3, 7)
+    assert (str(err), err.line, err.column) == ("line 3, column 7: message", 3, 7)
+    copy = pickle.loads(pickle.dumps(err))
+    assert (str(copy), copy.line, copy.column) == (str(err), 3, 7)
 
 
 def test_unknown_qubit_rejected():

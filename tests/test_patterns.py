@@ -2,6 +2,7 @@ import pytest
 
 from onewaylab.angles import Angle
 from onewaylab.commands import CorrectX, CorrectZ, Entangle, Measure, Shift
+from onewaylab.dsl import parse, serialize
 from onewaylab.patterns import (
     Pattern,
     PatternError,
@@ -169,3 +170,36 @@ def test_rename_total_and_injective():
         rename(h_pattern(), {1: 5, 2: 5})
     r = rename(h_pattern(), {1: "a", 2: "b"})
     assert r.inputs == ("a",) and r.outputs == ("b",)
+
+
+def test_rename_every_command_kind():
+    p = Pattern(
+        frozenset((1, 2, 3)),
+        (1,),
+        (3,),
+        (
+            Entangle(1, 2),
+            Entangle(2, 3),
+            Measure(1, Angle.exact(1, 4)),
+            Measure(2, Angle.exact(1, 3), signal(1), signal(1)),
+            Shift(1, signal(2)),
+            CorrectX(3, signal(2)),
+            CorrectZ(3, signal(1, constant=1)),
+        ),
+    )
+    r = rename(p, {1: "a", 2: 7, 3: "c'"})
+    assert r == Pattern(
+        frozenset(("a", 7, "c'")),
+        ("a",),
+        ("c'",),
+        (
+            Entangle("a", 7),
+            Entangle(7, "c'"),
+            Measure("a", Angle.exact(1, 4)),
+            Measure(7, Angle.exact(1, 3), signal("a"), signal("a")),
+            Shift("a", signal(7)),
+            CorrectX("c'", signal(7)),
+            CorrectZ("c'", signal("a", constant=1)),
+        ),
+    )
+    assert parse(serialize(r)) == r

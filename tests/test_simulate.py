@@ -750,4 +750,4 @@ def test_planned_walk_checks_branch_probability():
     # outcomes at 3:1, not the 1:1 of a certified pattern
     p = Pattern(frozenset((1, 2)), (1,), (1,), (Measure(2, Angle.exact(1, 3)),))
     with pytest.raises(SimulationError, match="not 2\\^-1"):
-        simulate._branch_maps(simulate._layout(p, 2), {2: 0})
+        simulate._branch_maps(simulate._layout(p, 2), planned=True)
