@@ -9,10 +9,9 @@ membership test used to check the claim on concrete patterns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._values import Value
 from .commands import Measure, command_signals
 from .signals import Signal
 from .patterns import Pattern, PatternError
@@ -114,16 +113,14 @@ def is_clifford(u: np.ndarray) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class TheoremCheck:
-    """One pattern's no-dependency verdict."""
+class TheoremCheck(Value):
+    """One pattern's no-dependency verdict (``clifford`` is None for a non-square unitary)."""
 
-    name: str
-    pauli_only: bool
-    dependent: bool
-    clifford: bool | None  # None when the unitary is not square
-    applicable: bool  # the theorems force this pattern to be Clifford
-    passed: bool
+    # ``applicable``: the theorems force this pattern to be Clifford
+    __slots__ = ("name", "pauli_only", "dependent", "clifford", "applicable", "passed")
+
+    def __init__(self, name, pauli_only, dependent, clifford, applicable, passed):
+        self._set_fields(name, pauli_only, dependent, clifford, applicable, passed)
 
 
 def verify_no_dependency_theorems(patterns) -> list[TheoremCheck]:

@@ -2,31 +2,30 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
+from ._values import Value
 from .angles import Angle, as_angle
 from .signals import ONE, ZERO, Qubit, Signal, qubit_key
 
 
-@dataclass(frozen=True)
-class Entangle:
+class Entangle(Value):
     """Controlled-Z between two distinct qubits; symmetric in its arguments."""
 
-    i: Qubit
-    j: Qubit
+    __slots__ = ("i", "j")
 
-    def __post_init__(self):
-        if self.i == self.j:
+    def __init__(self, i: Qubit, j: Qubit):
+        if i == j:
             raise ValueError("entanglement needs two distinct qubits")
-        if qubit_key(self.j) < qubit_key(self.i):
-            i, j = self.j, self.i
-            object.__setattr__(self, "i", i)
-            object.__setattr__(self, "j", j)
+        # labels of one type order by ``<``, which ``qubit_key`` agrees with
+        if (j < i) if type(i) is type(j) else (qubit_key(j) < qubit_key(i)):
+            i, j = j, i
+        set_i, set_j = self._setters
+        set_i(self, i)
+        set_j(self, j)
 
 
-@dataclass(frozen=True)
-class Measure:
+class Measure(Value):
     """Destructive measurement of ``qubit`` in the basis |0> +- e^{i a}|1>.
 
     The effective angle is ``(-1)^s * angle + t * pi`` where ``s`` flips the
@@ -40,14 +39,10 @@ class Measure:
       ``s`` signal is dropped.
     """
 
-    qubit: Qubit
-    angle: Angle
-    s: Signal = ZERO
-    t: Signal = ZERO
+    __slots__ = ("qubit", "angle", "s", "t")
 
-    def __post_init__(self):
-        angle = as_angle(self.angle)
-        s, t = self.s, self.t
+    def __init__(self, qubit: Qubit, angle: Angle, s: Signal = ZERO, t: Signal = ZERO):
+        angle = as_angle(angle)
         if s.constant:
             angle = angle.negated()
             s = Signal(s.support, 0)
@@ -56,33 +51,44 @@ class Measure:
             t = Signal(t.support, 0)
         if angle.is_x_axis:
             s = ZERO
-        object.__setattr__(self, "angle", angle)
-        object.__setattr__(self, "s", s)
-        object.__setattr__(self, "t", t)
+        set_qubit, set_angle, set_s, set_t = self._setters
+        set_qubit(self, qubit)
+        set_angle(self, angle)
+        set_s(self, s)
+        set_t(self, t)
 
 
-@dataclass(frozen=True)
-class CorrectX:
+class CorrectX(Value):
     """Pauli X on ``qubit``, applied when the signal evaluates to 1."""
 
-    qubit: Qubit
-    signal: Signal = ONE
+    __slots__ = ("qubit", "signal")
+
+    def __init__(self, qubit: Qubit, signal: Signal = ONE):
+        set_qubit, set_signal = self._setters
+        set_qubit(self, qubit)
+        set_signal(self, signal)
 
 
-@dataclass(frozen=True)
-class CorrectZ:
+class CorrectZ(Value):
     """Pauli Z on ``qubit``, applied when the signal evaluates to 1."""
 
-    qubit: Qubit
-    signal: Signal = ONE
+    __slots__ = ("qubit", "signal")
+
+    def __init__(self, qubit: Qubit, signal: Signal = ONE):
+        set_qubit, set_signal = self._setters
+        set_qubit(self, qubit)
+        set_signal(self, signal)
 
 
-@dataclass(frozen=True)
-class Shift:
+class Shift(Value):
     """Classical command: add the signal's value to the recorded outcome of ``qubit``."""
 
-    qubit: Qubit
-    signal: Signal
+    __slots__ = ("qubit", "signal")
+
+    def __init__(self, qubit: Qubit, signal: Signal):
+        set_qubit, set_signal = self._setters
+        set_qubit(self, qubit)
+        set_signal(self, signal)
 
 
 Command = Union[Entangle, Measure, CorrectX, CorrectZ, Shift]

@@ -30,9 +30,9 @@ from __future__ import annotations
 import functools
 import math
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._values import Value
 from .angles import Angle
 from .commands import CorrectX, CorrectZ, Entangle, Measure, Shift
 from .patterns import Pattern, PatternError
@@ -53,12 +53,13 @@ class DslError(ValueError):
         return type(self), (self._message, self.line, self.column)
 
 
-@dataclass(frozen=True)
-class PatternDocument:
+class PatternDocument(Value):
     """A named pattern as read from (or written to) text."""
 
-    name: str
-    pattern: Pattern
+    __slots__ = ("name", "pattern")
+
+    def __init__(self, name: str, pattern: Pattern):
+        self._set_fields(name, pattern)
 
 
 # One scan cuts the whole text into tokens.  A token is the ``re.Match`` of
@@ -503,7 +504,7 @@ def serialize(pattern: Pattern, name: str = "p", paper_order: bool = False) -> s
     lines.append("  output: " + ", ".join(map(str, pattern.outputs)) + ";")
     lines.append("  seq:")
     # each distinct signal is written once for this document, keyed by its
-    # fields, whose tuple hashes faster than the dataclass does
+    # fields, whose tuple hashes faster than the signal does
     texts = {}
 
     def signal_text(signal: Signal) -> str:

@@ -7,9 +7,9 @@ the first element of ``commands`` runs first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from ._values import Value
 from .commands import Command, Entangle, Measure, Shift, command_signals, rename_command
 from .signals import Qubit, is_label, qubit_key
 
@@ -25,41 +25,44 @@ class PatternError(ValueError):
         self.command = command
 
 
-@dataclass(frozen=True)
-class Pattern:
-    space: frozenset
-    inputs: tuple
-    outputs: tuple
-    commands: tuple
+class Pattern(Value):
+    __slots__ = ("space", "inputs", "outputs", "commands")
 
-    def __post_init__(self):
-        object.__setattr__(self, "space", frozenset(self.space))
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
-        object.__setattr__(self, "commands", tuple(self.commands))
-        for q in self.space:
+    def __init__(self, space: Iterable, inputs: Iterable, outputs: Iterable, commands: Iterable):
+        space, inputs, outputs = frozenset(space), tuple(inputs), tuple(outputs)
+        commands = tuple(commands)
+        for q in space:
             if not is_label(q):
                 raise PatternError(
                     f"qubit label {q!r} has no text form: labels are non-negative ints "
                     "or words of letters, digits, '_' and primes, not all digits"
                 )
-        if len(set(self.inputs)) != len(self.inputs):
+        if len(set(inputs)) != len(inputs):
             raise PatternError("duplicate input qubit")
-        if len(set(self.outputs)) != len(self.outputs):
+        if len(set(outputs)) != len(outputs):
             raise PatternError("duplicate output qubit")
-        for q in (*self.inputs, *self.outputs):
-            if q not in self.space:
+        for q in (*inputs, *outputs):
+            if q not in space:
                 raise PatternError(f"input/output qubit {q!r} not in space")
-        if not _named_qubits(self.commands) <= self.space:
+        if not _named_qubits(commands) <= space:
             # rescan in order, so the error names the first command at fault
-            for cmd in self.commands:
+            for cmd in commands:
                 for q in (cmd.i, cmd.j) if type(cmd) is Entangle else (cmd.qubit,):
-                    if q not in self.space:
+                    if q not in space:
                         raise PatternError(f"command {cmd!r} acts outside the space", cmd)
                 for sig in command_signals(cmd):
                     for q in sig.support:
-                        if q not in self.space:
+                        if q not in space:
                             raise PatternError(f"signal qubit {q!r} not in space", cmd)
+        self._set_fields(space, inputs, outputs, commands)
+
+    @classmethod
+    def _rebuilt(cls, like: "Pattern", commands: Iterable[Command]) -> "Pattern":
+        """``like`` with ``commands``, which name only its qubits, unchecked
+        (``with_commands`` checks); for normal forms of ``like``'s commands."""
+        pattern = object.__new__(cls)
+        pattern._set_fields(like.space, like.inputs, like.outputs, tuple(commands))
+        return pattern
 
     @property
     def input_set(self) -> frozenset:
@@ -100,8 +103,7 @@ def _named_qubits(commands) -> set:
     return named
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(Value):
     """Per-condition result of the runnability checks.
 
     Each field is ``None`` when the condition holds, otherwise the execution
@@ -109,10 +111,10 @@ class ValidityReport:
     -1 when no command is at fault).
     """
 
-    d0: int | None
-    d1: int | None
-    d2: int | None
-    d2_qubits: frozenset = frozenset()
+    __slots__ = ("d0", "d1", "d2", "d2_qubits")
+
+    def __init__(self, d0, d1, d2, d2_qubits=frozenset()):
+        self._set_fields(d0, d1, d2, d2_qubits)
 
     @property
     def ok(self) -> bool:

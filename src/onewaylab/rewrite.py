@@ -25,7 +25,7 @@ from typing import NamedTuple
 from .commands import Command, CorrectX, CorrectZ, Entangle, Measure, Shift
 from .dsl import format_command
 from .patterns import Pattern, PatternError, validate
-from .signals import Signal
+from .signals import ZERO, Signal
 
 
 class RewriteError(RuntimeError):
@@ -91,7 +91,7 @@ def _split(cmd: Command) -> tuple | None:
             return None
         angle = angle.plus_pi()
         t = Signal(t.support, t.constant ^ 1)
-    return (Measure(cmd.qubit, angle, cmd.s, Signal()), Shift(cmd.qubit, t))
+    return (Measure(cmd.qubit, angle, cmd.s, ZERO), Shift(cmd.qubit, t))
 
 
 # Two-command rules, dispatched on the window's (type(a), type(b)).  Each
@@ -510,7 +510,7 @@ def standardize(pattern: Pattern) -> tuple[Pattern, Sequence[RewriteStep]]:
     list of steps to it, computed when the trace is first read.
     """
     _check_valid(pattern)
-    return pattern.with_commands(_core(pattern.commands)), _LazyTrace(pattern.commands, False)
+    return Pattern._rebuilt(pattern, _core(pattern.commands)), _LazyTrace(pattern.commands, False)
 
 
 def standardize_extended(pattern: Pattern) -> tuple[Pattern, Sequence[RewriteStep]]:
@@ -523,7 +523,7 @@ def standardize_extended(pattern: Pattern) -> tuple[Pattern, Sequence[RewriteSte
     """
     _check_valid(pattern)
     return (
-        pattern.with_commands(_shift_out(_core(pattern.commands))),
+        Pattern._rebuilt(pattern, _shift_out(_core(pattern.commands))),
         _LazyTrace(pattern.commands, True),
     )
 

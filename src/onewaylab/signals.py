@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Mapping
+
+from ._values import Value
 
 Qubit = int | str
 """Qubit identifier: a non-negative int or a str label (see ``is_label``)."""
@@ -31,29 +32,25 @@ def qubit_key(q: Qubit):
     return (q.__class__.__name__, q)
 
 
-_set_field = object.__setattr__
-
-
 class MissingOutcomeError(KeyError):
     """A signal was evaluated against an outcome map missing one of its qubits."""
 
 
-@dataclass(frozen=True)
-class Signal:
+class Signal(Value):
     """An affine Z2 expression: ``constant + sum of s_i over support``.
 
     Addition is XOR on the constant and symmetric difference on the support,
     so every signal is its own inverse.
     """
 
-    support: frozenset = frozenset()
-    constant: int = 0
+    __slots__ = ("support", "constant")
 
-    def __post_init__(self):
-        if self.constant not in (0, 1):
+    def __init__(self, support: frozenset = frozenset(), constant: int = 0):
+        if constant not in (0, 1):
             raise ValueError("signal constant must be 0 or 1")
-        if not isinstance(self.support, frozenset):
-            object.__setattr__(self, "support", frozenset(self.support))
+        set_support, set_constant = self._setters
+        set_support(self, support if isinstance(support, frozenset) else frozenset(support))
+        set_constant(self, constant)
 
     @property
     def is_zero(self) -> bool:
@@ -63,8 +60,9 @@ class Signal:
         # the xor of two bits is a bit and ``^`` of two frozensets is a
         # frozenset, so the sum skips the constructor's checks
         total = object.__new__(Signal)
-        _set_field(total, "support", self.support ^ other.support)
-        _set_field(total, "constant", self.constant ^ other.constant)
+        set_support, set_constant = Signal._setters
+        set_support(total, self.support ^ other.support)
+        set_constant(total, self.constant ^ other.constant)
         return total
 
     def __bool__(self) -> bool:

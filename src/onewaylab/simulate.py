@@ -42,12 +42,12 @@ and then the prepared qubits in label order, big-endian in flat indexing.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from functools import lru_cache
 from math import prod, sqrt
 
 import numpy as np
 
+from ._values import Value
 from .commands import CorrectX, CorrectZ, Entangle, Measure, Shift
 from .patterns import Pattern, PatternError, validate
 from .rewrite import _core, _shift_out
@@ -94,21 +94,20 @@ def _check_width(width: int) -> None:
         )
 
 
-@dataclass(frozen=True)
-class Branch:
+class Branch(Value):
     """One completed execution branch.
 
     ``outcomes`` are as signals read them, after shifts; ``output`` is over
     the declared outputs.
     """
 
-    outcomes: dict
-    probability: float
-    output: np.ndarray
+    __slots__ = ("outcomes", "probability", "output")
+
+    def __init__(self, outcomes: dict, probability: float, output: np.ndarray):
+        self._set_fields(outcomes, probability, output)
 
 
-@dataclass(frozen=True)
-class BranchMap:
+class BranchMap(Value):
     """One surviving branch of a walk over the input basis.
 
     ``raw`` holds the outcomes as measured, ``outcomes`` the same after
@@ -117,9 +116,10 @@ class BranchMap:
     input k, and its squared norm is that input's branch probability.
     """
 
-    raw: dict
-    outcomes: dict
-    matrix: np.ndarray
+    __slots__ = ("raw", "outcomes", "matrix")
+
+    def __init__(self, raw: dict, outcomes: dict, matrix: np.ndarray):
+        self._set_fields(raw, outcomes, matrix)
 
 
 def _input_vector(pattern: Pattern, input_state) -> np.ndarray:
@@ -196,8 +196,7 @@ def _ones_at(axes) -> tuple:
     return tuple(idx)
 
 
-@dataclass(frozen=True)
-class _Layout:
+class _Layout(Value):
     """The walk's step order and axis bookkeeping, the same on every branch.
 
     Axis 0 of the walk's tensor is the batch of branches and axis 1 the
@@ -213,12 +212,10 @@ class _Layout:
     live qubits.
     """
 
-    inputs: int
-    steps: tuple
-    tail: int
-    perm: tuple
-    measured: tuple
-    width: int
+    __slots__ = ("inputs", "steps", "tail", "perm", "measured", "width")
+
+    def __init__(self, inputs, steps, tail, perm, measured, width):
+        self._set_fields(inputs, steps, tail, perm, measured, width)
 
 
 def _check_valid(pattern: Pattern) -> None:
@@ -559,10 +556,10 @@ def _certified(pattern: Pattern) -> bool:
 
     Sound but incomplete: True means every branch map equals every other up
     to a phase; False decides nothing.  The test runs on the commands of
-    ``standardize_extended(pattern)``, which realise the same branch maps
-    up to a relabelling of outcomes and is an E block, then measurements
-    with sign-action signals only (no t-signals), then corrections, with no
-    shifts.
+    ``standardize(pattern)``, an E block, then measurements, then
+    corrections, which realise the same branch maps.  If shifts remain
+    there, it runs on ``standardize_extended(pattern)``, which has none and
+    realises the same maps up to a relabelling of outcomes.
 
     Paulis are bit vectors, an X part and a Z part per qubit; signs and
     phases are dropped, since determinism is up to phase.  The generators
@@ -571,21 +568,23 @@ def _certified(pattern: Pattern) -> bool:
     measurement at an exact Pauli angle, its own eigen-operator: X_j on the
     X axis (0 or pi), X_j Z_j, proportional to Y_j, on the Y axis.  The flip
     operator of a measured qubit i is P_i = Z_i times X_j for every
-    measurement j whose s holds i, times every correction whose signal holds
-    i.  The pattern is certified when every P_i lies in the span of the
-    generators.
+    measurement j whose s holds i, times Z_j for every measurement j whose t
+    holds i, times every correction whose signal holds i.  The pattern is
+    certified when every P_i lies in the span of the generators.
 
     Soundness: flipping outcome i is, up to phase, inserting Z_i before i is
     measured, since <-_a| = <+_a| Z.  The flip also toggles s for each
     measurement j whose s holds i, and <+-_(-a)| is <+-_a| X up to phase, so
-    that is an X_j before j is measured; and it toggles every correction
-    whose signal holds i, which acts as itself.  The corrections act on
-    outputs and the measurements on distinct qubits, so all of these Paulis
-    commute, up to sign, onto the state just after the E block.  Each K_v
-    fixes that state whatever the input, and a Pauli eigen-operator only
-    multiplies the projection of its qubit by a phase.  So when P_i is a
-    product of generators, the branch with outcome i flipped is the same
-    linear map up to a phase.  Every branch is then one map up to phase, so
+    that is an X_j before j is measured; it toggles t for each measurement j
+    whose t holds i, and <+-_(a+pi)| is <+-_a| Z up to phase, so that is a
+    Z_j before j is measured; and it toggles every correction whose signal
+    holds i, which acts as itself.  The corrections act on outputs and the
+    measurements on distinct qubits, so all of these Paulis commute, up to
+    sign, onto the state just after the E block.  Each K_v fixes that state
+    whatever the input, and a Pauli eigen-operator only multiplies the
+    projection of its qubit by a phase.  So when P_i is a product of
+    generators, the branch with outcome i flipped is the same linear map up
+    to a phase.  Every branch is then one map up to phase, so
     the pattern is deterministic, and on every input all 2^m branches have
     the same probability: 2^-m, since they sum to 1.
     """
@@ -600,7 +599,10 @@ def _certified(pattern: Pattern) -> bool:
 
     neighbours = dict.fromkeys(pattern.space, 0)
     generators, flips = [], {}
-    for cmd in _shift_out(_core(pattern.commands)):
+    commands = _core(pattern.commands)
+    if any(type(cmd) is Shift for cmd in commands):
+        commands = _shift_out(commands)
+    for cmd in commands:
         if isinstance(cmd, Entangle):
             neighbours[cmd.i] ^= z(cmd.j)
             neighbours[cmd.j] ^= z(cmd.i)
@@ -613,6 +615,8 @@ def _certified(pattern: Pattern) -> bool:
             flips[q] = z(q)
             for i in cmd.s.support:
                 flips[i] ^= x(q)
+            for i in cmd.t.support:
+                flips[i] ^= z(q)
         else:
             op = x(cmd.qubit) if isinstance(cmd, CorrectX) else z(cmd.qubit)
             for i in cmd.signal.support:

@@ -19,11 +19,13 @@ import numpy as np
 from hypothesis import strategies as st
 
 import onewaylab
-from onewaylab.commands import CorrectX, CorrectZ, Entangle, Measure
+from onewaylab.angles import Angle
+from onewaylab.commands import CorrectX, CorrectZ, Entangle, Measure, Shift
 from onewaylab.dsl import serialize
 from onewaylab.library import cnot, ghz, h, j, random_wild_pattern, teleport
 from onewaylab.patterns import Pattern
 from onewaylab.rewrite import standardize_extended
+from onewaylab.signals import signal
 
 SQ2 = math.sqrt(2.0)
 
@@ -110,6 +112,22 @@ def flat_pattern(n: int, angle) -> Pattern:
     return Pattern(
         frozenset(range(n + 1)), (), (0,), tuple(Measure(q, angle) for q in range(1, n + 1))
     )
+
+
+def with_extra_shifts(pattern, rng):
+    """``pattern`` with random shifts after some measurements, and some
+    angles made inexact, so that rounding shows where steps differ."""
+    commands, measured = [], []
+    for cmd in pattern.commands:
+        commands.append(cmd)
+        if isinstance(cmd, Measure):
+            if rng.random() < 0.3:
+                commands[-1] = Measure(cmd.qubit, Angle.from_radians(cmd.angle.radians + 0.1), cmd.s, cmd.t)
+            measured.append(cmd.qubit)
+            if rng.random() < 0.5:
+                support = [q for q in measured if rng.random() < 0.3]
+                commands.append(Shift(rng.choice(measured), signal(*support, constant=rng.randint(0, 1))))
+    return pattern.with_commands(commands)
 
 
 def run_isolated(code: str, *args: str, timeout: float = 60) -> subprocess.CompletedProcess:

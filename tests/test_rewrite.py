@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import aligned_distance
+from conftest import aligned_distance, with_extra_shifts
 
 from onewaylab import rewrite
 from onewaylab.angles import Angle
@@ -510,22 +510,6 @@ def test_semantics_preserved_on_random_circuits():
 # the direct construction and the lazy trace ---------------------------
 
 
-def with_extra_shifts(pattern, rng):
-    """``pattern`` with random shifts after some measurements, and some
-    angles made inexact, so that rounding shows where steps differ."""
-    commands, measured = [], []
-    for cmd in pattern.commands:
-        commands.append(cmd)
-        if isinstance(cmd, Measure):
-            if rng.random() < 0.3:
-                commands[-1] = Measure(cmd.qubit, Angle.from_radians(cmd.angle.radians + 0.1), cmd.s, cmd.t)
-            measured.append(cmd.qubit)
-            if rng.random() < 0.5:
-                support = [q for q in measured if rng.random() < 0.3]
-                commands.append(Shift(rng.choice(measured), signal(*support, constant=rng.randint(0, 1))))
-    return pattern.with_commands(commands)
-
-
 @settings(deadline=None, max_examples=100)
 @given(st.integers(4, 80), st.integers(0, 10**6), st.integers(0, 2**32 - 1))
 def test_direct_normal_form_is_where_the_rules_end(n, seed, extra_seed):
@@ -537,6 +521,18 @@ def test_direct_normal_form_is_where_the_rules_end(n, seed, extra_seed):
         assert len(trace) == len(steps) and trace == steps
         if steps:
             assert trace[-1] == steps[-1]
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 80), st.integers(0, 10**6), st.integers(0, 2**32 - 1))
+def test_normal_forms_pass_the_pattern_checks(n, seed, extra_seed):
+    # standardize builds its result without the constructor's checks; they
+    # would all pass
+    wild = with_extra_shifts(random_wild_pattern(n, seed), random.Random(extra_seed))
+    for run in (standardize, standardize_extended):
+        std = run(wild)[0]
+        assert std == Pattern(std.space, std.inputs, std.outputs, std.commands)
+        assert (std.space, std.inputs, std.outputs) == (wild.space, wild.inputs, wild.outputs)
 
 
 def test_dropped_traces_never_run_the_rules(monkeypatch, capsys):

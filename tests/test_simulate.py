@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from conftest import (
     assert_proportional,
     j_mat,
     run_isolated,
+    with_extra_shifts,
 )
 
 from onewaylab.angles import Angle
@@ -636,6 +638,27 @@ def test_certificate_is_incomplete():
     # deterministic, as the brute force finds, but not certified
     assert not simulate._certified(rank_one())
     assert is_deterministic(rank_one())
+
+
+_CERTIFICATE_SOURCES = st.one_of(
+    st.builds(
+        lambda n, seed, extra: with_extra_shifts(random_wild_pattern(n, seed), random.Random(extra)),
+        st.integers(1, 40), st.integers(0, 10**6), st.integers(0, 2**32 - 1),
+    ),
+    st.sampled_from(sorted(library.BUILDERS)).map(
+        lambda name: library.BUILDERS[name](*BUILDER_ARGS.get(name, ()))
+    ),
+    st.builds(random_circuit_pattern, st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 6)),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_CERTIFICATE_SOURCES, st.sampled_from(sorted(_FORMS)))
+def test_certificate_is_the_same_on_the_extended_form(pattern, form):
+    # a form without shifts is certified on its core form, t-signals and
+    # all; the extended form has none
+    pattern = _FORMS[form](pattern)
+    assert simulate._certified(pattern) == simulate._certified(standardize_extended(pattern)[0])
 
 
 def test_certificate_validates_first():
