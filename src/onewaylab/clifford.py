@@ -70,26 +70,19 @@ def pauli_eliminate(pattern: Pattern) -> Pattern:
     return result
 
 
-def _parity_signs(mask: int, n: int) -> np.ndarray:
-    """(-1)^|c & mask| for c = 0 .. 2^n - 1: the kron of n pairs (1, +-1)."""
-    out = np.ones(1)
-    for m in range(n):
-        out = np.kron(out, (1.0, -1.0 if mask >> (n - 1 - m) & 1 else 1.0))
-    return out
-
-
 def is_clifford(u: np.ndarray) -> bool:
     """Whether a unitary on n qubits normalizes the Pauli group.
 
     Paulis are an X bit mask and a Z bit mask over the flat index, qubit m
-    at bit 2^(n-1-m), and phases are dropped.  For each generator g in
-    {X_k, Z_k}, V = u g u^H must be a phase times a Pauli word P; u g is u
-    with its columns permuted by ``rows ^ bit`` for X_k, or with the
-    columns whose bit is set negated for Z_k.  Such a V has one nonzero
-    entry per row, at column r ^ x for the X part x of P, so P is read off
-    V: x is the column of row 0's largest entry, and P has Z on qubit m
-    when V[r, r ^ x] / V[0, x] is negative, for r = 2^(n-1-m).  That one
-    candidate is then tested: |tr(P^H V)| = |sum_r (-1)^|(r^x) & z| V[r, r^x]|
+    at bit 2^(n-1-m), and phases are dropped; ``parity[c]`` is (-1)^|c|, so
+    Z on a mask multiplies entry c by ``parity[c & mask]``.  For each
+    generator g in {X_k, Z_k}, V = u g u^H must be a phase times a Pauli
+    word P; u g is u with its columns permuted by ``rows ^ bit`` for X_k,
+    or with the columns whose bit is set negated for Z_k.  Such a V has one
+    nonzero entry per row, d[r] = V[r, r ^ x] for the X part x of P, so P
+    is read off V: x is the column of row 0's largest entry, and P has Z on
+    qubit m when d[r] / d[0] is negative, for r = 2^(n-1-m).  That one
+    candidate is then tested: |tr(P^H V)| = |sum_r (-1)^|(r^x) & z| d[r]|
     is 2^n exactly when V is a phase times P.
     """
     u = np.asarray(u, dtype=complex)
@@ -99,16 +92,23 @@ def is_clifford(u: np.ndarray) -> bool:
     n = dim.bit_length() - 1
     if 2**n != dim:
         raise ValueError(f"need a 2^n x 2^n matrix, got shape {u.shape}")
-    if not np.allclose(u.conj().T @ u, np.eye(dim), atol=1e-9):
+    uh = u.conj().T
+    # np.allclose(u^H u, 1, atol=1e-9) written out, without its overhead
+    eye = np.eye(dim)
+    if not (np.abs(uh @ u - eye) <= 1e-9 + 1e-5 * eye).all():
         raise ValueError("matrix is not unitary")
     rows = np.arange(dim)
-    bits = [1 << (n - 1 - m) for m in range(n)]
-    for b in bits:
-        for ug in (u[:, rows ^ b], u * _parity_signs(b, n)):  # u X_k, u Z_k
-            v = ug @ u.conj().T
+    bits = 1 << np.arange(n - 1, -1, -1)
+    parity = np.ones(1)
+    for _ in range(n):
+        parity = np.concatenate((parity, -parity))
+    for b in bits.tolist():
+        for ug in (u[:, rows ^ b], u * parity[rows & b]):  # u X_k, u Z_k
+            v = ug @ uh
             x = int(np.argmax(np.abs(v[0])))
-            z = sum(r for r in bits if (v[r, r ^ x] / v[0, x]).real < 0)
-            if abs(_parity_signs(z, n)[rows ^ x] @ v[rows, rows ^ x]) < dim * (1 - 1e-9):
+            d = v[rows, rows ^ x]
+            z = int(bits[(d[bits] / d[0]).real < 0].sum())
+            if abs(parity[(rows ^ x) & z] @ d) < dim * (1 - 1e-9):
                 return False
     return True
 

@@ -15,11 +15,14 @@ measured; outputs that no step touches join at the end, and the result is
 transposed to the declared output order.
 
 The steps are the commands with each E moved to just before the first
-later command that acts on one of its qubits (``_schedule``).  A standard
-form puts every E first, so in command order all its qubits would be live
-at once; scheduled, it walks no wider than its builder's pattern.  Which
-qubits are live after each step does not depend on the branch, so the axes,
-and the peak state size, are worked out once before the walk starts.
+later command that acts on one of its qubits, and each X or Z to just after
+the last earlier step that acts on its qubit or writes an outcome its signal
+reads (``_schedule``).  A standard form puts every E first, so in command
+order all its qubits would be live at once; scheduled, it walks no wider
+than its builder's pattern, and its corrections act before later
+measurements double the batch.  Which qubits are live after each step does
+not depend on the branch, so the axes, and the peak state size, are worked
+out once before the walk starts.
 
 Projecting on a measurement outcome simply scales the tensor, and a
 branch's probability is its squared-norm ratio to the input's.
@@ -30,7 +33,9 @@ pattern has every branch equal up to phase, so ``is_deterministic`` answers
 at once and ``extract_unitary`` walks a single branch, the all-zero one,
 which is the branch the full walk would pick.  That planned walk applies
 no cutoff; its check that the branch has probability 2^-m catches a branch
-that vanishes or whose norm underflows.  Patterns the certificate does not
+that vanishes or whose norm underflows.  ``run_all_branches`` of a large
+certified pattern builds every branch as a phase times that one, the phase
+read off one amplitude per branch.  Patterns the certificate does not
 decide fall back to walking every branch and comparing them, the brute
 force that stays the reference.
 
@@ -76,6 +81,12 @@ _PHASE_KEYS = tuple(((-1.0) ** s, t * np.pi) for s in (0, 1) for t in (0, 1))
 # at the walk's peak width is split in two (see ``_walk``).  At 2^16
 # amplitudes, 1 MiB, larger batches no longer walk faster.
 _BATCH_SHIFT = 8
+
+# ``run_all_branches`` of a certified pattern whose 2^m branch outputs hold
+# at least this many amplitudes in all takes the certified amplitude path.
+# Measured on ghz(n) (2n - 1 measured and output qubits): the path was
+# slower at 2^13 amplitudes and faster from 2^15.
+_AMPLITUDE_PATH_SIZE = 1 << 14
 
 
 class SimulationError(RuntimeError):
@@ -172,13 +183,13 @@ def run_branch(pattern: Pattern, outcomes_plan, input_state=None) -> Branch:
             live = tuple(q for q in live if q != cmd.qubit)
             outcomes[cmd.qubit] = outcome
         elif isinstance(cmd, Entangle):
-            tensor[_ones_at([live.index(cmd.i), live.index(cmd.j)])] *= -1.0
+            tensor[_ones_at(live.index(cmd.i), live.index(cmd.j))] *= -1.0
         elif isinstance(cmd, CorrectX):
             if cmd.signal.evaluate(outcomes):
                 tensor = np.flip(tensor, axis=live.index(cmd.qubit))
         elif isinstance(cmd, CorrectZ):
             if cmd.signal.evaluate(outcomes):
-                tensor[_ones_at([live.index(cmd.qubit)])] *= -1.0
+                tensor[_ones_at(live.index(cmd.qubit))] *= -1.0
         elif isinstance(cmd, Shift):
             outcomes[cmd.qubit] ^= cmd.signal.evaluate(outcomes)
         else:
@@ -188,8 +199,10 @@ def run_branch(pattern: Pattern, outcomes_plan, input_state=None) -> Branch:
     return Branch(outcomes, prob, output)
 
 
-def _ones_at(axes) -> tuple:
-    """Index selecting the |1> half of each of ``axes``."""
+@lru_cache(maxsize=None)
+def _ones_at(*axes) -> tuple:
+    """Index selecting the |1> half of each of ``axes``; cached, since a
+    width within ``MAX_AMPLITUDES`` leaves only a few hundred axis sets."""
     idx = [slice(None)] * (max(axes) + 1)
     for a in axes:
         idx[a] = 1
@@ -209,13 +222,14 @@ class _Layout(Value):
     ``tail`` qubits join at the end, and ``perm`` then puts the axes in
     output order.  ``measured`` lists the measured qubits in command order,
     the order of the outcome columns, and ``width`` is the peak number of
-    live qubits.
+    live qubits.  A ``closed`` layout ends each branch as one amplitude
+    (see ``_layout``).
     """
 
-    __slots__ = ("inputs", "steps", "tail", "perm", "measured", "width")
+    __slots__ = ("inputs", "steps", "tail", "perm", "measured", "width", "closed")
 
-    def __init__(self, inputs, steps, tail, perm, measured, width):
-        self._set_fields(inputs, steps, tail, perm, measured, width)
+    def __init__(self, inputs, steps, tail, perm, measured, width, closed):
+        self._set_fields(inputs, steps, tail, perm, measured, width, closed)
 
 
 def _check_valid(pattern: Pattern) -> None:
@@ -224,31 +238,51 @@ def _check_valid(pattern: Pattern) -> None:
         raise PatternError(f"cannot run an invalid pattern: {report}")
 
 
-def _schedule(commands) -> list:
+def _schedule(commands, inputs=()) -> list:
     """The walk's step order: each E moved to just before the first later
-    command that acts on one of its qubits, or to the end when none does.
+    command that acts on one of its qubits, or to the end when none does,
+    and each X or Z to just after the last earlier step that acts on its
+    qubit or writes an outcome its signal reads.
 
     E commutes with every command on other qubits and with every other E,
     and no signal reads it, so no branch map changes; its qubits just join
-    the walk later.  Every other command keeps its place relative to the
-    rest, so the measurements keep their order.
+    the walk later.  A correction commutes with every step it moves above,
+    and is exact, so amplitudes keep their values (a zero can change sign).
+    It never moves above the first step that touches a qubit not among
+    ``inputs``, so each qubit joins, with its 1/sqrt(2), at the same point.
+    Measurements and shifts keep their order.
     """
     waiting, on = {}, {}  # index -> E not yet placed; qubit -> indices of such E, in order
-    order = []
+    slots = [[]]  # each step with the corrections placed just after it; slot 0 is the start
+    acted = dict.fromkeys(inputs, 0)  # qubit -> slot of the last step acting on it
+    wrote = {}  # measured qubit -> slot of the last step writing its outcome
     for k, cmd in enumerate(commands):
-        if isinstance(cmd, Entangle):
+        kind = type(cmd)
+        if kind is Entangle:
             waiting[k] = cmd
             on.setdefault(cmd.i, []).append(k)
             on.setdefault(cmd.j, []).append(k)
-        elif isinstance(cmd, Shift) or cmd.qubit not in on:
-            order.append(cmd)
+            continue
+        q = cmd.qubit
+        if q in on and kind is not Shift:
+            for e in on.pop(q):
+                if e in waiting:
+                    ent = waiting.pop(e)
+                    acted[ent.i] = acted[ent.j] = len(slots)
+                    slots.append([ent])
+        if kind is Measure or kind is Shift:
+            wrote[q] = len(slots)
+            slots.append([cmd])
+        elif q in acted:
+            acted[q] = slot = max([acted[q], *map(wrote.__getitem__, cmd.signal.support)])
+            slots[slot].append(cmd)
         else:
-            order += [waiting.pop(e) for e in on.pop(cmd.qubit) if e in waiting]
-            order.append(cmd)
-    return order + list(waiting.values())
+            acted[q] = len(slots)
+            slots.append([cmd])
+    return [cmd for slot in slots for cmd in slot] + list(waiting.values())
 
 
-def _layout(pattern: Pattern, rows: int) -> _Layout:
+def _layout(pattern: Pattern, rows: int, close=None) -> _Layout:
     """Lay out a walk of a validated ``pattern`` over ``rows`` input rows.
 
     The k-th measured qubit's outcome has column 2k as measured and 2k + 1
@@ -256,30 +290,54 @@ def _layout(pattern: Pattern, rows: int) -> _Layout:
     reads, and a measurement to its two signals, its angle in radians and
     its column.  Raises before anything is allocated when the peak state,
     live qubits plus input-batch bits, would exceed ``MAX_AMPLITUDES``.
+
+    ``close``, one bit per output, closes the layout: each output leaves
+    right after its last step, by a step ``(None, 0, where, None)`` that
+    selects its bit on its axis, so a branch ends as one amplitude.  An
+    output that is an input and that no step touches leaves at the start;
+    one that no step touches and that is not an input never joins, so the
+    same factor of 1/sqrt(2) is left out of every branch.
     """
     shifted = {}  # measured qubit -> the column of its outcome after shifts
 
     def compiled(signal):
         return signal.constant, tuple(map(shifted.__getitem__, signal.support))
 
+    schedule = _schedule(pattern.commands, pattern.inputs)
+    closed = close is not None
+    leaving = {}  # step index -> the outputs that leave a closed layout after it; -1: at the start
+    if closed:  # a shift's qubit is no output
+        last = {q: k for k, cmd in enumerate(schedule)
+                for q in ((cmd.i, cmd.j) if isinstance(cmd, Entangle) else (cmd.qubit,))}
+        for q, bit in zip(pattern.outputs, close):
+            if q in last or q in pattern.inputs:
+                leaving.setdefault(last.get(q, -1), []).append((q, bit))
     live = list(pattern.inputs)
-    peak = 0
+    peak = len(live)
     steps = []
-    for cmd in _schedule(pattern.commands):
+
+    def leave(k):
+        for q, bit in leaving[k]:
+            steps.append((None, 0, (slice(None),) * (2 + live.index(q)) + (bit,), None))
+            live.remove(q)
+
+    if -1 in leaving:
+        leave(-1)
+    for k, cmd in enumerate(schedule):
         if isinstance(cmd, Shift):
             steps.append((cmd, 0, shifted[cmd.qubit], compiled(cmd.signal)))
             continue
         targets = (cmd.i, cmd.j) if isinstance(cmd, Entangle) else (cmd.qubit,)
         fresh = [q for q in targets if q not in live]
-        live += fresh
+        if fresh:
+            live += fresh
+            peak = max(peak, len(live))
         axes = [2 + live.index(q) for q in targets]
         if isinstance(cmd, Entangle):
-            where, operand = _ones_at(axes), None
+            where, operand = _ones_at(*axes), None
         elif isinstance(cmd, Measure):
-            # qubits leave only here, so the width peaks at a measurement or at the end
-            peak = max(peak, len(live))
             column = 2 * len(shifted)
-            where = _ones_at(axes)
+            where = _ones_at(*axes)
             operand = (compiled(cmd.s), compiled(cmd.t), cmd.angle.radians, column)
             shifted[cmd.qubit] = column + 1
             live.remove(cmd.qubit)
@@ -287,16 +345,18 @@ def _layout(pattern: Pattern, rows: int) -> _Layout:
             where = (slice(None),) * axes[0] + (slice(None, None, -1),)
             operand = compiled(cmd.signal)
         elif isinstance(cmd, CorrectZ):
-            where, operand = _ones_at(axes), compiled(cmd.signal)
+            where, operand = _ones_at(*axes), compiled(cmd.signal)
         else:
             raise SimulationError(f"cannot execute {cmd!r}")
         steps.append((cmd, len(fresh), where, operand))
-    tail = [q for q in pattern.outputs if q not in live]
+        if k in leaving:
+            leave(k)
+    tail = [] if closed else [q for q in pattern.outputs if q not in live]
     live += tail
     width = max(peak, len(live))
     _check_width(width + (rows - 1).bit_length())
-    perm = (0, 1) + tuple(2 + live.index(q) for q in pattern.outputs)
-    return _Layout(len(pattern.inputs), tuple(steps), len(tail), perm, tuple(shifted), width)
+    perm = (0, 1) + tuple(2 + live.index(q) for q in pattern.outputs if q in live)
+    return _Layout(len(pattern.inputs), tuple(steps), len(tail), perm, tuple(shifted), width, closed)
 
 
 def _row_norms(tensor: np.ndarray, lead: int = 1) -> np.ndarray:
@@ -378,6 +438,11 @@ def _walk(layout: _Layout, batch: np.ndarray, planned: bool = False):
     row's probability is 2^-m, which also catches a planned branch that
     vanishes.  Its outcome bits stay 0, since no shift acts on a qubit
     before it is measured.
+
+    A closed layout (see ``_layout``) ends each branch as one amplitude, so
+    ``out`` has shape ``(branches, rows, 1)``: that walk keeps every branch,
+    with no cutoff, and makes no sum check, but still checks norm
+    conservation at each measurement.
     """
     rows = batch.shape[0]
     start = _row_norms(batch)
@@ -385,7 +450,7 @@ def _walk(layout: _Layout, batch: np.ndarray, planned: bool = False):
         raise SimulationError("input state is the zero vector")
     cutoff = _BRANCH_CUTOFF * start
     cap = MAX_AMPLITUDES >> _BATCH_SHIFT
-    steps, perm = layout.steps, layout.perm
+    steps, perm, closed = layout.steps, layout.perm, layout.closed
     leaves = []
     tensor = batch.reshape((1, rows) + (2,) * layout.inputs)
     stack = [(tensor, np.zeros((1, 2 * len(layout.measured)), dtype=np.int8), 0)]
@@ -400,6 +465,8 @@ def _walk(layout: _Layout, batch: np.ndarray, planned: bool = False):
             elif isinstance(cmd, Measure):
                 s, t, radians, col = operand
                 index = 2 * _value(s, bits) + _value(t, bits)
+                if not isinstance(index, int) and len(index) == 1:
+                    index = int(index[0])  # one branch takes a scalar phase
                 if isinstance(index, int):
                     phase = _phase(radians, index)
                 else:
@@ -427,8 +494,8 @@ def _walk(layout: _Layout, batch: np.ndarray, planned: bool = False):
                 tensor = halves.reshape((size,) + halves.shape[2:])
                 bits = np.repeat(bits, 2, axis=0)
                 bits[::2, col:col + 2] = 1
-                keep = np.logical_or.reduce(norms.reshape(size, rows) > cutoff, axis=1)
-                if np.count_nonzero(keep) < size:
+                keep = None if closed else np.logical_or.reduce(norms.reshape(size, rows) > cutoff, 1)
+                if keep is not None and np.count_nonzero(keep) < size:
                     tensor, bits = tensor[keep], bits[keep]
                     size = len(tensor)
                     if not size:
@@ -448,6 +515,8 @@ def _walk(layout: _Layout, batch: np.ndarray, planned: bool = False):
                 chosen = _chosen(_value(operand, bits))
                 if chosen is not None:
                     tensor[(chosen,) + where[1:]] *= -1.0
+            elif cmd is None:  # an output leaves a closed layout
+                tensor = tensor[where]
             else:  # Shift
                 bits[:, where] ^= _value(operand, bits)
         else:
@@ -455,7 +524,7 @@ def _walk(layout: _Layout, batch: np.ndarray, planned: bool = False):
                 tensor = _join_plus(tensor)
             out = np.transpose(tensor, perm).reshape(len(tensor), rows, -1)
             leaves.append((bits, out, _row_norms(out, 2)))
-    if not planned:
+    if not (planned or closed):
         total = sum((norms.sum(axis=0) for *_, norms in leaves), np.zeros(rows)) / start
         gap = np.abs(total - 1.0)
         if not (gap <= 1e-9).all():
@@ -479,19 +548,39 @@ def run_all_branches(pattern: Pattern, input_state=None) -> list[Branch]:
     measurement conserves norm across its two outcomes, and that branch
     probabilities sum to 1.  Branches come sorted by their outcome bits
     over the measured qubits in label order.
+
+    A certified pattern (see ``_certified``) whose 2^m outputs hold at least
+    ``_AMPLITUDE_PATH_SIZE`` amplitudes walks its all-zero branch in full,
+    by the planned walk with its 2^-m check, then every branch's amplitude
+    at that branch's largest entry x, on a layout closed on x (see
+    ``_layout``).  Each branch is the all-zero one times the ratio of their
+    amplitudes at x; a ratio off the unit circle by more than 1e-9 raises
+    ``SimulationError``.
     """
     _check_valid(pattern)
     layout = _layout(pattern, 1)
-    bits, out, norms, start = _walk(layout, _input_vector(pattern, input_state)[None, :])
-    measured, outcomes = layout.measured, bits[:, 1::2]
+    measured, n_out = layout.measured, len(pattern.outputs)
+    psi = _input_vector(pattern, input_state)[None, :]
+    if 1 << (len(measured) + n_out) >= _AMPLITUDE_PATH_SIZE and _certified(pattern):
+        _, out, _, start = _walk(layout, psi.copy(), True)
+        x = int(np.argmax(np.abs(out[0, 0])))
+        closed = _layout(pattern, 1, [x >> (n_out - 1 - k) & 1 for k in range(n_out)])
+        bits, amps, _, _ = _walk(closed, psi)
+        zero = int(np.argmin(bits[:, ::2].any(axis=1)))  # the branch whose raw bits are all 0
+        ratios = amps[:, 0, 0] / amps[zero, 0, 0]
+        if (np.abs(np.abs(ratios) - 1.0) > 1e-9).any():
+            raise SimulationError("a certified pattern's branches differ by more than a phase")
+        out = ratios[:, None, None] * out
+        norms = _row_norms(out, 2)
+    else:
+        bits, out, norms, start = _walk(layout, psi)
+    outcomes, outputs = bits[:, 1::2], out[:, 0]
     probabilities = (norms[:, 0] / start[0]).tolist()
     # lexsort is stable and reads its last key first
     labels = sorted(range(len(measured)), key=lambda k: qubit_key(measured[k]), reverse=True)
     order = np.lexsort([outcomes[:, k] for k in labels]).tolist() if labels else [0]
-    return [
-        Branch(dict(zip(measured, outcomes[k].tolist())), probabilities[k], out[k, 0])
-        for k in order
-    ]
+    rows = outcomes.tolist()
+    return [Branch(dict(zip(measured, rows[k])), probabilities[k], outputs[k]) for k in order]
 
 
 def branch_maps(pattern: Pattern) -> list[BranchMap]:

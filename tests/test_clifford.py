@@ -206,6 +206,19 @@ def test_is_clifford_agrees_with_search(n):
     assert any(verdicts) and not all(verdicts)
 
 
+@pytest.mark.parametrize("n", [3, 4])
+def test_is_clifford_agrees_with_search_on_long_products(n):
+    # the read-off works within one generator at a time: longer products,
+    # with a global phase, up to two T gates
+    rng = random.Random(20 + n)
+    verdicts = []
+    for k in range(24):
+        u = _random_product(rng, n, 25, t_gates=k % 3) * np.exp(1j * rng.uniform(0, 2 * math.pi))
+        verdicts.append(is_clifford(u))
+        assert verdicts[-1] == _clifford_by_search(u)
+    assert any(verdicts) and not all(verdicts)
+
+
 # theorem harness ----------------------------------------------------
 
 

@@ -1,0 +1,54 @@
+"""tools/same.py, the comparison of a tree's outputs with those of a commit."""
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+
+pytestmark = pytest.mark.skipif(
+    not (ROOT / ".git").exists() or shutil.which("git") is None,
+    reason="needs a git checkout",
+)
+
+
+def _head_src(dest: Path) -> Path:
+    archive = subprocess.run(
+        ["git", "archive", "HEAD", "src"], cwd=ROOT, capture_output=True, check=True
+    )
+    subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, check=True)
+    return dest / "src"
+
+
+def _same(src: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "same.py"), "--against", "HEAD", "--seed", "5",
+         "--src", str(src)],
+        capture_output=True, text=True, timeout=600,
+    )
+
+
+def test_a_tree_is_the_same_as_itself(tmp_path):
+    result = _same(_head_src(tmp_path))
+    assert result.returncode == 0, result.stdout + result.stderr
+    lines = result.stdout.splitlines()
+    assert [line.split(":")[0] for line in lines] == ["normal-forms", "unitaries", "branches", "cli"]
+    for line in lines:
+        assert " holds, " in line and line.endswith("largest difference 0, bit-equal"), line
+
+
+def test_a_changed_angle_is_caught(tmp_path):
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    library = src / "onewaylab" / "library.py"
+    text = library.read_text()
+    planted = "(Entangle(i, k), Measure(i, angle.negated()), CorrectX(k, signal(i)))"
+    assert text.count(planted) == 1
+    library.write_text(text.replace(planted, planted.replace("angle.negated()", "angle")))
+    result = _same(src)
+    assert result.returncode == 1, result.stdout + result.stderr
+    unitaries = next(line for line in result.stdout.splitlines() if line.startswith("unitaries:"))
+    assert "DIFFERS" in unitaries

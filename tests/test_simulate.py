@@ -23,6 +23,7 @@ from onewaylab.angles import Angle
 from onewaylab.commands import CorrectX, CorrectZ, Entangle, Measure, Shift
 from onewaylab import library, patterns, rewrite, simulate
 from onewaylab.clifford import pauli_eliminate
+from onewaylab.dsl import parse
 from onewaylab.library import (
     cnot,
     controlled_u,
@@ -513,11 +514,18 @@ def brute_deterministic(pattern):
     return simulate._maps_deterministic(branch_maps(pattern), dim)
 
 
+def brute_branches(pattern, psi=None):
+    """``run_all_branches`` by the full walk, which trusts no certificate."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_certified", lambda pattern: False)
+        return run_all_branches(pattern, psi)
+
+
 def assert_certificate_sound(pattern):
     if simulate._certified(pattern):
         assert brute_deterministic(pattern)
         m = len(pattern.measured)
-        for branch in run_all_branches(pattern, _random_state(2 ** len(pattern.inputs), m)):
+        for branch in brute_branches(pattern, _random_state(2 ** len(pattern.inputs), m)):
             assert branch.probability == pytest.approx(2.0**-m, rel=1e-9)
 
 
@@ -661,6 +669,55 @@ def test_certificate_is_the_same_on_the_extended_form(pattern, form):
     assert simulate._certified(pattern) == simulate._certified(standardize_extended(pattern)[0])
 
 
+def with_random_shifts(pattern, rng):
+    """``pattern`` with ``Shift(q, s[j])`` after some measurements, for a
+    qubit q measured so far and a qubit j measured before q."""
+    commands, measured = [], []
+    for cmd in pattern.commands:
+        commands.append(cmd)
+        if isinstance(cmd, Measure):
+            measured.append(cmd.qubit)
+            if len(measured) > 1 and rng.random() < 0.5:
+                k = rng.randrange(1, len(measured))
+                commands.append(Shift(measured[k], signal(measured[rng.randrange(k)])))
+    return pattern.with_commands(commands)
+
+
+_CERTIFIED_BASES = st.one_of(
+    st.sampled_from(sorted(library.BUILDERS)).map(
+        lambda name: library.BUILDERS[name](*BUILDER_ARGS.get(name, ()))
+    ),
+    st.builds(random_circuit_pattern, st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 6)),
+    st.integers(2, 9).map(ghz),
+)
+
+
+@st.composite
+def certified_sources(draw):
+    """A certified builder, circuit or GHZ pattern in one of its three forms,
+    with random shifts inserted half the time; it may no longer be certified."""
+    pattern = _FORMS[draw(st.sampled_from(sorted(_FORMS)))](draw(_CERTIFIED_BASES))
+    if draw(st.booleans()):
+        pattern = with_random_shifts(pattern, random.Random(draw(st.integers(0, 2**32 - 1))))
+    return pattern
+
+
+@settings(deadline=None, max_examples=150)
+@given(certified_sources())
+def test_certificate_sound_with_inserted_shifts(pattern):
+    assert_certificate_sound(pattern)
+
+
+def test_certificate_reads_shifts():
+    # standard p_half with S(2, s[1]): the shift flips which outcome X(3)
+    # reads, and the branches no longer agree; dropping the shift from the
+    # certificate's form would certify it
+    p = parse("""pattern c { space: 1, 2, 3; input: 1; output: 3;
+        seq: E(1,2); E(2,3); M(1, 3/2 pi); M(2, 0); S(2, s[1]); Z(3, s[1]); X(3, s[2]); }""")
+    assert not simulate._certified(p)
+    assert not brute_deterministic(p)
+
+
 def test_certificate_validates_first():
     bad = Pattern(frozenset((1, 2)), (1,), (2,), (Entangle(1, 2),))
     with pytest.raises(PatternError, match="cannot run an invalid pattern"):
@@ -678,10 +735,12 @@ def test_certificate_validates_first():
         lambda: is_deterministic(ghz(5)),
         lambda: is_deterministic(truncated_h()),
         lambda: run_all_branches(ghz(3)),
+        lambda: run_all_branches(ghz(9)),
         lambda: branch_maps(cnot()),
     ],
     ids=["extract cu", "extract h", "extract uncertified", "deterministic ghz5",
-         "deterministic uncertified", "run_all_branches", "branch_maps"],
+         "deterministic uncertified", "run_all_branches", "run_all_branches certified",
+         "branch_maps"],
 )
 def test_one_validation_per_call(monkeypatch, run):
     calls = []
@@ -723,6 +782,55 @@ def test_vanishing_planned_branch_raises(monkeypatch):
     monkeypatch.setattr(simulate, "_certified", lambda pattern: True)
     with pytest.raises(SimulationError, match="planned branch has probability 0.0, not 2\\^-1"):
         extract_unitary(p)
+
+
+# the certified amplitude path of run_all_branches ------------------
+
+
+@settings(deadline=None, max_examples=150)
+@given(certified_sources(), st.booleans(), st.integers(0, 2**32 - 1))
+def test_amplitude_path_matches_the_brute_force(pattern, random_input, seed):
+    if not simulate._certified(pattern):
+        return
+    psi = _random_state(2 ** len(pattern.inputs), seed) if random_input else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(simulate, "_AMPLITUDE_PATH_SIZE", 0)
+        fast = run_all_branches(pattern, psi)
+    brute = brute_branches(pattern, psi)
+    assert [list(b.outcomes.items()) for b in fast] == [list(b.outcomes.items()) for b in brute]
+    for a, b in zip(fast, brute):
+        assert abs(a.probability - b.probability) <= 1e-12
+        assert np.allclose(a.output, b.output, rtol=0, atol=1e-12)
+
+
+def test_amplitude_path_runs_above_its_size(monkeypatch):
+    walked = []
+
+    def walk(layout, batch, planned=False):
+        walked.append((layout.closed, planned))
+        return real(layout, batch, planned)
+
+    real = simulate._walk
+    monkeypatch.setattr(simulate, "_walk", walk)
+    run_all_branches(ghz(7))  # 13 measured and output qubits
+    assert walked == [(False, False)]
+    walked.clear()
+    run_all_branches(ghz(8))  # 15
+    assert walked == [(False, True), (True, False)]
+
+
+def test_false_certificate_is_caught(monkeypatch):
+    # without its correction, a branch of h is X times the other
+    monkeypatch.setattr(simulate, "_AMPLITUDE_PATH_SIZE", 0)
+    monkeypatch.setattr(simulate, "_certified", lambda pattern: True)
+    with pytest.raises(SimulationError, match="differ by more than a phase"):
+        run_all_branches(truncated_h(), _random_state(2, 5))
+
+
+@pytest.mark.parametrize("form", sorted(_FORMS))
+def test_closed_ghz_walks_two_qubits_wide(form):
+    pattern = _FORMS[form](ghz(9))
+    assert simulate._layout(pattern, 1, [1] * 9).width <= 2
 
 
 _DEEP = """

@@ -80,9 +80,9 @@ VALUES = [
         "outputs=(1,), commands=()))",
     ),
     (
-        _Layout(1, (), 0, (0,), (), 1),
-        ("inputs", "steps", "tail", "perm", "measured", "width"),
-        "_Layout(inputs=1, steps=(), tail=0, perm=(0,), measured=(), width=1)",
+        _Layout(1, (), 0, (0,), (), 1, False),
+        ("inputs", "steps", "tail", "perm", "measured", "width", "closed"),
+        "_Layout(inputs=1, steps=(), tail=0, perm=(0,), measured=(), width=1, closed=False)",
     ),
     (
         TheoremCheck("h", True, False, True, True, True),

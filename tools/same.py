@@ -1,0 +1,241 @@
+"""Compare onewaylab's outputs on a source tree with those of a commit.
+
+    python3 tools/same.py --against <commit> --seed <n> [--src <dir>]
+
+The commit's ``src/`` is exported with ``git archive`` into a temporary
+directory.  One dumper per tree runs in its own interpreter, under
+``PYTHONHASHSEED=0`` and with BLAS pinned to one thread, and pickles that
+tree's outputs; the corpora come from the benchmark's builders in
+``perfbench/workloads.py`` at ``--seed``.  ``--src`` names the tree to
+check (default: this checkout's ``src/``).  Four families are compared:
+
+- ``normal-forms``: the ``serialize`` text of ``parse``, ``standardize``
+  and ``standardize_extended`` on the ``rewrite-wild`` corpus;
+- ``unitaries``: ``extract_unitary``, ``branch_maps`` and
+  ``is_deterministic`` on the ``unitary-check`` corpus, as built and
+  standardized;
+- ``branches``: ``run_all_branches`` (outcomes, order, probabilities and
+  outputs) on that corpus and on every ``library.BUILDERS`` entry that
+  takes no argument, on input |0...0> and on a seeded random input;
+- ``cli``: ``cli.main``'s stdout, stderr and exit code on a fixed list of
+  commands and texts, malformed ones among them, run in-process.
+
+An exception is an output too: its type and message are compared.  Each
+family prints one line with its largest numeric difference and whether
+every output is equal bit for bit.  Texts that differ are compared number
+by number when everything between their decimal numbers is equal.  The
+exit code is 0 only when every family holds: the same outputs, with every
+number within 1e-9.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import io
+import os
+import pickle
+import re
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+TOLERANCE = 1e-9
+FAMILIES = ("normal-forms", "unitaries", "branches", "cli")
+
+_INVALID = "pattern bad { space: 1, 2; input: 1; output: 2; seq: E(1,2); X(1, s[2]); }"
+_MALFORMED = "pattern bad { space: 1, 2; input: 1; output: 2; seq: E(1,2); M(1, 1/0pi); }"
+_UNCLOSED = "pattern bad { space: 1; input: 1; output: 1; seq: "
+# (argv, stdin); a stdin of argv lists is the stdout of those commands piped from no input
+CLI_CASES = (
+    (["library", "cnot"], ""),
+    (["library", "ghz", "1"], ""),
+    (["standardize"], (["library", "cnot"],)),
+    (["standardize", "--extended", "--paper-order"], (["library", "teleport", "1/4pi", "1/3pi"],)),
+    (["simulate", "--branches", "--input", "1,2"], (["library", "rotation", "1/4pi", "1/3pi", "1/5pi"],)),
+    (["simulate", "--branches"], (["library", "cnot"],)),
+    (["simulate", "--branches"], (["library", "ghz", "9"], ["standardize"])),
+    (["verify", "--against", "cnot"], (["library", "cnot"], ["standardize", "--extended"])),
+    (["validate"], _INVALID),
+    (["simulate"], _MALFORMED),
+    (["standardize"], _UNCLOSED),
+)
+
+
+def _run_cli(cli, argv, stdin_text):
+    out, err = io.StringIO(), io.StringIO()
+    stdin = sys.stdin
+    sys.stdin = io.StringIO(stdin_text)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = stdin
+    return code, out.getvalue(), err.getvalue()
+
+
+def dump(path: str, seed: int) -> None:
+    """Pickle the outputs of the ``onewaylab`` on ``sys.path`` to ``path``."""
+    import inspect
+
+    import numpy as np
+    import workloads
+    from onewaylab import cli, dsl, library, rewrite, simulate
+
+    def attempt(fn, *args):
+        try:
+            return fn(*args)
+        except Exception as exc:
+            return ("raised", type(exc).__name__, str(exc))
+
+    def forms(text):
+        p = dsl.parse(text)
+        return tuple(
+            dsl.serialize(result, "nf")
+            for result in (p, rewrite.standardize(p)[0], rewrite.standardize_extended(p)[0])
+        )
+
+    def maps(p):
+        return [(list(m.raw.items()), list(m.outcomes.items()), m.matrix) for m in simulate.branch_maps(p)]
+
+    def branches(p, psi):
+        return [(list(b.outcomes.items()), b.probability, b.output) for b in simulate.run_all_branches(p, psi)]
+
+    out = {family: {} for family in FAMILIES}
+    for label, (_, text, _) in workloads.RewriteWild(seed).inputs.items():
+        out["normal-forms"][label] = attempt(forms, text)
+    patterns = {}
+    for name, (pattern, _, _) in workloads.UnitaryCheck(seed).cases.items():
+        patterns[name, "builder"] = pattern
+        patterns[name, "standardized"] = rewrite.standardize(pattern)[0]
+    for key, p in patterns.items():
+        out["unitaries"][key] = tuple(
+            attempt(fn, p) for fn in (simulate.extract_unitary, maps, simulate.is_deterministic)
+        )
+    for name, builder in library.BUILDERS.items():
+        if all(param.default is not param.empty for param in inspect.signature(builder).parameters.values()):
+            patterns[name, "library"] = builder()
+    rng = np.random.default_rng(seed)
+    for key, p in patterns.items():
+        dim = 2 ** len(p.inputs)
+        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
+        out["branches"][key + ("zero",)] = attempt(branches, p, None)
+        out["branches"][key + ("random",)] = attempt(branches, p, psi)
+    for k, (argv, stdin) in enumerate(CLI_CASES):
+        if isinstance(stdin, tuple):
+            text = ""
+            for command in stdin:
+                text = _run_cli(cli, command, text)[1]
+            stdin = text
+        out["cli"][k, " ".join(argv)] = _run_cli(cli, argv, stdin)
+    with open(path, "wb") as fh:
+        pickle.dump(out, fh)
+
+
+_NUMBER = re.compile(r"([-+]?\d+\.\d+(?:e[-+]?\d+)?)")
+
+
+def _difference(a, b):
+    """The largest numeric difference between two dumped outputs and whether
+    they are equal bit for bit, or None when they differ in anything else."""
+    import numpy as np
+
+    if isinstance(a, np.ndarray) and isinstance(b, np.ndarray):
+        if a.shape != b.shape or a.dtype != b.dtype:
+            return None
+        gap = float(np.abs(a - b).max()) if a.size else 0.0
+        return gap, a.tobytes() == b.tobytes()
+    if type(a) is not type(b):
+        return None
+    if isinstance(a, float):
+        return abs(a - b), a.hex() == b.hex()
+    if isinstance(a, str) and a != b:
+        a, b = _NUMBER.split(a), _NUMBER.split(b)
+        if len(a) != len(b) or a[::2] != b[::2]:
+            return None
+        return max(abs(float(x) - float(y)) for x, y in zip(a[1::2], b[1::2])), False
+    if isinstance(a, dict):
+        a, b = list(a.items()), list(b.items())
+    if isinstance(a, (list, tuple)):
+        if len(a) != len(b):
+            return None
+        gap, equal = 0.0, True
+        for x, y in zip(a, b):
+            d = _difference(x, y)
+            if d is None:
+                return None
+            gap, equal = max(gap, d[0]), equal and d[1]
+        return gap, equal
+    return (0.0, True) if a == b else None
+
+
+def compare(want: dict, got: dict) -> bool:
+    """Print one line per family; True when every family holds."""
+    holds = True
+    for family in FAMILIES:
+        a, b = want[family], got[family]
+        gap, differ, inexact = 0.0, [key for key in b if key not in a], []
+        for key in a:
+            d = _difference(a[key], b[key]) if key in b else None
+            if d is None:
+                differ.append(key)
+            else:
+                gap = max(gap, d[0])
+                if not d[1]:
+                    inexact.append(key)
+        ok = not differ and gap <= TOLERANCE
+        holds = holds and ok
+        if not inexact:
+            equality = "bit-equal"
+        else:
+            kind = "equal in value but not bit for bit" if gap == 0 else "not bit-equal"
+            equality = f"{kind} in {len(inexact)} (first: {inexact[0]!r})"
+        line = f"{family}: {'holds' if ok else 'DIFFERS'}, {len(a)} outputs, largest difference {gap:.3g}"
+        if differ:
+            line += f", {len(differ)} differ (first: {differ[0]!r})"
+        print(f"{line}, {equality}")
+    return holds
+
+
+def _dumped(src: Path, seed: int, path: Path) -> dict:
+    env = dict(
+        os.environ,
+        PYTHONHASHSEED="0",
+        OMP_NUM_THREADS="1",
+        OPENBLAS_NUM_THREADS="1",
+        MKL_NUM_THREADS="1",
+        PYTHONPATH=os.pathsep.join(map(str, (src, ROOT / "perfbench", ROOT / "tools"))),
+    )
+    code = "import sys, same; same.dump(sys.argv[1], int(sys.argv[2]))"
+    subprocess.run([sys.executable, "-c", code, str(path), str(seed)], env=env, cwd=ROOT, check=True)
+    with open(path, "rb") as fh:
+        return pickle.load(fh)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", required=True, help="the commit whose src/ is the reference")
+    parser.add_argument("--seed", type=int, required=True, help="the corpora's seed")
+    parser.add_argument("--src", type=Path, default=ROOT / "src", help="the tree to check")
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        archive = subprocess.run(
+            ["git", "archive", args.against, "src"], cwd=ROOT, capture_output=True
+        )
+        if archive.returncode:
+            print(f"error: cannot export {args.against}: {archive.stderr.decode().strip()}", file=sys.stderr)
+            return 2
+        subprocess.run(["tar", "-x", "-C", str(tmp)], input=archive.stdout, check=True)
+        want = _dumped(tmp / "src", args.seed, tmp / "want.pkl")
+        got = _dumped(args.src.resolve(), args.seed, tmp / "got.pkl")
+    return 0 if compare(want, got) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())
