@@ -396,7 +396,10 @@ def _fast_document(text: str) -> PatternDocument | None:
     """``text``'s document when all of it is in the fast path's subset, else None.
 
     A label must be written as in the ``space:`` list, so ``01`` for ``1``
-    is declined too.
+    is declined too.  The interface is checked by ``Pattern``, and the
+    commands join it through ``Pattern._rebuilt``, without a scan for
+    qubits outside the space: every qubit a command or signal names was
+    looked up among the ``space:`` labels, and any other is a ``KeyError``.
     """
     head = _FAST_HEADER_RE.match(text)
     body = text.rstrip()
@@ -429,7 +432,7 @@ def _fast_document(text: str) -> PatternDocument | None:
             else:
                 return None
             commands.append(cmd)
-        pattern = Pattern(frozenset(labels.values()), inputs, outputs, tuple(commands))
+        pattern = Pattern._rebuilt(Pattern(frozenset(labels.values()), inputs, outputs, ()), commands)
     except (KeyError, ValueError, ZeroDivisionError):
         return None
     return PatternDocument(name, pattern)

@@ -21,23 +21,27 @@ reads (``_schedule``).  A standard form puts every E first, so in command
 order all its qubits would be live at once; scheduled, it walks no wider
 than its builder's pattern, and its corrections act before later
 measurements double the batch.  Which qubits are live after each step does
-not depend on the branch, so the axes, and the peak state size, are worked
-out once before the walk starts.
+not depend on the branch, so the axes, the peak state size and the shape
+each measurement views the tensor in are worked out once, by ``_layout``,
+before the walk starts.
 
 Projecting on a measurement outcome simply scales the tensor, and a
-branch's probability is its squared-norm ratio to the input's.
+branch's probability is its squared-norm ratio to the input's.  Each
+measurement records the norms before and after it, and the record is
+checked once per walk, before the walk returns.
 
 Determinism is first tried by a certificate (``_certified``): a polynomial
-GF(2) test on the pattern's signals, sound but incomplete.  A certified
-pattern has every branch equal up to phase, so ``is_deterministic`` answers
-at once and ``extract_unitary`` walks a single branch, the all-zero one,
-which is the branch the full walk would pick.  That planned walk applies
-no cutoff; its check that the branch has probability 2^-m catches a branch
-that vanishes or whose norm underflows.  ``run_all_branches`` of a large
-certified pattern builds every branch as a phase times that one, the phase
-read off one amplitude per branch.  Patterns the certificate does not
-decide fall back to walking every branch and comparing them, the brute
-force that stays the reference.
+GF(2) test that reads the command sequence once, keeping a Pauli frame,
+sound but incomplete.  A certified pattern has every branch equal up to
+phase, so ``is_deterministic`` answers at once and ``extract_unitary``
+walks a single branch, the all-zero one, which is the branch the full walk
+would pick.  That planned walk applies no cutoff, and its signals are
+plain ints; its check that the branch has probability 2^-m catches a
+branch that vanishes or whose norm underflows.  ``run_all_branches`` of a
+large certified pattern builds every branch as a phase times that one,
+the phase read off one amplitude per branch.  Patterns the certificate
+does not decide fall back to walking every branch and comparing them, the
+brute force that stays the reference.
 
 ``run_branch`` is the eager reference the walk is tested against: it runs
 one branch on a state prepared over the whole space up front, inputs first
@@ -48,14 +52,19 @@ from __future__ import annotations
 
 import cmath
 from functools import lru_cache
+from itertools import accumulate
 from math import prod, sqrt
 
 import numpy as np
 
+try:  # np.einsum's C core: on a walk's small tensors its Python dispatch costs more than the sum
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:
+    _einsum = np.einsum
+
 from ._values import Value
 from .commands import CorrectX, CorrectZ, Entangle, Measure, Shift
 from .patterns import Pattern, PatternError, validate
-from .rewrite import _core, _shift_out
 from .signals import qubit_key
 
 _INV_SQRT2 = 1.0 / sqrt(2.0)
@@ -215,10 +224,12 @@ class _Layout(Value):
     Axis 0 of the walk's tensor is the batch of branches and axis 1 the
     input rows; the ``inputs`` qubits hold axes 2, 3, ... from the start.
     ``steps`` holds the commands in ``_schedule`` order, each as
-    ``(cmd, joins, where, operand)``: how many qubits join as |+> just
-    before it; the index of its qubits' |1> halves, or for X the index that
-    flips its qubit's axis, or for a shift the column it changes; and its
-    compiled signal, or for a measurement what ``_layout`` says.
+    ``(kind, joins, where, operand)``: the command's class; how many qubits
+    join as |+> just before it; the index of its qubits' |1> halves, or for
+    X the index that flips its qubit's axis, for a shift the column it
+    changes, and for a measurement the ``(-1, rows * before, 2, after)``
+    shape that views its qubit's axis between the live axes before and after
+    it; and its compiled signal, or for a measurement what ``_layout`` says.
     ``tail`` qubits join at the end, and ``perm`` then puts the axes in
     output order.  ``measured`` lists the measured qubits in command order,
     the order of the outcome columns, and ``width`` is the peak number of
@@ -282,14 +293,22 @@ def _schedule(commands, inputs=()) -> list:
     return [cmd for slot in slots for cmd in slot] + list(waiting.values())
 
 
-def _layout(pattern: Pattern, rows: int, close=None) -> _Layout:
+@lru_cache(maxsize=None)
+def _flip_at(axis: int) -> tuple:
+    """Index reversing ``axis``, which an X on that axis's qubit applies."""
+    return (slice(None),) * axis + (slice(None, None, -1),)
+
+
+def _layout(pattern: Pattern, rows: int, close=None, schedule=None) -> _Layout:
     """Lay out a walk of a validated ``pattern`` over ``rows`` input rows.
 
     The k-th measured qubit's outcome has column 2k as measured and 2k + 1
     after shifts.  A signal is compiled to its constant and the columns it
-    reads, and a measurement to its two signals, its angle in radians and
-    its column.  Raises before anything is allocated when the peak state,
-    live qubits plus input-batch bits, would exceed ``MAX_AMPLITUDES``.
+    reads, and a measurement to its two signals, its angle in radians, its
+    column, the walk's shape once its qubit has left, and its qubit.  Raises
+    before anything is allocated when the peak state, live qubits plus
+    input-batch bits, would exceed ``MAX_AMPLITUDES``.  ``schedule`` is the
+    pattern's ``_schedule``, when the caller already has it.
 
     ``close``, one bit per output, closes the layout: each output leaves
     right after its last step, by a step ``(None, 0, where, None)`` that
@@ -301,54 +320,71 @@ def _layout(pattern: Pattern, rows: int, close=None) -> _Layout:
     shifted = {}  # measured qubit -> the column of its outcome after shifts
 
     def compiled(signal):
-        return signal.constant, tuple(map(shifted.__getitem__, signal.support))
+        support = signal.support
+        return signal.constant, tuple([shifted[q] for q in support]) if support else ()
 
-    schedule = _schedule(pattern.commands, pattern.inputs)
+    if schedule is None:
+        schedule = _schedule(pattern.commands, pattern.inputs)
     closed = close is not None
     leaving = {}  # step index -> the outputs that leave a closed layout after it; -1: at the start
     if closed:  # a shift's qubit is no output
-        last = {q: k for k, cmd in enumerate(schedule)
-                for q in ((cmd.i, cmd.j) if isinstance(cmd, Entangle) else (cmd.qubit,))}
+        last = {}
+        for k, cmd in enumerate(schedule):
+            if type(cmd) is Entangle:
+                last[cmd.i] = last[cmd.j] = k
+            else:
+                last[cmd.qubit] = k
         for q, bit in zip(pattern.outputs, close):
             if q in last or q in pattern.inputs:
                 leaving.setdefault(last.get(q, -1), []).append((q, bit))
     live = list(pattern.inputs)
     peak = len(live)
     steps = []
+    append = steps.append
 
     def leave(k):
         for q, bit in leaving[k]:
-            steps.append((None, 0, (slice(None),) * (2 + live.index(q)) + (bit,), None))
+            append((None, 0, (slice(None),) * (2 + live.index(q)) + (bit,), None))
             live.remove(q)
 
     if -1 in leaving:
         leave(-1)
     for k, cmd in enumerate(schedule):
-        if isinstance(cmd, Shift):
-            steps.append((cmd, 0, shifted[cmd.qubit], compiled(cmd.signal)))
+        kind = type(cmd)
+        if kind is Shift:
+            append((Shift, 0, shifted[cmd.qubit], compiled(cmd.signal)))
             continue
-        targets = (cmd.i, cmd.j) if isinstance(cmd, Entangle) else (cmd.qubit,)
-        fresh = [q for q in targets if q not in live]
-        if fresh:
-            live += fresh
-            peak = max(peak, len(live))
-        axes = [2 + live.index(q) for q in targets]
-        if isinstance(cmd, Entangle):
-            where, operand = _ones_at(*axes), None
-        elif isinstance(cmd, Measure):
-            column = 2 * len(shifted)
-            where = _ones_at(*axes)
-            operand = (compiled(cmd.s), compiled(cmd.t), cmd.angle.radians, column)
-            shifted[cmd.qubit] = column + 1
-            live.remove(cmd.qubit)
-        elif isinstance(cmd, CorrectX):
-            where = (slice(None),) * axes[0] + (slice(None, None, -1),)
-            operand = compiled(cmd.signal)
-        elif isinstance(cmd, CorrectZ):
-            where, operand = _ones_at(*axes), compiled(cmd.signal)
+        joins = 0
+        if kind is Entangle:
+            i, j = cmd.i, cmd.j
+            for q in (i, j):
+                if q not in live:
+                    live.append(q)
+                    joins += 1
+            append((Entangle, joins, _ones_at(2 + live.index(i), 2 + live.index(j)), None))
         else:
-            raise SimulationError(f"cannot execute {cmd!r}")
-        steps.append((cmd, len(fresh), where, operand))
+            q = cmd.qubit
+            if q not in live:
+                live.append(q)
+                joins = 1
+            axis = live.index(q)
+            if kind is Measure:
+                after = len(live) - 1 - axis
+                column = 2 * len(shifted)
+                shape = (-1, rows) + (2,) * (axis + after)
+                operand = (compiled(cmd.s), compiled(cmd.t), cmd.angle.radians, column, shape, q)
+                append((Measure, joins, (-1, rows << axis, 2, 1 << after), operand))
+                shifted[q] = column + 1
+            elif kind is CorrectX:
+                append((CorrectX, joins, _flip_at(2 + axis), compiled(cmd.signal)))
+            elif kind is CorrectZ:
+                append((CorrectZ, joins, _ones_at(2 + axis), compiled(cmd.signal)))
+            else:
+                raise SimulationError(f"cannot execute {cmd!r}")
+        if joins and len(live) > peak:
+            peak = len(live)
+        if kind is Measure:
+            del live[axis]
         if k in leaving:
             leave(k)
     tail = [] if closed else [q for q in pattern.outputs if q not in live]
@@ -363,7 +399,7 @@ def _row_norms(tensor: np.ndarray, lead: int = 1) -> np.ndarray:
     """Squared norm of each slice over the ``lead`` leading axes of a complex tensor."""
     shape = tensor.shape[:lead]
     flat = np.ascontiguousarray(tensor).reshape(prod(shape), -1).view(np.float64)
-    return np.einsum("ij,ij->i", flat, flat).reshape(shape)
+    return _einsum("ij,ij->i", flat, flat).reshape(shape)
 
 
 def _phase(radians: float, index: int) -> complex:
@@ -385,27 +421,61 @@ def _value(signal, bits: np.ndarray):
     return value ^ constant if constant else value
 
 
-def _chosen(value):
-    """The branches a signal value selects: None for none, ``slice(None)``
-    for all, otherwise their indices."""
+def _folded(signal, bits: list) -> int:
+    """A compiled signal on a planned walk's one branch, whose outcome
+    columns are the ints ``bits``."""
+    constant, columns = signal
+    for c in columns:
+        constant ^= bits[c]
+    return constant
+
+
+def _chosen(value, ndim: int):
+    """The branches a signal value selects: None for none, True for all,
+    otherwise a mask over the branches shaped to broadcast over ``ndim`` axes."""
     if isinstance(value, int):
-        return slice(None) if value else None
+        return True if value else None
     count = np.count_nonzero(value)
     if count == len(value):
-        return slice(None)
-    return np.flatnonzero(value) if count else None
+        return True
+    return value.view(bool).reshape((-1,) + (1,) * (ndim - 1)) if count else None
 
 
-def _join_plus(tensor: np.ndarray) -> np.ndarray:
-    """``tensor`` with a new last axis for a qubit joining in |+>.
+def _join_plus(tensor: np.ndarray, count: int) -> np.ndarray:
+    """``tensor`` with ``count`` new last axes for qubits joining in |+>.
 
-    Both halves of the new axis are written whole, rather than through a
-    broadcast product whose inner loop is two elements long.
+    The amplitudes are scaled by 1/sqrt(2) once per qubit, as when each
+    joins alone, and then repeated along the new axes.
     """
-    out = np.empty(tensor.shape + (2,), dtype=complex)
-    np.multiply(tensor, _INV_SQRT2, out=out[..., 0])
-    out[..., 1] = out[..., 0]
-    return out
+    scaled = tensor * _INV_SQRT2
+    for _ in range(count - 1):
+        scaled *= _INV_SQRT2
+    joined = scaled[..., None].repeat(1 << count, -1)
+    return joined if count == 1 else joined.reshape(scaled.shape + (2,) * count)
+
+
+def _check_norms(record: list, rows: int) -> None:
+    """Raise for the first measurement in ``record``, in walk order, whose
+    two outcomes' squared norms do not add up to the norm it measured.
+
+    Each entry is ``(qubit, pre, halves)``: the squared norm of each
+    (branch, row) before the measurement, and of each (branch, outcome, row)
+    after it.  All entries are checked at once; only when one fails are they
+    checked one by one, as the walk met them, and the faulty measurement's
+    row with the largest error is named.
+    """
+    qubits, pres, halves = zip(*record)
+    pre = np.concatenate(pres)
+    post = np.add.reduce(np.concatenate(halves).reshape(-1, 2, rows), 1).reshape(-1)
+    error = np.abs(post - pre) - _NORM_RTOL * np.maximum(pre, 1.0)
+    if not (error > 0).any():
+        return
+    begin = 0
+    for qubit, end in zip(qubits, accumulate(map(len, pres))):
+        if error[begin:end].max() > 0:
+            k = begin + int(np.argmax(error[begin:end]))
+            raise SimulationError(f"norm not conserved at measurement of {qubit!r}: {pre[k]} -> {post[k]}")
+        begin = end
 
 
 def _walk(layout: _Layout, batch: np.ndarray, planned: bool = False):
@@ -419,112 +489,127 @@ def _walk(layout: _Layout, batch: np.ndarray, planned: bool = False):
     2k + 1 after shifts; ``out`` has shape ``(branches, rows, 2**outputs)``
     and ``norms`` its squared norms; ``start`` holds the input rows' squared
     norms.  A branch is dropped only when every row is below the cutoff.
-    Checks norm conservation at each measurement and that each row's branch
-    probabilities sum to 1.
 
     The walk is a loop over an explicit stack of unfinished batches, so its
     depth is not bounded by Python's recursion limit.  A batch is a tensor
     of shape ``(branches, rows, 2, ..., 2)`` with the branches' outcome bits.
-    At a measurement the two outcomes of each branch are interleaved on the
-    branch axis, 1 before 0, so the batch stays in walk order; signals are
-    evaluated on every branch at once, and a correction acts on the branches
-    it selects.  When the batch at the walk's peak width would hold more
-    than ``MAX_AMPLITUDES >> _BATCH_SHIFT`` amplitudes, its two halves walk
-    on as separate batches instead, down to one branch each.
+    A measurement views it as ``(branches, rows * before, 2, after)``, the
+    measured axis between the live axes before and after it, and writes the
+    two outcomes of each branch interleaved on the branch axis, 1 before 0,
+    so the batch stays in walk order; signals are evaluated on every branch
+    at once, and a correction acts on the branches it selects.  When the
+    batch at the walk's peak width would hold more than
+    ``MAX_AMPLITUDES >> _BATCH_SHIFT`` amplitudes, its two halves walk on as
+    separate batches instead, down to one branch each.
+
+    Every measurement records the squared norm of each row before it and of
+    each outcome's row after it, and the record is checked once, before the
+    walk returns: each row's two outcomes must add up to its norm before
+    (``_check_norms``).  Then each row's branch probabilities must sum to 1.
 
     ``planned`` restricts the walk to the all-zero branch, with no cutoff;
     it is for certified patterns (see ``_certified``), whose 2^m branches
     each have probability 2^-m, so the sum check becomes a check that each
     row's probability is 2^-m, which also catches a planned branch that
-    vanishes.  Its outcome bits stay 0, since no shift acts on a qubit
-    before it is measured.
+    vanishes.  Its raw outcome bits are all 0, so its signals fold to
+    Python ints, with shifts applied to the columns after shifts: a
+    correction that reads 0 is skipped and a measurement takes one phase.
 
     A closed layout (see ``_layout``) ends each branch as one amplitude, so
     ``out`` has shape ``(branches, rows, 1)``: that walk keeps every branch,
     with no cutoff, and makes no sum check, but still checks norm
-    conservation at each measurement.
+    conservation.
     """
     rows = batch.shape[0]
     start = _row_norms(batch)
     if not start.all():
         raise SimulationError("input state is the zero vector")
-    cutoff = _BRANCH_CUTOFF * start
+    cutoff = None if planned or layout.closed else _BRANCH_CUTOFF * start
     cap = MAX_AMPLITUDES >> _BATCH_SHIFT
-    steps, perm, closed = layout.steps, layout.perm, layout.closed
-    leaves = []
+    steps, perm = layout.steps, layout.perm
+    leaves, record = [], []
+    # a planned walk reads its outcome columns from a list, a full walk from an array per batch
+    columns = 2 * len(layout.measured)
+    read = _folded if planned else _value
     tensor = batch.reshape((1, rows) + (2,) * layout.inputs)
-    stack = [(tensor, np.zeros((1, 2 * len(layout.measured)), dtype=np.int8), 0)]
+    stack = [(tensor, [0] * columns if planned else np.zeros((1, columns), dtype=np.int8), 0)]
     while stack:
         tensor, bits, pos = stack.pop()
         for i in range(pos, len(steps)):
-            cmd, joins, where, operand = steps[i]
-            for _ in range(joins):
-                tensor = _join_plus(tensor)
-            if isinstance(cmd, Entangle):
-                tensor[where] *= -1.0
-            elif isinstance(cmd, Measure):
-                s, t, radians, col = operand
-                index = 2 * _value(s, bits) + _value(t, bits)
-                if not isinstance(index, int) and len(index) == 1:
+            kind, joins, where, operand = steps[i]
+            if joins:
+                tensor = _join_plus(tensor, joins)
+            if kind is Entangle:
+                ones = tensor[where]
+                np.multiply(ones, -1.0, out=ones)
+            elif kind is Measure:
+                s, t, radians, col, shape, qubit = operand
+                view = np.ascontiguousarray(tensor).reshape(where)
+                size = len(view)
+                index = 2 * read(s, bits) + read(t, bits)
+                if not isinstance(index, int) and size == 1:
                     index = int(index[0])  # one branch takes a scalar phase
                 if isinstance(index, int):
                     phase = _phase(radians, index)
                 else:
                     table = np.array([_phase(radians, k) for k in range(4)])
-                    phase = table[index].reshape((-1,) + (1,) * (tensor.ndim - 2))
-                zero = tensor[where[:-1] + (0,)] * _INV_SQRT2
-                one = tensor[where] * phase
+                    phase = table[index].reshape(-1, 1, 1)
+                zero = view[:, :, 0] * _INV_SQRT2
+                one = view[:, :, 1] * phase
                 # outcome 1, then outcome 0, of each branch
-                halves = np.empty((len(zero), 2) + zero.shape[1:], dtype=complex)
+                halves = np.empty((size, 2) + zero.shape[1:], dtype=complex)
                 np.subtract(zero, one, out=halves[:, 0])
                 np.add(zero, one, out=halves[:, 1])
-                pre, norms = _row_norms(tensor, 2), _row_norms(halves, 3)
-                post = norms[:, 0] + norms[:, 1]
-                error = np.abs(post - pre) - _NORM_RTOL * np.maximum(pre, 1.0)
-                if error.max() > 0:
-                    k = int(np.argmax(error))
-                    raise SimulationError(
-                        f"norm not conserved at measurement of {cmd.qubit!r}: "
-                        f"{pre.flat[k]} -> {post.flat[k]}"
-                    )
+                pre = view.reshape(size * rows, -1).view(np.float64)
+                post = halves.reshape(2 * size * rows, -1).view(np.float64)
+                norms = _einsum("ij,ij->i", post, post)
+                record.append((qubit, _einsum("ij,ij->i", pre, pre), norms))
                 if planned:
-                    tensor = halves[:, 1]
+                    tensor = halves[:, 1].reshape(shape)
                     continue
-                size = 2 * len(zero)
-                tensor = halves.reshape((size,) + halves.shape[2:])
-                bits = np.repeat(bits, 2, axis=0)
+                size *= 2
+                tensor = halves.reshape(shape)
+                bits = bits.repeat(2, axis=0)
                 bits[::2, col:col + 2] = 1
-                keep = None if closed else np.logical_or.reduce(norms.reshape(size, rows) > cutoff, 1)
-                if keep is not None and np.count_nonzero(keep) < size:
-                    tensor, bits = tensor[keep], bits[keep]
-                    size = len(tensor)
-                    if not size:
-                        break
+                if cutoff is not None:
+                    keep = np.logical_or.reduce(norms.reshape(size, rows) > cutoff, 1)
+                    if np.count_nonzero(keep) < size:
+                        tensor, bits = tensor[keep], bits[keep]
+                        size = len(tensor)
+                        if not size:
+                            break
                 if size > 1 and (size * rows) << layout.width > cap:
                     half = (size + 1) // 2
                     stack.append((tensor[half:], bits[half:], i + 1))
                     stack.append((tensor[:half], bits[:half], i + 1))
                     break
-            elif isinstance(cmd, CorrectX):
-                chosen = _chosen(_value(operand, bits))
-                if isinstance(chosen, slice):
+            elif kind is CorrectX:
+                chosen = _chosen(read(operand, bits), tensor.ndim)
+                if chosen is True:
                     tensor = tensor[where]
                 elif chosen is not None:
-                    tensor[chosen] = tensor[chosen][where]
-            elif isinstance(cmd, CorrectZ):
-                chosen = _chosen(_value(operand, bits))
+                    np.copyto(tensor, tensor[where], where=chosen)
+            elif kind is CorrectZ:
+                chosen = _chosen(read(operand, bits), tensor.ndim - 1)
                 if chosen is not None:
-                    tensor[(chosen,) + where[1:]] *= -1.0
-            elif cmd is None:  # an output leaves a closed layout
+                    ones = tensor[where]
+                    np.multiply(ones, -1.0, out=ones, where=chosen)
+            elif kind is None:  # an output leaves a closed layout
                 tensor = tensor[where]
-            else:  # Shift
-                bits[:, where] ^= _value(operand, bits)
+            elif planned:  # Shift
+                bits[where] ^= read(operand, bits)
+            else:
+                bits[:, where] ^= read(operand, bits)
         else:
-            for _ in range(layout.tail):
-                tensor = _join_plus(tensor)
-            out = np.transpose(tensor, perm).reshape(len(tensor), rows, -1)
+            if layout.tail:
+                tensor = _join_plus(tensor, layout.tail)
+            if planned:
+                bits = np.array([bits], dtype=np.int8)
+            out = tensor.transpose(perm).reshape(len(tensor), rows, -1)
             leaves.append((bits, out, _row_norms(out, 2)))
-    if not (planned or closed):
+    if record:
+        _check_norms(record, rows)
+    if cutoff is not None:
         total = sum((norms.sum(axis=0) for *_, norms in leaves), np.zeros(rows)) / start
         gap = np.abs(total - 1.0)
         if not (gap <= 1e-9).all():
@@ -544,34 +629,37 @@ def _walk(layout: _Layout, batch: np.ndarray, planned: bool = False):
 def run_all_branches(pattern: Pattern, input_state=None) -> list[Branch]:
     """Explore every measurement branch with nonzero probability.
 
-    One walk with a single input row.  Checks on the way that each
-    measurement conserves norm across its two outcomes, and that branch
-    probabilities sum to 1.  Branches come sorted by their outcome bits
-    over the measured qubits in label order.
+    One walk with a single input row.  Checks that each measurement
+    conserves norm across its two outcomes, and that branch probabilities
+    sum to 1.  Branches come sorted by their outcome bits over the measured
+    qubits in label order.
 
     A certified pattern (see ``_certified``) whose 2^m outputs hold at least
     ``_AMPLITUDE_PATH_SIZE`` amplitudes walks its all-zero branch in full,
     by the planned walk with its 2^-m check, then every branch's amplitude
     at that branch's largest entry x, on a layout closed on x (see
-    ``_layout``).  Each branch is the all-zero one times the ratio of their
-    amplitudes at x; a ratio off the unit circle by more than 1e-9 raises
-    ``SimulationError``.
+    ``_layout``); both layouts share one schedule.  Each branch is the
+    all-zero one times the ratio of their amplitudes at x, and its
+    probability is the ratio's squared modulus times the all-zero branch's;
+    a ratio off the unit circle by more than 1e-9 raises ``SimulationError``.
     """
     _check_valid(pattern)
-    layout = _layout(pattern, 1)
+    schedule = _schedule(pattern.commands, pattern.inputs)
+    layout = _layout(pattern, 1, schedule=schedule)
     measured, n_out = layout.measured, len(pattern.outputs)
     psi = _input_vector(pattern, input_state)[None, :]
     if 1 << (len(measured) + n_out) >= _AMPLITUDE_PATH_SIZE and _certified(pattern):
-        _, out, _, start = _walk(layout, psi.copy(), True)
+        _, out, norms, start = _walk(layout, psi.copy(), True)
         x = int(np.argmax(np.abs(out[0, 0])))
-        closed = _layout(pattern, 1, [x >> (n_out - 1 - k) & 1 for k in range(n_out)])
-        bits, amps, _, _ = _walk(closed, psi)
+        close = [x >> (n_out - 1 - k) & 1 for k in range(n_out)]
+        bits, amps, _, _ = _walk(_layout(pattern, 1, close, schedule), psi)
         zero = int(np.argmin(bits[:, ::2].any(axis=1)))  # the branch whose raw bits are all 0
         ratios = amps[:, 0, 0] / amps[zero, 0, 0]
-        if (np.abs(np.abs(ratios) - 1.0) > 1e-9).any():
+        moduli = np.abs(ratios)
+        if (np.abs(moduli - 1.0) > 1e-9).any():
             raise SimulationError("a certified pattern's branches differ by more than a phase")
         out = ratios[:, None, None] * out
-        norms = _row_norms(out, 2)
+        norms = np.square(moduli)[:, None] * norms
     else:
         bits, out, norms, start = _walk(layout, psi)
     outcomes, outputs = bits[:, 1::2], out[:, 0]
@@ -580,7 +668,16 @@ def run_all_branches(pattern: Pattern, input_state=None) -> list[Branch]:
     labels = sorted(range(len(measured)), key=lambda k: qubit_key(measured[k]), reverse=True)
     order = np.lexsort([outcomes[:, k] for k in labels]).tolist() if labels else [0]
     rows = outcomes.tolist()
-    return [Branch(dict(zip(measured, rows[k])), probabilities[k], outputs[k]) for k in order]
+    outputs = list(outputs)
+    set_outcomes, set_probability, set_output = Branch._setters
+    branches = []
+    for k in order:
+        branch = object.__new__(Branch)
+        set_outcomes(branch, dict(zip(measured, rows[k])))
+        set_probability(branch, probabilities[k])
+        set_output(branch, outputs[k])
+        branches.append(branch)
+    return branches
 
 
 def branch_maps(pattern: Pattern) -> list[BranchMap]:
@@ -594,10 +691,9 @@ def branch_maps(pattern: Pattern) -> list[BranchMap]:
     return _branch_maps(_layout(pattern, 2 ** len(pattern.inputs)))
 
 
-def _branch_maps(layout: _Layout, planned: bool = False) -> list[BranchMap]:
-    """``branch_maps`` of a laid-out pattern; ``planned``, for a certified
-    pattern, walks only its all-zero branch (see ``_walk``)."""
-    bits, out, _, _ = _walk(layout, np.eye(2**layout.inputs, dtype=complex), planned)
+def _branch_maps(layout: _Layout) -> list[BranchMap]:
+    """``branch_maps`` of a laid-out pattern."""
+    bits, out, _, _ = _walk(layout, np.eye(2**layout.inputs, dtype=complex))
     measured = layout.measured
     return [
         BranchMap(dict(zip(measured, row[::2])), dict(zip(measured, row[1::2])), matrix.T)
@@ -644,73 +740,109 @@ def _certified(pattern: Pattern) -> bool:
     """Whether a GF(2) certificate proves the validated ``pattern`` deterministic.
 
     Sound but incomplete: True means every branch map equals every other up
-    to a phase; False decides nothing.  The test runs on the commands of
-    ``standardize(pattern)``, an E block, then measurements, then
-    corrections, which realise the same branch maps.  If shifts remain
-    there, it runs on ``standardize_extended(pattern)``, which has none and
-    realises the same maps up to a relabelling of outcomes.
+    to a phase; False decides nothing.  One pass over the commands, in
+    command order, finds for each measured qubit i the Pauli P_i that
+    flipping outcome i amounts to on the state just after every E; the
+    pattern is certified when every P_i lies in the span of that state's
+    generators.
 
     Paulis are bit vectors, an X part and a Z part per qubit; signs and
     phases are dropped, since determinism is up to phase.  The generators
     are K_v = X_v Z_N(v) for every non-input v, N the neighbours in the
-    open graph of the E block (a repeated pair cancels), and, for each
-    measurement at an exact Pauli angle, its own eigen-operator: X_j on the
-    X axis (0 or pi), X_j Z_j, proportional to Y_j, on the Y axis.  The flip
-    operator of a measured qubit i is P_i = Z_i times X_j for every
-    measurement j whose s holds i, times Z_j for every measurement j whose t
-    holds i, times every correction whose signal holds i.  The pattern is
-    certified when every P_i lies in the span of the generators.
+    open graph of all the E commands (a repeated pair cancels), and, for
+    each measurement at an exact Pauli angle, its own eigen-operator: X_j on
+    the X axis (0 or pi), X_j Z_j, proportional to Y_j, on the Y axis.
+
+    The pass keeps, as int bit masks over the outcomes, which outcomes a
+    read of each measured qubit depends on (its own, and through shifts
+    others), and a Pauli frame: for each qubit, the outcomes whose flip has
+    put an X, and a Z, on it so far.  A signal depends on the outcomes of
+    its reads.  An X or Z correction adds its signal's outcomes to its
+    qubit's frame; an E adds to each qubit's Z frame the other's X frame; a
+    shift adds its signal's outcomes to its qubit's reads.  A measurement of
+    j takes its qubit's frame into its signals: every outcome its s then
+    depends on gets X_j in its P, every outcome its t depends on gets Z_j,
+    and its own outcome Z_j.  The frames left on the outputs go into the P
+    of their outcomes last.
 
     Soundness: flipping outcome i is, up to phase, inserting Z_i before i is
-    measured, since <-_a| = <+_a| Z.  The flip also toggles s for each
-    measurement j whose s holds i, and <+-_(-a)| is <+-_a| X up to phase, so
-    that is an X_j before j is measured; it toggles t for each measurement j
-    whose t holds i, and <+-_(a+pi)| is <+-_a| Z up to phase, so that is a
-    Z_j before j is measured; and it toggles every correction whose signal
-    holds i, which acts as itself.  The corrections act on outputs and the
-    measurements on distinct qubits, so all of these Paulis commute, up to
-    sign, onto the state just after the E block.  Each K_v fixes that state
-    whatever the input, and a Pauli eigen-operator only multiplies the
-    projection of its qubit by a phase.  So when P_i is a product of
-    generators, the branch with outcome i flipped is the same linear map up
-    to a phase.  Every branch is then one map up to phase, so
-    the pattern is deterministic, and on every input all 2^m branches have
-    the same probability: 2^-m, since they sum to 1.
+    measured, since <-_a| = <+_a| Z.  The flip also toggles every signal
+    that depends on i.  A shift of q reads s_q + its signal from then on,
+    so a later signal that reads q depends on the outcomes of that signal
+    too, as the SHIFT rules substitute s_q + signal into later signals.
+    Toggling s of a measurement j is an X_j before j is measured, since
+    <+-_(-a)| is <+-_a| X up to phase; on the X axis, where the
+    measurement drops its s, that X_j is itself a generator.  Toggling t is
+    a Z_j, since <+-_(a+pi)| is <+-_a| Z up to phase, and toggling a
+    correction acts as the correction.  An E commutes with every earlier
+    measurement, which acts on another qubit, so the pattern acts as if all
+    its E commands came first, and every inserted Pauli moves to the state
+    just after them: it commutes, up to sign, with measurements of other
+    qubits and with the other Paulis, Z commutes with E, and an X on q
+    followed by E(q, r) equals that E followed by X_q Z_r, so it picks up a
+    Z on each later E-neighbour of q, which is what the frame does, as the
+    EX rule does in ``standardize``.  A Pauli on j just before j is measured
+    needs no such move, since every E on j comes before that measurement.
+    Each K_v fixes that state whatever the input,
+    and a Pauli eigen-operator only multiplies the projection of its qubit
+    by a phase.  So when P_i is a product of generators, the branch with
+    outcome i flipped is the same linear map up to a phase.  Every branch
+    is then one map up to phase, so the pattern is deterministic, and on
+    every input all 2^m branches have the same probability: 2^-m, since
+    they sum to 1.
     """
-    index = {q: k for k, q in enumerate(sorted(pattern.space, key=qubit_key))}
-    n = len(index)
+    # each qubit's X bit; its Z bit is the next one up
+    coordinate = {q: 1 << 2 * k for k, q in enumerate(pattern.space)}
+    neighbours = dict.fromkeys(coordinate, 0)  # qubit -> the Z bits of its E-neighbours
+    frame_x = dict.fromkeys(coordinate, 0)  # qubit -> outcomes whose flip has put an X on it
+    frame_z = dict.fromkeys(coordinate, 0)  # ... and a Z
+    reads = {}  # measured qubit -> the outcomes a read of it depends on
+    flips = {}  # outcome bit -> the Pauli its flip amounts to
+    generators = []
 
-    def x(q):
-        return 1 << index[q]
+    def depends(signal) -> int:
+        mask = 0
+        for q in signal.support:
+            mask ^= reads[q]
+        return mask
 
-    def z(q):
-        return 1 << (n + index[q])
+    def add(outcomes: int, pauli: int) -> None:
+        while outcomes:
+            low = outcomes & -outcomes
+            flips[low] ^= pauli
+            outcomes ^= low
 
-    neighbours = dict.fromkeys(pattern.space, 0)
-    generators, flips = [], {}
-    commands = _core(pattern.commands)
-    if any(type(cmd) is Shift for cmd in commands):
-        commands = _shift_out(commands)
-    for cmd in commands:
-        if isinstance(cmd, Entangle):
-            neighbours[cmd.i] ^= z(cmd.j)
-            neighbours[cmd.j] ^= z(cmd.i)
-        elif isinstance(cmd, Measure):
+    for cmd in pattern.commands:
+        kind = type(cmd)
+        if kind is Entangle:
+            i, j = cmd.i, cmd.j
+            neighbours[i] ^= coordinate[j] << 1
+            neighbours[j] ^= coordinate[i] << 1
+            frame_z[j] ^= frame_x[i]
+            frame_z[i] ^= frame_x[j]
+        elif kind is Measure:
             q = cmd.qubit
-            if cmd.angle.is_x_axis:
-                generators.append(x(q))
-            elif cmd.angle.is_y_axis:
-                generators.append(x(q) | z(q))
-            flips[q] = z(q)
-            for i in cmd.s.support:
-                flips[i] ^= x(q)
-            for i in cmd.t.support:
-                flips[i] ^= z(q)
+            x = coordinate[q]
+            own = reads[q] = 1 << len(flips)
+            flips[own] = x << 1
+            add(frame_x[q] ^ depends(cmd.s), x)
+            add(frame_z[q] ^ depends(cmd.t), x << 1)
+            angle = cmd.angle
+            if angle.is_x_axis:
+                generators.append(x)
+            elif angle.is_y_axis:
+                generators.append(x | x << 1)
+        elif kind is Shift:
+            reads[cmd.qubit] ^= depends(cmd.signal)
+        elif kind is CorrectX:
+            frame_x[cmd.qubit] ^= depends(cmd.signal)
         else:
-            op = x(cmd.qubit) if isinstance(cmd, CorrectX) else z(cmd.qubit)
-            for i in cmd.signal.support:
-                flips[i] ^= op
-    generators += [x(v) | neighbours[v] for v in pattern.prepared]
+            frame_z[cmd.qubit] ^= depends(cmd.signal)
+    for q in pattern.outputs:
+        add(frame_x[q], coordinate[q])
+        add(frame_z[q], coordinate[q] << 1)
+    inputs = set(pattern.inputs)
+    generators += [x | neighbours[v] for v, x in coordinate.items() if v not in inputs]
 
     pivots = {}  # leading bit -> basis vector, for Gaussian elimination
 
@@ -770,8 +902,8 @@ def extract_unitary(pattern: Pattern, check_deterministic: bool = True) -> np.nd
     # laid out first, so an over-wide state fails before the certificate runs
     layout = _layout(pattern, dim_in)
     if _certified(pattern):
-        (branch,) = _branch_maps(layout, planned=True)
-        norms = _row_norms(branch.matrix.T)
+        _, out, norms, _ = _walk(layout, np.eye(dim_in, dtype=complex), True)
+        matrix, norms = out[0].T, norms[0]
     else:
         maps = _branch_maps(layout)
         if check_deterministic and not _maps_deterministic(maps, dim_in):
@@ -788,7 +920,8 @@ def extract_unitary(pattern: Pattern, check_deterministic: bool = True) -> np.nd
                 raise SimulationError(
                     f"forced branch vanishes on basis input {k}; pattern not deterministic"
                 )
-    u = branch.matrix / np.sqrt(norms)
+        matrix = branch.matrix
+    u = matrix / np.sqrt(norms)
     # np.allclose(u^H u, 1, atol=1e-9) written out, without its overhead
     eye = np.eye(dim_in)
     if not (np.abs(u.conj().T @ u - eye) <= 1e-9 + 1e-5 * eye).all():

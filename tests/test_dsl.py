@@ -502,6 +502,27 @@ def test_no_signal_text_outlives_its_document():
     assert parse(lacks_01).commands == (CorrectX(2, Signal(frozenset((1,)))),)
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_document("E(1,2); M(1, 0); X(3, s[1]);"),
+         "line 6, column 22: command X(3, s[1]) refers to a qubit outside the space"),
+        (_document("E(1,2); M(1, 1/4 pi, s=s[3]); X(2, s[1]);"),
+         "line 6, column 13: command M(1, 1/4 pi, s=s[3]) refers to a qubit outside the space"),
+        (_document("E(1,2); M(1, 0); X(2, s[1]);").replace("input: 1;", "input: 1, 1;"),
+         "line 3, column 13: duplicate input qubit 1"),
+    ],
+    ids=["command qubit", "signal qubit", "repeated input"],
+)
+def test_fast_path_leaves_bad_qubits_to_the_located_parser(text, message):
+    # the fast path checks the interface and skips the scan of command
+    # qubits, so a qubit outside the space must still fail its lookup
+    assert dsl._fast_document(text) is None
+    with pytest.raises(DslError) as info:
+        parse(text)
+    assert str(info.value) == message
+
+
 def _located_parser_refused(text):
     raise AssertionError("the located parser ran")
 

@@ -35,7 +35,9 @@ def test_a_tree_is_the_same_as_itself(tmp_path):
     result = _same(_head_src(tmp_path))
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
-    assert [line.split(":")[0] for line in lines] == ["normal-forms", "unitaries", "branches", "cli"]
+    assert [line.split(":")[0] for line in lines] == [
+        "normal-forms", "unitaries", "branches", "cli", "errors"
+    ]
     for line in lines:
         assert " holds, " in line and line.endswith("largest difference 0, bit-equal"), line
 
@@ -52,3 +54,18 @@ def test_a_changed_angle_is_caught(tmp_path):
     assert result.returncode == 1, result.stdout + result.stderr
     unitaries = next(line for line in result.stdout.splitlines() if line.startswith("unitaries:"))
     assert "DIFFERS" in unitaries
+
+
+def test_a_changed_error_message_is_caught(tmp_path):
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    patterns = src / "onewaylab" / "patterns.py"
+    text = patterns.read_text()
+    planted = 'f"input/output qubit {q!r} not in space"'
+    assert text.count(planted) == 1
+    patterns.write_text(text.replace(planted, planted.replace("not in space", "outside the space")))
+    result = _same(src)
+    assert result.returncode == 1, result.stdout + result.stderr
+    lines = dict(line.split(": ", 1) for line in result.stdout.splitlines())
+    assert lines["errors"].startswith("DIFFERS"), lines
+    assert lines["normal-forms"].startswith("holds"), lines

@@ -648,27 +648,6 @@ def test_certificate_is_incomplete():
     assert is_deterministic(rank_one())
 
 
-_CERTIFICATE_SOURCES = st.one_of(
-    st.builds(
-        lambda n, seed, extra: with_extra_shifts(random_wild_pattern(n, seed), random.Random(extra)),
-        st.integers(1, 40), st.integers(0, 10**6), st.integers(0, 2**32 - 1),
-    ),
-    st.sampled_from(sorted(library.BUILDERS)).map(
-        lambda name: library.BUILDERS[name](*BUILDER_ARGS.get(name, ()))
-    ),
-    st.builds(random_circuit_pattern, st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 6)),
-)
-
-
-@settings(deadline=None, max_examples=200)
-@given(_CERTIFICATE_SOURCES, st.sampled_from(sorted(_FORMS)))
-def test_certificate_is_the_same_on_the_extended_form(pattern, form):
-    # a form without shifts is certified on its core form, t-signals and
-    # all; the extended form has none
-    pattern = _FORMS[form](pattern)
-    assert simulate._certified(pattern) == simulate._certified(standardize_extended(pattern)[0])
-
-
 def with_random_shifts(pattern, rng):
     """``pattern`` with ``Shift(q, s[j])`` after some measurements, for a
     qubit q measured so far and a qubit j measured before q."""
@@ -700,6 +679,28 @@ def certified_sources(draw):
     if draw(st.booleans()):
         pattern = with_random_shifts(pattern, random.Random(draw(st.integers(0, 2**32 - 1))))
     return pattern
+
+
+_CERTIFICATE_SOURCES = st.one_of(
+    st.builds(
+        lambda n, seed, extra: with_extra_shifts(random_wild_pattern(n, seed), random.Random(extra)),
+        st.integers(1, 40), st.integers(0, 10**6), st.integers(0, 2**32 - 1),
+    ),
+    st.sampled_from(sorted(library.BUILDERS)).map(
+        lambda name: library.BUILDERS[name](*BUILDER_ARGS.get(name, ()))
+    ),
+    st.builds(random_circuit_pattern, st.integers(0, 10**6), st.integers(1, 3), st.integers(1, 6)),
+    certified_sources(),
+)
+
+
+@settings(deadline=None, max_examples=200)
+@given(_CERTIFICATE_SOURCES, st.sampled_from(sorted(_FORMS)))
+def test_certificate_is_the_same_on_the_extended_form(pattern, form):
+    # the certificate reads shifts, and the extended form has none; certified
+    # sources with inserted shifts are the ones it may still certify
+    pattern = _FORMS[form](pattern)
+    assert simulate._certified(pattern) == simulate._certified(standardize_extended(pattern)[0])
 
 
 @settings(deadline=None, max_examples=150)
@@ -753,6 +754,53 @@ def test_one_validation_per_call(monkeypatch, run):
         monkeypatch.setattr(module, "validate", counting)
     run()
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("run", [lambda: run_all_branches(ghz(3)), lambda: run_all_branches(ghz(9))],
+                         ids=["full walk", "amplitude path"])
+def test_one_schedule_per_call(monkeypatch, run):
+    # the amplitude path lays out twice, open and closed, on one schedule
+    calls = []
+
+    def counting(commands, inputs=()):
+        calls.append(commands)
+        return real(commands, inputs)
+
+    real = simulate._schedule
+    monkeypatch.setattr(simulate, "_schedule", counting)
+    run()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "run, nth, message",
+    [
+        (lambda: extract_unitary(cnot()), 2,
+         "norm not conserved at measurement of 3: 0.4999999999999998 -> 1.2499999999999993"),
+        (lambda: run_all_branches(ghz(4)), 2,
+         "norm not conserved at measurement of 3: 0.49999999999999956 -> 1.2499999999999987"),
+        # the planned walk's eight measurements pass, the closed walk's second fails
+        (lambda: run_all_branches(ghz(9)), 10,
+         "norm not conserved at measurement of 3: 0.24999999999999978 -> 0.6249999999999993"),
+    ],
+    ids=["planned walk", "full walk", "closed walk"],
+)
+def test_norm_check_names_the_faulty_measurement(monkeypatch, run, nth, message):
+    # the nth phase taken has modulus sqrt(2), not 1/sqrt(2); the walk goes
+    # on past that measurement, and its one norm check names it with the
+    # numbers it measured
+    calls = []
+
+    def phase(radians, index):
+        calls.append(index)
+        value = real(radians, index)
+        return 2 * value if len(calls) == nth else value
+
+    real = simulate._phase
+    monkeypatch.setattr(simulate, "_phase", phase)
+    with pytest.raises(SimulationError) as info:
+        run()
+    assert str(info.value) == message
 
 
 def _criterion_corpora():
@@ -881,4 +929,4 @@ def test_planned_walk_checks_branch_probability():
     # outcomes at 3:1, not the 1:1 of a certified pattern
     p = Pattern(frozenset((1, 2)), (1,), (1,), (Measure(2, Angle.exact(1, 3)),))
     with pytest.raises(SimulationError, match="not 2\\^-1"):
-        simulate._branch_maps(simulate._layout(p, 2), planned=True)
+        simulate._walk(simulate._layout(p, 2), np.eye(2, dtype=complex), planned=True)

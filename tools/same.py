@@ -7,7 +7,7 @@ directory.  One dumper per tree runs in its own interpreter, under
 ``PYTHONHASHSEED=0`` and with BLAS pinned to one thread, and pickles that
 tree's outputs; the corpora come from the benchmark's builders in
 ``perfbench/workloads.py`` at ``--seed``.  ``--src`` names the tree to
-check (default: this checkout's ``src/``).  Four families are compared:
+check (default: this checkout's ``src/``).  Five families are compared:
 
 - ``normal-forms``: the ``serialize`` text of ``parse``, ``standardize``
   and ``standardize_extended`` on the ``rewrite-wild`` corpus;
@@ -18,7 +18,12 @@ check (default: this checkout's ``src/``).  Four families are compared:
   outputs) on that corpus and on every ``library.BUILDERS`` entry that
   takes no argument, on input |0...0> and on a seeded random input;
 - ``cli``: ``cli.main``'s stdout, stderr and exit code on a fixed list of
-  commands and texts, malformed ones among them, run in-process.
+  commands and texts, malformed ones among them, run in-process;
+- ``errors``: on seeded mutations of the ``rewrite-wild`` texts, the
+  ``serialize`` text of what ``parse_document`` reads, or its ``DslError``
+  with line and column; and on each ``rewrite-wild`` pattern with one qubit
+  dropped from its space, the ``PatternError`` that ``Pattern`` raises, with
+  the command at fault.
 
 An exception is an output too: its type and message are compared.  Each
 family prints one line with its largest numeric difference and whether
@@ -43,7 +48,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TOLERANCE = 1e-9
-FAMILIES = ("normal-forms", "unitaries", "branches", "cli")
+FAMILIES = ("normal-forms", "unitaries", "branches", "cli", "errors")
+MUTATIONS_PER_TEXT = 2
 
 _INVALID = "pattern bad { space: 1, 2; input: 1; output: 2; seq: E(1,2); X(1, s[2]); }"
 _MALFORMED = "pattern bad { space: 1, 2; input: 1; output: 2; seq: E(1,2); M(1, 1/0pi); }"
@@ -79,13 +85,34 @@ def _run_cli(cli, argv, stdin_text):
     return code, out.getvalue(), err.getvalue()
 
 
+# characters a mutation inserts or writes over: the format's own, and a few it has no token for
+_MUTATION_CHARACTERS = "0123456789()[];:,=/+-. \n#EMXZSspi'_a?"
+
+
+def _mutated(text: str, rng) -> str:
+    """``text`` with one character deleted, inserted or replaced, or with the
+    first number from a random point on made 999, so that a label may name a
+    qubit outside the space."""
+    k = rng.randrange(len(text))
+    kind = rng.randrange(4)
+    if kind == 0:
+        return text[:k] + text[k + 1:]
+    if kind == 1:
+        return text[:k] + rng.choice(_MUTATION_CHARACTERS) + text[k:]
+    if kind == 2:
+        return text[:k] + rng.choice(_MUTATION_CHARACTERS) + text[k + 1:]
+    return text[:k] + re.sub(r"[0-9]+", "999", text[k:], count=1)
+
+
 def dump(path: str, seed: int) -> None:
     """Pickle the outputs of the ``onewaylab`` on ``sys.path`` to ``path``."""
     import inspect
+    import random
 
     import numpy as np
     import workloads
     from onewaylab import cli, dsl, library, rewrite, simulate
+    from onewaylab.patterns import Pattern, PatternError
 
     def attempt(fn, *args):
         try:
@@ -133,6 +160,26 @@ def dump(path: str, seed: int) -> None:
                 text = _run_cli(cli, command, text)[1]
             stdin = text
         out["cli"][k, " ".join(argv)] = _run_cli(cli, argv, stdin)
+    def read(text):
+        try:
+            document = dsl.parse_document(text)
+        except dsl.DslError as exc:
+            return ("DslError", str(exc), exc.line, exc.column)
+        return dsl.serialize(document.pattern, document.name)
+
+    def dropped(p, q):
+        try:
+            Pattern(p.space - {q}, p.inputs, p.outputs, p.commands)
+        except PatternError as exc:
+            return ("PatternError", str(exc), repr(exc.command))
+        return "accepted"
+
+    rng = random.Random(seed)
+    for label, (pattern, text, _) in workloads.RewriteWild(seed).inputs.items():
+        for k in range(MUTATIONS_PER_TEXT):
+            out["errors"][label, k] = attempt(read, _mutated(text, rng))
+        q = sorted(pattern.space, key=repr)[rng.randrange(len(pattern.space))]
+        out["errors"][label, "dropped"] = attempt(dropped, pattern, q)
     with open(path, "wb") as fh:
         pickle.dump(out, fh)
 
