@@ -91,10 +91,11 @@ def cmd_standardize(args) -> int:
     return 0
 
 
-def _input_state(spec: str | None, n_inputs: int):
+def _input_state(spec: str | None, pattern):
     if spec is None:
         return None
     spec = spec.strip()
+    n_inputs = len(pattern.inputs)
     if set(spec) <= {"0", "1"} and len(spec) == n_inputs and n_inputs > 0:
         state = np.zeros(2**n_inputs, dtype=complex)
         state[int(spec, 2)] = 1.0
@@ -103,20 +104,13 @@ def _input_state(spec: str | None, n_inputs: int):
         amplitudes = [complex(part) for part in spec.split(",")]
     except ValueError:
         _usage_error(f"cannot read input state {spec!r}")
-    state = np.asarray(amplitudes, dtype=complex)
-    if state.size != 2**n_inputs:
-        raise simulate.SimulationError(
-            f"input state must have {2 ** n_inputs} amplitudes, got {state.size}"
-        )
-    if not (np.isfinite(state).all() and state.any()):
-        raise simulate.SimulationError("input state must be finite and nonzero")
-    return state
+    return simulate._input_vector(pattern, amplitudes)
 
 
 def cmd_simulate(args) -> int:
     doc = _load(args.file)
     pattern = doc.pattern
-    state = _input_state(args.input, len(pattern.inputs))
+    state = _input_state(args.input, pattern)
     if args.branches:
         branches = simulate.run_all_branches(pattern, state)
         print(simulate.format_branch_report(pattern, branches))

@@ -16,7 +16,7 @@ from .commands import Measure, command_signals
 from .signals import Signal
 from .patterns import Pattern, PatternError
 from .rewrite import is_standard, standardize_extended
-from .simulate import extract_unitary
+from .simulate import _is_isometry, extract_unitary
 
 class AngleClassificationError(ValueError):
     """An inexact measurement angle cannot be classified as Pauli or not."""
@@ -92,11 +92,9 @@ def is_clifford(u: np.ndarray) -> bool:
     n = dim.bit_length() - 1
     if 2**n != dim:
         raise ValueError(f"need a 2^n x 2^n matrix, got shape {u.shape}")
-    uh = u.conj().T
-    # np.allclose(u^H u, 1, atol=1e-9) written out, without its overhead
-    eye = np.eye(dim)
-    if not (np.abs(uh @ u - eye) <= 1e-9 + 1e-5 * eye).all():
+    if not _is_isometry(u):
         raise ValueError("matrix is not unitary")
+    uh = u.conj().T
     rows = np.arange(dim)
     bits = 1 << np.arange(n - 1, -1, -1)
     parity = np.ones(1)

@@ -322,13 +322,33 @@ def random_circuit_pattern(seed: int, wires: int = 2, steps: int = 4) -> Pattern
 # graphs and depth ---------------------------------------------------
 
 
+def _entangled_pairs(pattern: Pattern) -> list:
+    """The distinct ``(i, j)`` pairs of the pattern's E commands, sorted by
+    ``qubit_key``; each pair is in ``qubit_key`` order, as ``Entangle`` keeps it."""
+    pairs = {(cmd.i, cmd.j) for cmd in pattern.commands if type(cmd) is Entangle}
+    return sorted(pairs, key=lambda e: (qubit_key(e[0]), qubit_key(e[1])))
+
+
+def _dependencies(pattern: Pattern, refusal: str = "dependency graph requires a standard (EMC) pattern"):
+    """``(index, command, sources)`` for each M, X and Z of a standard pattern,
+    in command order; ``sources`` are the indices of the measurements its
+    signals read.  A pattern that is not EMC raises ``PatternError(refusal)``."""
+    if not is_emc(pattern):
+        raise PatternError(refusal)
+    commands = pattern.commands
+    measured_at = {cmd.qubit: idx for idx, cmd in enumerate(commands) if type(cmd) is Measure}
+    return [
+        (idx, cmd, {measured_at[q] for s in command_signals(cmd) for q in s.support if q in measured_at})
+        for idx, cmd in enumerate(commands)
+        if type(cmd) is not Entangle
+    ]
+
+
 def entanglement_graph(pattern: Pattern) -> nx.Graph:
     """Undirected graph over the space with an edge per entanglement command."""
     graph = nx.Graph()
     graph.add_nodes_from(pattern.space)
-    for cmd in pattern.commands:
-        if isinstance(cmd, Entangle):
-            graph.add_edge(cmd.i, cmd.j)
+    graph.add_edges_from(_entangled_pairs(pattern))
     return graph
 
 
@@ -339,21 +359,10 @@ def dependency_graph(pattern: Pattern) -> nx.DiGraph:
     index, with the command in the ``cmd`` attribute); there is an edge from
     the measurement of qubit i to every command whose signals mention s_i.
     """
-    if not is_emc(pattern):
-        raise PatternError("dependency graph requires a standard (EMC) pattern")
     graph = nx.DiGraph()
-    measured_at = {}
-    for idx, cmd in enumerate(pattern.commands):
-        if isinstance(cmd, (Measure, CorrectX, CorrectZ)):
-            graph.add_node(idx, cmd=cmd)
-            if isinstance(cmd, Measure):
-                measured_at[cmd.qubit] = idx
-    for idx in graph.nodes:
-        cmd = pattern.commands[idx]
-        for sig in command_signals(cmd):
-            for q in sig.support:
-                if q in measured_at:
-                    graph.add_edge(measured_at[q], idx)
+    for idx, cmd, sources in _dependencies(pattern):
+        graph.add_node(idx, cmd=cmd)
+        graph.add_edges_from((src, idx) for src in sources)
     return graph
 
 
@@ -361,28 +370,19 @@ def depth(pattern: Pattern) -> int:
     """Number of execution layers of a standard pattern.
 
     Entanglements are free (layer 0).  A measurement or correction sits in
-    the earliest layer strictly after every measurement its signals depend
-    on; the depth is the largest layer used.
+    the earliest layer strictly after every earlier measurement its signals
+    depend on; the depth is the largest layer used.
     """
-    if not is_emc(pattern):
-        raise PatternError("depth is defined for standard (EMC) patterns")
-    layer_of_measurement: dict = {}
-    deepest = 0
-    for cmd in pattern.commands:
-        if not isinstance(cmd, (Measure, CorrectX, CorrectZ)):
-            continue
-        layer = 1
-        for sig in command_signals(cmd):
-            for q in sig.support:
-                if q in layer_of_measurement:
-                    layer = max(layer, layer_of_measurement[q] + 1)
-        if isinstance(cmd, Measure):
-            layer_of_measurement[cmd.qubit] = layer
-        deepest = max(deepest, layer)
-    return deepest
+    layer: dict = {}
+    for idx, _, sources in _dependencies(pattern, "depth is defined for standard (EMC) patterns"):
+        layer[idx] = 1 + max((layer[src] for src in sources if src < idx), default=0)
+    return max(layer.values(), default=0)
 
 
 # DOT export ---------------------------------------------------------
+#
+# Written from the commands, without networkx, so the text does not depend
+# on the iteration order of a set of labels.
 
 
 def _dot_id(text: str) -> str:
@@ -390,23 +390,14 @@ def _dot_id(text: str) -> str:
 
 
 def entanglement_dot(pattern: Pattern) -> str:
-    graph = entanglement_graph(pattern)
-    lines = ["graph entanglement {"]
-    for node in sorted(graph.nodes, key=qubit_key):
-        lines.append(f"  {_dot_id(str(node))};")
-    for a, b in sorted(graph.edges, key=lambda e: (qubit_key(e[0]), qubit_key(e[1]))):
-        lines.append(f"  {_dot_id(str(a))} -- {_dot_id(str(b))};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    nodes = [f"  {_dot_id(str(q))};" for q in sorted(pattern.space, key=qubit_key)]
+    edges = [f"  {_dot_id(str(a))} -- {_dot_id(str(b))};" for a, b in _entangled_pairs(pattern)]
+    return "\n".join(["graph entanglement {", *nodes, *edges, "}"]) + "\n"
 
 
 def dependency_dot(pattern: Pattern) -> str:
-    graph = dependency_graph(pattern)
-    lines = ["digraph dependency {"]
-    for idx in sorted(graph.nodes):
-        label = format_command(pattern.commands[idx])
-        lines.append(f"  n{idx} [label={_dot_id(label)}];")
-    for a, b in sorted(graph.edges):
-        lines.append(f"  n{a} -> n{b};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    scan = _dependencies(pattern)
+    nodes = [f"  n{idx} [label={_dot_id(format_command(cmd))}];" for idx, cmd, _ in scan]
+    edges = sorted({(src, idx) for idx, _, sources in scan for src in sources})
+    edges = [f"  n{a} -> n{b};" for a, b in edges]
+    return "\n".join(["digraph dependency {", *nodes, *edges, "}"]) + "\n"

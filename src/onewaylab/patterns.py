@@ -157,6 +157,13 @@ def validate(pattern: Pattern) -> ValidityReport:
     return ValidityReport(d0, d1, d2, frozenset(bad_qubits))
 
 
+def _check_valid(pattern: Pattern, verb: str) -> None:
+    """Raise ``PatternError`` saying that one cannot ``verb`` an invalid pattern."""
+    report = validate(pattern)
+    if not report.ok:
+        raise PatternError(f"cannot {verb} an invalid pattern: {report}")
+
+
 def compose(second: Pattern, first: Pattern) -> Pattern:
     """Sequential composition: run ``first``, then ``second``.
 

@@ -24,7 +24,7 @@ from typing import NamedTuple
 
 from .commands import Command, CorrectX, CorrectZ, Entangle, Measure, Shift
 from .dsl import format_command
-from .patterns import Pattern, PatternError, validate
+from .patterns import Pattern, _check_valid
 from .signals import ZERO, Signal
 
 
@@ -491,12 +491,6 @@ def _shift_out(commands) -> list:
     return out
 
 
-def _check_valid(pattern: Pattern) -> None:
-    report = validate(pattern)
-    if not report.ok:
-        raise PatternError(f"cannot standardize an invalid pattern: {report}")
-
-
 def standardize(pattern: Pattern) -> tuple[Pattern, Sequence[RewriteStep]]:
     """Rewrite to the unique core normal form.
 
@@ -509,7 +503,7 @@ def standardize(pattern: Pattern) -> tuple[Pattern, Sequence[RewriteStep]]:
     The normal form is built in one pass.  The trace is the rule engine's
     list of steps to it, computed when the trace is first read.
     """
-    _check_valid(pattern)
+    _check_valid(pattern, "standardize")
     return Pattern._rebuilt(pattern, _core(pattern.commands)), _LazyTrace(pattern.commands, False)
 
 
@@ -521,7 +515,7 @@ def standardize_extended(pattern: Pattern) -> tuple[Pattern, Sequence[RewriteSte
     sign-actions or into the final corrections.  As in :func:`standardize`,
     the result is built directly and the trace is computed when first read.
     """
-    _check_valid(pattern)
+    _check_valid(pattern, "standardize")
     return (
         Pattern._rebuilt(pattern, _shift_out(_core(pattern.commands))),
         _LazyTrace(pattern.commands, True),
@@ -557,7 +551,7 @@ def random_order_standardize(pattern: Pattern, seed: int) -> Pattern:
     By confluence this must agree exactly with :func:`standardize` for every
     seed; it exists to test that property.
     """
-    _check_valid(pattern)
+    _check_valid(pattern, "standardize")
     rng = random.Random(seed)
     seq = list(pattern.commands)
     for _ in range(_step_budget(len(seq))):

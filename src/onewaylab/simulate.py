@@ -64,7 +64,7 @@ except ImportError:
 
 from ._values import Value
 from .commands import CorrectX, CorrectZ, Entangle, Measure, Shift
-from .patterns import Pattern, PatternError, validate
+from .patterns import Pattern, _check_valid
 from .signals import qubit_key
 
 _INV_SQRT2 = 1.0 / sqrt(2.0)
@@ -81,6 +81,11 @@ _NORM_RTOL = 1e-12
 # The largest state, in amplitudes, that a simulation may allocate: 2^24
 # complex amplitudes are 256 MiB.  Checked before anything is allocated.
 MAX_AMPLITUDES = 1 << 24
+
+# The most amplitudes that the branches one walk keeps may hold in all, also
+# 256 MiB.  Counted as each branch batch is kept, since a full walk keeps up
+# to 2^m branches and MAX_AMPLITUDES bounds only one batch's width.
+_MAX_KEPT_AMPLITUDES = 1 << 24
 
 # (-1)^s and t * pi of a measurement's effective angle (-1)^s a + t pi, at
 # index 2s + t
@@ -143,7 +148,9 @@ class BranchMap(Value):
 
 
 def _input_vector(pattern: Pattern, input_state) -> np.ndarray:
-    """A fresh flat input vector; ``None`` means |0...0>."""
+    """A fresh flat input vector; ``None`` means |0...0>.  A state needs one
+    amplitude per input basis state, all finite, and a squared norm that
+    neither underflows to 0 nor overflows."""
     n_in = len(pattern.inputs)
     if input_state is None:
         vec = np.zeros(2**n_in, dtype=complex)
@@ -154,6 +161,8 @@ def _input_vector(pattern: Pattern, input_state) -> np.ndarray:
         raise SimulationError(
             f"input state must have {2 ** n_in} amplitudes, got {vec.size}"
         )
+    if not (np.isfinite(vec).all() and 0.0 < np.vdot(vec, vec).real < np.inf):
+        raise SimulationError("input state must be finite and nonzero")
     return vec
 
 
@@ -174,8 +183,6 @@ def run_branch(pattern: Pattern, outcomes_plan, input_state=None) -> Branch:
         tensor = np.multiply.outer(tensor, _PLUS)
     live = tuple(pattern.inputs) + tuple(sorted(pattern.prepared, key=qubit_key))
     start_norm2 = float(np.real(np.vdot(tensor, tensor)))
-    if start_norm2 == 0.0:
-        raise SimulationError("input state is the zero vector")
     outcomes = {}
     for cmd in pattern.commands:
         if isinstance(cmd, Measure):
@@ -241,12 +248,6 @@ class _Layout(Value):
 
     def __init__(self, inputs, steps, tail, perm, measured, width, closed):
         self._set_fields(inputs, steps, tail, perm, measured, width, closed)
-
-
-def _check_valid(pattern: Pattern) -> None:
-    report = validate(pattern)
-    if not report.ok:
-        raise PatternError(f"cannot run an invalid pattern: {report}")
 
 
 def _schedule(commands, inputs=()) -> list:
@@ -500,7 +501,9 @@ def _walk(layout: _Layout, batch: np.ndarray, planned: bool = False):
     at once, and a correction acts on the branches it selects.  When the
     batch at the walk's peak width would hold more than
     ``MAX_AMPLITUDES >> _BATCH_SHIFT`` amplitudes, its two halves walk on as
-    separate batches instead, down to one branch each.
+    separate batches instead, down to one branch each.  The branches it
+    keeps may hold ``_MAX_KEPT_AMPLITUDES`` amplitudes in all; one more
+    raises ``SimulationError`` before the walk goes on.
 
     Every measurement records the squared norm of each row before it and of
     each outcome's row after it, and the record is checked once, before the
@@ -522,12 +525,10 @@ def _walk(layout: _Layout, batch: np.ndarray, planned: bool = False):
     """
     rows = batch.shape[0]
     start = _row_norms(batch)
-    if not start.all():
-        raise SimulationError("input state is the zero vector")
     cutoff = None if planned or layout.closed else _BRANCH_CUTOFF * start
     cap = MAX_AMPLITUDES >> _BATCH_SHIFT
     steps, perm = layout.steps, layout.perm
-    leaves, record = [], []
+    leaves, record, kept = [], [], 0
     # a planned walk reads its outcome columns from a list, a full walk from an array per batch
     columns = 2 * len(layout.measured)
     read = _folded if planned else _value
@@ -606,6 +607,11 @@ def _walk(layout: _Layout, batch: np.ndarray, planned: bool = False):
             if planned:
                 bits = np.array([bits], dtype=np.int8)
             out = tensor.transpose(perm).reshape(len(tensor), rows, -1)
+            kept += out.size
+            if kept > _MAX_KEPT_AMPLITUDES:
+                raise SimulationError(
+                    f"the kept branches would hold more than {_MAX_KEPT_AMPLITUDES} amplitudes"
+                )
             leaves.append((bits, out, _row_norms(out, 2)))
     if record:
         _check_norms(record, rows)
@@ -643,7 +649,7 @@ def run_all_branches(pattern: Pattern, input_state=None) -> list[Branch]:
     probability is the ratio's squared modulus times the all-zero branch's;
     a ratio off the unit circle by more than 1e-9 raises ``SimulationError``.
     """
-    _check_valid(pattern)
+    _check_valid(pattern, "run")
     schedule = _schedule(pattern.commands, pattern.inputs)
     layout = _layout(pattern, 1, schedule=schedule)
     measured, n_out = layout.measured, len(pattern.outputs)
@@ -687,7 +693,7 @@ def branch_maps(pattern: Pattern) -> list[BranchMap]:
     ``run_all_branches`` checks on each of them, and drops a subtree only
     when it vanishes on every basis input.
     """
-    _check_valid(pattern)
+    _check_valid(pattern, "run")
     return _branch_maps(_layout(pattern, 2 ** len(pattern.inputs)))
 
 
@@ -873,11 +879,17 @@ def is_deterministic(pattern: Pattern) -> bool:
     differ.  The pseudorandom probes are what catch that, for all but a
     measure-zero set of probes.
     """
-    _check_valid(pattern)
+    _check_valid(pattern, "run")
     if _certified(pattern):
         return True
     dim = 2 ** len(pattern.inputs)
     return _maps_deterministic(_branch_maps(_layout(pattern, dim)), dim)
+
+
+def _is_isometry(u: np.ndarray) -> bool:
+    """``np.allclose(u^H u, 1, atol=1e-9)``, written out without its overhead."""
+    eye = np.eye(u.shape[1])
+    return bool((np.abs(u.conj().T @ u - eye) <= 1e-9 + 1e-5 * eye).all())
 
 
 def extract_unitary(pattern: Pattern, check_deterministic: bool = True) -> np.ndarray:
@@ -897,7 +909,7 @@ def extract_unitary(pattern: Pattern, check_deterministic: bool = True) -> np.nd
     a branch that vanishes, or whose norm underflows, raises
     ``SimulationError`` there.
     """
-    _check_valid(pattern)
+    _check_valid(pattern, "run")
     dim_in = 2 ** len(pattern.inputs)
     # laid out first, so an over-wide state fails before the certificate runs
     layout = _layout(pattern, dim_in)
@@ -922,9 +934,7 @@ def extract_unitary(pattern: Pattern, check_deterministic: bool = True) -> np.nd
                 )
         matrix = branch.matrix
     u = matrix / np.sqrt(norms)
-    # np.allclose(u^H u, 1, atol=1e-9) written out, without its overhead
-    eye = np.eye(dim_in)
-    if not (np.abs(u.conj().T @ u - eye) <= 1e-9 + 1e-5 * eye).all():
+    if not _is_isometry(u):
         raise SimulationError("extracted columns are not orthonormal")
     return u
 

@@ -1,6 +1,7 @@
 import contextlib
 import importlib
 import io
+import json
 import shutil
 import unittest.mock
 from fractions import Fraction
@@ -217,6 +218,43 @@ def test_graph_entanglement_dot(capsys, monkeypatch):
     )
     assert code == 0
     assert out.startswith("graph")
+
+
+_PIPELINES = {
+    "cu entanglement": "library cu 0 0 0 0 | graph --kind entanglement",
+    "ghz entanglement": "library ghz 4 | graph --kind entanglement",
+    "cnot dependency": "library cnot | standardize | graph --kind dependency",
+}
+# runs each pipeline of argv[1:] in one process, feeding each stage's stdout
+# to the next, and prints their final outputs as a JSON list
+_RUN_PIPELINES = """
+import contextlib, io, json, sys
+from onewaylab.cli import main
+texts = []
+for pipeline in sys.argv[1:]:
+    text = ""
+    for stage in pipeline.split("|"):
+        sys.stdin, out = io.StringIO(text), io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(stage.split()) == 0
+        text = out.getvalue()
+    texts.append(text)
+print(json.dumps(texts))
+"""
+
+
+def test_graph_output_does_not_depend_on_the_hash_seed(monkeypatch):
+    outputs = {}
+    for seed in range(4):
+        monkeypatch.setenv("PYTHONHASHSEED", str(seed))
+        result = run_isolated(_RUN_PIPELINES, *_PIPELINES.values())
+        assert result.returncode == 0, result.stderr
+        outputs[seed] = dict(zip(_PIPELINES, json.loads(result.stdout)))
+    for name in _PIPELINES:
+        texts = {seed: outputs[seed][name] for seed in outputs}
+        assert len(set(texts.values())) == 1, (name, texts)
+    # str labels keep their E command's order: "A" before "b"
+    assert '"A" -- "b";' in outputs[0]["cu entanglement"]
 
 
 def test_library_emits_parseable_pattern(capsys, monkeypatch):

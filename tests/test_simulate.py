@@ -21,7 +21,7 @@ from conftest import (
 
 from onewaylab.angles import Angle
 from onewaylab.commands import CorrectX, CorrectZ, Entangle, Measure, Shift
-from onewaylab import library, patterns, rewrite, simulate
+from onewaylab import library, patterns, simulate
 from onewaylab.clifford import pauli_eliminate
 from onewaylab.dsl import parse
 from onewaylab.library import (
@@ -77,6 +77,17 @@ def truncated_h():
 def test_prepare_input_validation():
     with pytest.raises(SimulationError):
         run_branch(h_pattern(), {1: 0}, [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize(
+    "state", [[math.nan, 0], [math.inf, 0], [0, 0], [1e-170, 0], [1e200, 0]],
+    ids=["nan", "inf", "zero", "norm underflows", "norm overflows"],
+)
+def test_input_state_must_be_finite_and_nonzero(state):
+    # pyproject turns warnings into errors, so an overflow warning fails this too
+    for run in (lambda: run_all_branches(h(), state), lambda: run_branch(h(), {1: 0}, state)):
+        with pytest.raises(SimulationError, match="^input state must be finite and nonzero$"):
+            run()
 
 
 def test_h_pattern_branches_recombine():
@@ -466,6 +477,16 @@ def test_standard_chain_of_30_walks_at_builder_width():
     assert np.allclose(u, extract_unitary(chain), rtol=0, atol=1e-9)
 
 
+def test_kept_branches_are_bounded(monkeypatch):
+    # uncertified, the standard chain walks all 2^24 branches, 4 amplitudes
+    # each; the walk stops once those it keeps pass the bound
+    monkeypatch.setattr(simulate, "_certified", lambda pattern: False)
+    monkeypatch.setattr(simulate, "_MAX_KEPT_AMPLITUDES", 1 << 16)
+    standard = standardize(j_chain([0] * 24))[0]
+    with pytest.raises(SimulationError, match="kept branches would hold more than 65536 amplitudes"):
+        extract_unitary(standard)
+
+
 def _same_leaves(a, b):
     """Two lists of branches or branch maps, equal bit for bit."""
     assert len(a) == len(b)
@@ -750,8 +771,8 @@ def test_one_validation_per_call(monkeypatch, run):
         calls.append(pattern)
         return validate(pattern)
 
-    for module in (patterns, rewrite, simulate):
-        monkeypatch.setattr(module, "validate", counting)
+    # every guard is ``patterns._check_valid``, which reads ``patterns.validate``
+    monkeypatch.setattr(patterns, "validate", counting)
     run()
     assert len(calls) == 1
 

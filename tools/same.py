@@ -64,7 +64,11 @@ CLI_CASES = (
     (["simulate", "--branches"], (["library", "cnot"],)),
     (["simulate", "--branches"], (["library", "ghz", "9"], ["standardize"])),
     (["verify", "--against", "cnot"], (["library", "cnot"], ["standardize", "--extended"])),
+    (["graph", "--kind", "entanglement"], (["library", "cnot"],)),
+    (["graph", "--kind", "dependency"], (["library", "cnot"], ["standardize"])),
     (["validate"], _INVALID),
+    (["standardize"], _INVALID),
+    (["simulate"], _INVALID),
     (["simulate"], _MALFORMED),
     (["standardize"], _UNCLOSED),
 )
