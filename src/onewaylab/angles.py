@@ -19,9 +19,13 @@ class Angle:
     Exact angles store a ``Fraction`` f meaning ``f * pi`` with ``0 <= f < 2``;
     inexact angles store raw radians.  Negation and adding pi are closed and
     lossless on exact angles.
+
+    An exact angle keeps its ``negated()``, ``plus_pi()`` and ``radians``
+    once first asked for, in slots that stay unset until then; they take no
+    part in equality, hashing, printing or pickling.
     """
 
-    __slots__ = ("_frac", "_rad")
+    __slots__ = ("_frac", "_rad", "_negated", "_plus_pi", "_radians")
 
     def __init__(self, frac: Fraction | None = None, rad: float | None = None):
         if (frac is None) == (rad is None):
@@ -67,23 +71,41 @@ class Angle:
 
     @property
     def radians(self) -> float:
-        if self._frac is not None:
-            return float(self._frac) * math.pi
-        return self._rad  # type: ignore[return-value]
+        frac = self._frac
+        if frac is None:
+            return self._rad  # type: ignore[return-value]
+        try:
+            return self._radians
+        except AttributeError:
+            self._radians = value = float(frac) * math.pi
+            return value
 
     def negated(self) -> "Angle":
         """-alpha, normalized."""
         frac = self._frac
-        if frac is not None:
-            return Angle._reduced(2 - frac if frac else frac)
-        return Angle(rad=-self._rad)
+        if frac is None:
+            return Angle(rad=-self._rad)
+        try:
+            return self._negated
+        except AttributeError:
+            pass
+        # negation is its own inverse on exact angles, so the result keeps self
+        self._negated = result = Angle._reduced(2 - frac if frac else frac)
+        result._negated = self
+        return result
 
     def plus_pi(self) -> "Angle":
         """alpha + pi, normalized."""
         frac = self._frac
-        if frac is not None:
-            return Angle._reduced(frac + 1 if frac < 1 else frac - 1)
-        return Angle(rad=self._rad + math.pi)
+        if frac is None:
+            return Angle(rad=self._rad + math.pi)
+        try:
+            return self._plus_pi
+        except AttributeError:
+            pass
+        self._plus_pi = result = Angle._reduced(frac + 1 if frac < 1 else frac - 1)
+        result._plus_pi = self
+        return result
 
     @property
     def is_x_axis(self) -> bool:
@@ -112,6 +134,10 @@ class Angle:
         if self._frac is not None:
             return hash(("Angle", self._frac))
         return hash(("Angle", self._rad))
+
+    def __reduce__(self):
+        # through the constructor, so the memos are not pickled or copied
+        return type(self), (self._frac, self._rad)
 
     def __repr__(self) -> str:
         if self._frac is not None:

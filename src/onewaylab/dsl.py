@@ -365,21 +365,31 @@ _FAST_ANGLE_RE = re.compile(
 )
 
 
-def _fast_signal(text: str, labels: dict) -> Signal:
+# Angles and signals are immutable, and a corpus writes few distinct angle
+# and signal texts, so both are interned across documents in bounded caches.
+# A signal's qubits follow from its text alone (an all-digit word is an int),
+# but a document may use only the label words its ``space:`` list writes, so
+# each cached signal keeps the words it names and a document checks them.
+_ANGLE_CACHE_SIZE = 1024
+_SIGNAL_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_SIGNAL_CACHE_SIZE)
+def _fast_signal(text: str) -> tuple[Signal, frozenset]:
+    """The signal of ``text`` and the label words it names."""
     support: set = set()
+    words = set()
     constant = 0
-    for label, digits in _FAST_TERM_RE.findall(text):
-        if label:
-            support ^= {labels[label]}
+    for word, digits in _FAST_TERM_RE.findall(text):
+        if word:
+            support ^= {int(word) if word.isdigit() else word}
+            words.add(word)
         else:
             constant ^= int(digits) % 2
-    return Signal(frozenset(support), constant)
+    return Signal(frozenset(support), constant), frozenset(words)
 
 
-# Angles are immutable and a corpus writes few distinct angle texts, so they
-# are interned across documents; signal texts name labels, so they are read
-# again in each document.
-@functools.lru_cache(maxsize=1024)
+@functools.lru_cache(maxsize=_ANGLE_CACHE_SIZE)
 def _fast_angle(text: str) -> Angle:
     negative, pi_den, num, den, zero, decimal = _FAST_ANGLE_RE.fullmatch(text).groups()
     if decimal:
@@ -398,8 +408,9 @@ def _fast_document(text: str) -> PatternDocument | None:
     A label must be written as in the ``space:`` list, so ``01`` for ``1``
     is declined too.  The interface is checked by ``Pattern``, and the
     commands join it through ``Pattern._rebuilt``, without a scan for
-    qubits outside the space: every qubit a command or signal names was
-    looked up among the ``space:`` labels, and any other is a ``KeyError``.
+    qubits outside the space: every qubit a command acts on was looked up
+    among the ``space:`` labels, where any other is a ``KeyError``, and
+    every label word a signal names is checked to be one of them.
     """
     head = _FAST_HEADER_RE.match(text)
     body = text.rstrip()
@@ -408,12 +419,12 @@ def _fast_document(text: str) -> PatternDocument | None:
     # the body ends before the spaces ahead of '}', which no match can take
     body_end = len(body[:-1].rstrip())
     name, space, inputs, outputs = head.groups()
-    signals = {"": Signal()}
     try:
         words = _FAST_LABEL_RE.findall(space)
         labels = {word: int(word) if word.isdigit() else word for word in words}
         inputs = tuple(labels[word] for word in _FAST_LABEL_RE.findall(inputs))
         outputs = tuple(labels[word] for word in _FAST_LABEL_RE.findall(outputs))
+        words = labels.keys()
         commands = []
         for e1, e2, mq, angle, s, t, kind, q, signal, bad in _FAST_COMMAND_RE.findall(
             text, head.end(), body_end
@@ -421,14 +432,16 @@ def _fast_document(text: str) -> PatternDocument | None:
             if e1:
                 cmd = Entangle(labels[e1], labels[e2])
             elif mq:
-                for key in (s, t):
-                    if key not in signals:
-                        signals[key] = _fast_signal(key, labels)
-                cmd = Measure(labels[mq], _fast_angle(angle), signals[s], signals[t])
+                s, s_words = _fast_signal(s)
+                t, t_words = _fast_signal(t)
+                if not (s_words <= words and t_words <= words):
+                    return None
+                cmd = Measure(labels[mq], _fast_angle(angle), s, t)
             elif kind:
-                if signal not in signals:
-                    signals[signal] = _fast_signal(signal, labels)
-                cmd = _QUBIT_SIGNAL_COMMANDS[kind](labels[q], signals[signal])
+                signal, named = _fast_signal(signal)
+                if not named <= words:
+                    return None
+                cmd = _QUBIT_SIGNAL_COMMANDS[kind](labels[q], signal)
             else:
                 return None
             commands.append(cmd)
@@ -476,19 +489,30 @@ def format_command(cmd) -> str:
 
 def _format_command(cmd, signal_text) -> str:
     """``cmd`` as text, each of its signals written by ``signal_text``."""
-    if isinstance(cmd, Entangle):
-        return f"E({cmd.i},{cmd.j})"
-    if isinstance(cmd, Measure):
-        parts = [str(cmd.qubit), format_angle(cmd.angle)]
-        if cmd.s:
-            parts.append(f"s={signal_text(cmd.s)}")
-        if cmd.t:
-            parts.append(f"t={signal_text(cmd.t)}")
-        return f"M({', '.join(parts)})"
-    letter = _COMMAND_LETTERS.get(type(cmd))
+    kind = type(cmd)
+    letter = _COMMAND_LETTERS.get(kind)
     if letter is not None:
         return f"{letter}({cmd.qubit}, {signal_text(cmd.signal)})"
+    if kind is Entangle:
+        return f"E({cmd.i},{cmd.j})"
+    if kind is Measure:
+        text = f"M({cmd.qubit}, {format_angle(cmd.angle)}"
+        s, t = cmd.s, cmd.t
+        # ``if s`` asks ``Signal.__bool__``, two Python calls per signal
+        if s.support or s.constant:
+            text += f", s={signal_text(s)}"
+        if t.support or t.constant:
+            text += f", t={signal_text(t)}"
+        return text + ")"
     raise TypeError(f"unknown command {cmd!r}")
+
+
+# Each distinct signal is written once per process, keyed by its fields, whose
+# tuple hashes faster than the signal does.  Equal fields write one text,
+# since ``Pattern`` admits only qubits that are labels: an int or a str.
+@functools.lru_cache(maxsize=_SIGNAL_CACHE_SIZE)
+def _signal_text(support: frozenset, constant: int) -> str:
+    return str(Signal(support, constant))
 
 
 def serialize(pattern: Pattern, name: str = "p", paper_order: bool = False) -> str:
@@ -506,16 +530,9 @@ def serialize(pattern: Pattern, name: str = "p", paper_order: bool = False) -> s
     lines.append("  input: " + ", ".join(map(str, pattern.inputs)) + ";")
     lines.append("  output: " + ", ".join(map(str, pattern.outputs)) + ";")
     lines.append("  seq:")
-    # each distinct signal is written once for this document, keyed by its
-    # fields, whose tuple hashes faster than the signal does
-    texts = {}
 
     def signal_text(signal: Signal) -> str:
-        key = (signal.support, signal.constant)
-        text = texts.get(key)
-        if text is None:
-            text = texts[key] = str(signal)
-        return text
+        return _signal_text(signal.support, signal.constant)
 
     for cmd in commands:
         lines.append(f"    {_format_command(cmd, signal_text)};")

@@ -17,7 +17,7 @@ import networkx as nx
 from .angles import Angle, as_angle
 from .commands import CorrectX, CorrectZ, Entangle, Measure, Shift, command_signals
 from .dsl import format_command
-from .patterns import Pattern, PatternError, compose, tensor
+from .patterns import Pattern, PatternError, _check_valid, compose, tensor
 from .rewrite import is_emc
 from .signals import Qubit, Signal, qubit_key, signal
 
@@ -330,11 +330,13 @@ def _entangled_pairs(pattern: Pattern) -> list:
 
 
 def _dependencies(pattern: Pattern, refusal: str = "dependency graph requires a standard (EMC) pattern"):
-    """``(index, command, sources)`` for each M, X and Z of a standard pattern,
-    in command order; ``sources`` are the indices of the measurements its
-    signals read.  A pattern that is not EMC raises ``PatternError(refusal)``."""
+    """``(index, command, sources)`` for each M, X and Z of a valid standard
+    pattern, in command order; ``sources`` are the indices of the
+    measurements its signals read.  A pattern that is not EMC raises
+    ``PatternError(refusal)``, and an invalid one the validity guard's."""
     if not is_emc(pattern):
         raise PatternError(refusal)
+    _check_valid(pattern, "read the dependencies of")
     commands = pattern.commands
     measured_at = {cmd.qubit: idx for idx, cmd in enumerate(commands) if type(cmd) is Measure}
     return [

@@ -25,7 +25,7 @@ from typing import NamedTuple
 from .commands import Command, CorrectX, CorrectZ, Entangle, Measure, Shift
 from .dsl import format_command
 from .patterns import Pattern, _check_valid
-from .signals import ZERO, Signal
+from .signals import ONE, ZERO, Signal
 
 
 class RewriteError(RuntimeError):
@@ -75,6 +75,9 @@ def termination_measure(pattern: Pattern) -> tuple[int, int]:
     return e_sum, c_sum
 
 
+_SPLIT_FRACTIONS = (Fraction(1), Fraction(3, 2))
+
+
 def _split(cmd: Command) -> tuple | None:
     """SHIFT_SPLIT's replacement for a measurement, or None when it does not apply.
 
@@ -87,7 +90,7 @@ def _split(cmd: Command) -> tuple | None:
         return None
     angle, t = cmd.angle, cmd.t
     if not t:
-        if cmd.s or not angle.is_exact or angle.fraction not in (Fraction(1), Fraction(3, 2)):
+        if cmd.s or not angle.is_exact or angle.fraction not in _SPLIT_FRACTIONS:
             return None
         angle = angle.plus_pi()
         t = Signal(t.support, t.constant ^ 1)
@@ -421,31 +424,8 @@ def _core(commands) -> list:
     return out
 
 
-def _shifted(cmd: Command, d: dict, shifts) -> Command:
-    """``cmd`` once each of ``shifts`` has passed it, in order.
-
-    ``d`` maps each shifted qubit q to the signal that the shifts, composed,
-    add wherever ``s_q`` occurs.  An inexact angle rounds at each negation
-    or pi that a rule adds, so a measurement at one takes the shifts one
-    SHIFT_M at a time, as the rules do.
-    """
-    kind = type(cmd)
-    if kind is Entangle:
-        return cmd
-    if kind is Measure:
-        if not cmd.angle.is_exact:
-            for shift in shifts:
-                cmd = _shift_m(shift, cmd)[1][0]
-            return cmd
-        s, t = _substituted(cmd.s, d), _substituted(cmd.t, d)
-        return cmd if s is cmd.s and t is cmd.t else Measure(cmd.qubit, cmd.angle, s, t)
-    signal = _substituted(cmd.signal, d)
-    return cmd if signal is cmd.signal else kind(cmd.qubit, signal)
-
-
 def _substituted(signal: Signal, d: dict) -> Signal:
-    if not d:
-        return signal
+    """``signal`` with ``s_q + d[q]`` in place of each ``s_q`` it holds that ``d`` maps."""
     # a signal's support is small, and usually smaller than ``d``
     for q in signal.support:
         if q in d:
@@ -459,35 +439,74 @@ def _shift_out(commands) -> list:
     SHIFT_X, SHIFT_Z and SHIFT_M carry a Shift(q, t) to the end, putting
     ``s_q + t`` in place of ``s_q`` in every signal on the way, and
     SHIFT_DROP drops it there.  The source's shifts compose into one
-    substitution, left to right.  If there were any, the core pass runs
-    again between the two passes, since the corrections they held back can
-    now move.  Then each measurement that SHIFT_SPLIT rewrites adds its
-    shift to a fresh substitution, which every later command takes.
+    substitution ``d``, left to right.  If there were any, the core pass
+    runs again between the two passes, since the corrections they held back
+    can now move.  Then each measurement that SHIFT_SPLIT rewrites (see
+    ``_split``) adds its shift to a fresh substitution, which every later
+    command takes.
+
+    An inexact angle rounds at each negation or pi that a rule adds, so a
+    measurement at one takes the shifts one SHIFT_M at a time, as the rules
+    do; an exact one takes ``d`` at once.
     """
     d: dict = {}
     shifts, seq = [], []
     for cmd in commands:
-        if type(cmd) is Shift:
+        kind = type(cmd)
+        if kind is Shift:
             q, t = cmd.qubit, _substituted(cmd.signal, d)
             d[q] = d[q] + t if q in d else t
             shifts.append(cmd)
+        elif kind is Entangle:
+            seq.append(cmd)
+        elif kind is Measure:
+            s, t = cmd.s, cmd.t
+            if s.support.isdisjoint(d) and t.support.isdisjoint(d):
+                seq.append(cmd)
+            elif not cmd.angle.is_exact:
+                # the rules move the rightmost shift out first
+                for shift in reversed(shifts):
+                    cmd = _shift_m(shift, cmd)[1][0]
+                seq.append(cmd)
+            else:
+                seq.append(Measure(cmd.qubit, cmd.angle, _substituted(s, d), _substituted(t, d)))
+        elif cmd.signal.support.isdisjoint(d):
+            seq.append(cmd)
         else:
-            # the rules move the rightmost shift out first
-            seq.append(_shifted(cmd, d, reversed(shifts)))
+            seq.append(kind(cmd.qubit, _substituted(cmd.signal, d)))
     if shifts:
         seq = _core(seq)
     d = {}
     shifts, out = [], []
     for cmd in seq:
-        cmd = _shifted(cmd, d, shifts)
-        after = _split(cmd)
-        if after is None:
+        kind = type(cmd)
+        if kind is Entangle:
             out.append(cmd)
+            continue
+        if kind is not Measure:
+            signal = cmd.signal
+            out.append(cmd if signal.support.isdisjoint(d) else kind(cmd.qubit, _substituted(signal, d)))
+            continue
+        q, angle, s, t = cmd.qubit, cmd.angle, cmd.s, cmd.t
+        if not (s.support.isdisjoint(d) and t.support.isdisjoint(d)):
+            if angle.is_exact:
+                cmd = Measure(q, angle, _substituted(s, d), _substituted(t, d))
+            else:
+                for shift in shifts:
+                    cmd = _shift_m(shift, cmd)[1][0]
+            angle, s, t = cmd.angle, cmd.s, cmd.t
+        # SHIFT_SPLIT, as ``_split`` tests it; a measurement's signals have
+        # constant 0, so a signal is nonzero when its support is
+        if t.support:
+            cmd = Measure(q, angle, s, ZERO)
+        elif not s.support and angle.is_exact and angle.fraction in _SPLIT_FRACTIONS:
+            cmd, t = Measure(q, angle.plus_pi(), s, ZERO), ONE
         else:
-            measure, shift = after
-            out.append(measure)
-            d[shift.qubit] = shift.signal
-            shifts.append(shift)
+            out.append(cmd)
+            continue
+        out.append(cmd)
+        d[q] = t
+        shifts.append(Shift(q, t))
     return out
 
 

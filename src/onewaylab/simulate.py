@@ -82,10 +82,13 @@ _NORM_RTOL = 1e-12
 # complex amplitudes are 256 MiB.  Checked before anything is allocated.
 MAX_AMPLITUDES = 1 << 24
 
-# The most amplitudes that the branches one walk keeps may hold in all, also
-# 256 MiB.  Counted as each branch batch is kept, since a full walk keeps up
-# to 2^m branches and MAX_AMPLITUDES bounds only one batch's width.
-_MAX_KEPT_AMPLITUDES = 1 << 24
+# The most bytes that one walk may keep in all, 256 MiB: the amplitudes,
+# outcome bits and norms of the branches it keeps, and the norms it records
+# at each measurement for the conservation check.  Checked as each branch
+# batch is kept, since a full walk keeps up to 2^m branches and MAX_AMPLITUDES
+# bounds only one batch's width; a branch of a closed layout holds one
+# amplitude per row but two outcome bytes per measurement.
+_MAX_KEPT_BYTES = 1 << 28
 
 # (-1)^s and t * pi of a measurement's effective angle (-1)^s a + t pi, at
 # index 2s + t
@@ -502,8 +505,9 @@ def _walk(layout: _Layout, batch: np.ndarray, planned: bool = False):
     batch at the walk's peak width would hold more than
     ``MAX_AMPLITUDES >> _BATCH_SHIFT`` amplitudes, its two halves walk on as
     separate batches instead, down to one branch each.  The branches it
-    keeps may hold ``_MAX_KEPT_AMPLITUDES`` amplitudes in all; one more
-    raises ``SimulationError`` before the walk goes on.
+    keeps and the norms it records may hold ``_MAX_KEPT_BYTES`` bytes in
+    all; once a kept batch passes that, ``SimulationError`` is raised
+    before the walk goes on.
 
     Every measurement records the squared norm of each row before it and of
     each outcome's row after it, and the record is checked once, before the
@@ -563,8 +567,9 @@ def _walk(layout: _Layout, batch: np.ndarray, planned: bool = False):
                 np.add(zero, one, out=halves[:, 1])
                 pre = view.reshape(size * rows, -1).view(np.float64)
                 post = halves.reshape(2 * size * rows, -1).view(np.float64)
-                norms = _einsum("ij,ij->i", post, post)
-                record.append((qubit, _einsum("ij,ij->i", pre, pre), norms))
+                pre_norms, norms = _einsum("ij,ij->i", pre, pre), _einsum("ij,ij->i", post, post)
+                record.append((qubit, pre_norms, norms))
+                kept += pre_norms.nbytes + norms.nbytes
                 if planned:
                     tensor = halves[:, 1].reshape(shape)
                     continue
@@ -607,12 +612,13 @@ def _walk(layout: _Layout, batch: np.ndarray, planned: bool = False):
             if planned:
                 bits = np.array([bits], dtype=np.int8)
             out = tensor.transpose(perm).reshape(len(tensor), rows, -1)
-            kept += out.size
-            if kept > _MAX_KEPT_AMPLITUDES:
+            norms = _row_norms(out, 2)
+            kept += out.nbytes + bits.nbytes + norms.nbytes
+            if kept > _MAX_KEPT_BYTES:
                 raise SimulationError(
-                    f"the kept branches would hold more than {_MAX_KEPT_AMPLITUDES} amplitudes"
+                    f"the kept branches and norms would hold more than {_MAX_KEPT_BYTES} bytes"
                 )
-            leaves.append((bits, out, _row_norms(out, 2)))
+            leaves.append((bits, out, norms))
     if record:
         _check_norms(record, rows)
     if cutoff is not None:

@@ -1,9 +1,12 @@
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
+from onewaylab import angles
 from onewaylab.angles import Angle, as_angle
 
 
@@ -99,3 +102,34 @@ def test_inexact_operations_unchanged(radians):
         assert not result.is_exact
         assert 0 <= result.radians < 2 * math.pi
     assert not a.is_x_axis and not a.is_y_axis
+
+
+@pytest.mark.parametrize("frac", [Fraction(0), Fraction(1, 4), Fraction(1), Fraction(3, 2)], ids=str)
+def test_memos_change_no_value(frac):
+    fresh, used = Angle.exact(frac), Angle.exact(frac)
+    assert used.negated() is used.negated() and used.negated().negated() is used
+    assert used.plus_pi() is used.plus_pi() and used.plus_pi().plus_pi() is used
+    assert used.radians == fresh.radians == float(frac) * math.pi
+    assert used == fresh and hash(used) == hash(fresh) and repr(used) == repr(fresh)
+    assert pickle.dumps(used) == pickle.dumps(fresh)
+    for twin in (copy.copy(used), copy.deepcopy(used), pickle.loads(pickle.dumps(used))):
+        assert twin == used and repr(twin) == repr(used)
+        assert twin.negated() == used.negated() and twin.plus_pi() == used.plus_pi()
+
+
+def test_an_angle_pickled_without_memo_slots_loads(monkeypatch):
+    # an Angle of the layout before the memos: two slots, pickled by state
+    class Angle:
+        __slots__ = ("_frac", "_rad")
+
+    Angle.__module__, Angle.__qualname__ = angles.__name__, "Angle"
+    old = Angle.__new__(Angle)
+    old._frac, old._rad = Fraction(1, 4), None
+    with monkeypatch.context() as patch:
+        patch.setattr(angles, "Angle", Angle)
+        data = pickle.dumps(old)
+    loaded = pickle.loads(data)
+    assert type(loaded) is angles.Angle and loaded == angles.Angle.exact(1, 4)
+    assert loaded.negated() == angles.Angle.exact(7, 4)
+    assert loaded.plus_pi() == angles.Angle.exact(5, 4)
+    assert loaded.radians == math.pi / 4

@@ -212,6 +212,14 @@ def test_graph_dependency_dot(capsys, monkeypatch):
     assert out.startswith("digraph")
 
 
+def test_graph_dependency_of_an_invalid_pattern_is_a_failure(capsys, monkeypatch):
+    twice = "pattern p { space: 1, 2; input: ; output: ; seq: M(1, 0); M(2, 1/3 pi, s=s[1]); M(1, 0); }"
+    code, out, err = run_cli(capsys, monkeypatch, ["graph", "--kind", "dependency"], stdin=twice)
+    assert code == 1 and out == ""
+    assert err.startswith("error: cannot read the dependencies of an invalid pattern: ValidityReport(d0=None, d1=2")
+    assert "Traceback" not in err
+
+
 def test_graph_entanglement_dot(capsys, monkeypatch):
     code, out, _ = run_cli(
         capsys, monkeypatch, ["graph", "--kind", "entanglement"], stdin=serialize(ghz(3))

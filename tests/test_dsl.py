@@ -486,7 +486,8 @@ def test_edge_cases_parse_as_located(text, reader):
 
 def test_no_signal_text_outlives_its_document():
     # the same signal texts read, one after the other, in a document whose
-    # space holds their label and in one whose space does not
+    # space holds their label and in one whose space does not: a cached
+    # signal serves only a document whose space writes the words it names
     holds_a = "pattern p { space: 1, a; input: 1; output: a; seq: X(a, s[1]); M(1, 0, s=s[a]); }"
     assert parse(holds_a).space == frozenset((1, "a"))
     lacks_a = _document("E(1,2); X(2, s[a]);")
@@ -500,6 +501,68 @@ def test_no_signal_text_outlives_its_document():
     lacks_01 = _document("X(2, s[01]);")
     assert dsl._fast_document(lacks_01) is None
     assert parse(lacks_01).commands == (CorrectX(2, Signal(frozenset((1,)))),)
+
+
+# (text, whether the fast path reads it, the located parser's error or None)
+_WRITTEN_1 = _document("X(2, s[1]); Z(2, s[1] + 1);")
+_WRITTEN_01 = "pattern p { space: 01, 2; input: 01; output: 2; seq: X(2, s[01]); Z(2, s[01] + 1); }"
+_01_IN_1 = (
+    _document("X(2, s[1]);\n    Z(2, s[01] + 1);\n    Z(2, s[01] + s[3]);"),
+    False,
+    (8, 5, "command Z(2, s[1] + s[3]) refers to a qubit outside the space"),
+)
+_1_IN_01 = (
+    "pattern p { space: 01, 2; input: 01; output: 2; seq:\n  X(2, s[01]);\n  Z(2, s[1] + 1); X(2, s[3]); }",
+    False,
+    (3, 19, "command X(2, s[3]) refers to a qubit outside the space"),
+)
+_SIGNAL_DOCUMENTS = [(_WRITTEN_1, True, None), (_WRITTEN_01, True, None), _01_IN_1, _1_IN_01]
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["written-first", "written-last"])
+def test_cached_signals_keep_the_label_words_of_each_document(order):
+    # each signal text is read first in a document whose space writes its
+    # words, or first in one whose space writes the label another way
+    dsl._fast_signal.cache_clear()
+    for text, fast, error in _SIGNAL_DOCUMENTS[::order] * 2:
+        assert (dsl._fast_document(text) is not None) == fast
+        assert_parses_as_located(text)
+        if error is None:
+            parse_document(text)
+        else:
+            with pytest.raises(DslError) as info:
+                parse_document(text)
+            assert (info.value.line, info.value.column, info.value._message) == error
+
+
+@pytest.mark.parametrize(
+    "cache, distinct",
+    [
+        (dsl._fast_signal, lambda k: f"s[{k}] + {k % 2}"),
+        (dsl._fast_angle, lambda k: f"{k}/{k + 1} pi"),
+        (dsl._signal_text, lambda k: (frozenset((k, f"q{k}")), k % 2)),
+    ],
+    ids=["signal", "angle", "signal text"],
+)
+def test_caches_stay_within_their_bound(cache, distinct):
+    size = cache.cache_info().maxsize
+    for k in range(size + 10):
+        key = distinct(k)
+        cache(*key) if isinstance(key, tuple) else cache(key)
+        assert cache.cache_info().currsize <= size
+    assert cache.cache_info().currsize == size
+
+
+def test_serialize_writes_a_label_after_an_equal_non_label():
+    # True and 1.0 equal the label 1 and hash as it does, so a signal over
+    # one of them would take the text cached for s[1], or give s[1] its
+    # own text; a pattern refuses them
+    one = Pattern(frozenset((1, 2)), (1,), (2,), (CorrectX(2, Signal(frozenset((1,)))),))
+    for impostor in (True, 1.0):
+        with pytest.raises(PatternError, match="not a qubit label"):
+            one.with_commands((CorrectX(2, Signal(frozenset((impostor,)))),))
+        assert "X(2, s[1]);" in serialize(one)
+        assert parse(serialize(one)) == one
 
 
 @pytest.mark.parametrize(

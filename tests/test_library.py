@@ -19,12 +19,14 @@ from conftest import (
 
 from onewaylab.angles import Angle
 from onewaylab.commands import Entangle, Measure
+from onewaylab.dsl import parse
 from onewaylab.library import (
     BUILDERS,
     PatternError,
     cnot,
     controlled_u,
     cz,
+    dependency_dot,
     dependency_graph,
     depth,
     entanglement_dot,
@@ -176,8 +178,24 @@ def test_depth_controlled_u():
 
 
 def test_depth_requires_standard_form():
-    with pytest.raises(PatternError):
+    with pytest.raises(PatternError, match=r"^depth is defined for standard \(EMC\) patterns$"):
         depth(teleport(0, 0))  # wild: corrections interleaved
+    with pytest.raises(PatternError, match=r"^dependency graph requires a standard \(EMC\) pattern$"):
+        dependency_dot(teleport(0, 0))
+
+
+# EMC, but qubit 1 is measured twice: no run gives n2 -> n1 or depth 1
+MEASURED_TWICE = parse(
+    "pattern p { space: 1, 2; input: ; output: ; "
+    "seq: M(1, 0); M(2, 1/3 pi, s=s[1]); M(1, 0); }"
+)
+
+
+@pytest.mark.parametrize("read", [depth, dependency_graph, dependency_dot], ids=lambda f: f.__name__)
+def test_dependencies_of_an_invalid_pattern_are_refused(read):
+    assert is_emc(MEASURED_TWICE) and not validate(MEASURED_TWICE).ok
+    with pytest.raises(PatternError, match="cannot read the dependencies of an invalid pattern"):
+        read(MEASURED_TWICE)
 
 
 def test_dot_output_shape():

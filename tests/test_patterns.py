@@ -60,6 +60,31 @@ def test_error_names_the_first_command_outside_the_space(first, second, message)
     assert info.value.command == first
 
 
+@pytest.mark.parametrize("impostor", [True, 1.0], ids=["True", "1.0"])
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda q: Entangle(q, 2), "command {first!r} acts on {q!r}, which is not a qubit label"),
+        (lambda q: CorrectX(q, signal(2)), "command {first!r} acts on {q!r}, which is not a qubit label"),
+        (lambda q: CorrectZ(2, signal(q)), "signal qubit {q!r} is not a qubit label"),
+        (lambda q: Measure(2, Angle.exact(1, 4), signal(q)), "signal qubit {q!r} is not a qubit label"),
+    ],
+    ids=["entangle", "correction", "correction-signal", "measure-signal"],
+)
+def test_a_qubit_equal_to_a_label_but_not_one_is_refused(impostor, make, message):
+    # True and 1.0 equal the label 1, but the text format would write them
+    # as ``True`` and ``1.0``, which do not read back
+    first = make(impostor)
+    commands = (Entangle(1, 2), first, Measure(1, Angle.exact(0)), CorrectX(2, signal(True)))
+    with pytest.raises(PatternError) as info:
+        Pattern(frozenset((1, 2)), (1,), (2,), commands)
+    assert info.value.command == first
+    assert str(info.value) == message.format(first=first, q=impostor)
+    with pytest.raises(PatternError) as info:
+        h_pattern().with_commands(commands)
+    assert info.value.command == first
+
+
 def test_with_commands_keeps_the_interface_and_checks():
     p = h_pattern()
     q = p.with_commands(reversed(p.commands))

@@ -36,7 +36,7 @@ def test_a_tree_is_the_same_as_itself(tmp_path):
     assert result.returncode == 0, result.stdout + result.stderr
     lines = result.stdout.splitlines()
     assert [line.split(":")[0] for line in lines] == [
-        "normal-forms", "unitaries", "branches", "cli", "errors"
+        "normal-forms", "paper-order", "traces", "unitaries", "branches", "cli", "errors"
     ]
     for line in lines:
         assert " holds, " in line and line.endswith("largest difference 0, bit-equal"), line
@@ -69,3 +69,18 @@ def test_a_changed_error_message_is_caught(tmp_path):
     lines = dict(line.split(": ", 1) for line in result.stdout.splitlines())
     assert lines["errors"].startswith("DIFFERS"), lines
     assert lines["normal-forms"].startswith("holds"), lines
+
+
+def test_a_changed_trace_text_is_caught(tmp_path):
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    rewrite = src / "onewaylab" / "rewrite.py"
+    text = rewrite.read_text()
+    planted = 'f"{step.rule.value} @ {step.position}: {before} => {after}"'
+    assert text.count(planted) == 1
+    rewrite.write_text(text.replace(planted, planted.replace(" => ", " -> ")))
+    result = _same(src)
+    assert result.returncode == 1, result.stdout + result.stderr
+    lines = dict(line.split(": ", 1) for line in result.stdout.splitlines())
+    assert lines["traces"].startswith("DIFFERS"), lines
+    assert lines["normal-forms"].startswith("holds") and lines["paper-order"].startswith("holds"), lines

@@ -481,10 +481,32 @@ def test_kept_branches_are_bounded(monkeypatch):
     # uncertified, the standard chain walks all 2^24 branches, 4 amplitudes
     # each; the walk stops once those it keeps pass the bound
     monkeypatch.setattr(simulate, "_certified", lambda pattern: False)
-    monkeypatch.setattr(simulate, "_MAX_KEPT_AMPLITUDES", 1 << 16)
+    monkeypatch.setattr(simulate, "_MAX_KEPT_BYTES", 1 << 20)
     standard = standardize(j_chain([0] * 24))[0]
-    with pytest.raises(SimulationError, match="kept branches would hold more than 65536 amplitudes"):
+    with pytest.raises(SimulationError, match="kept branches and norms would hold more than 1048576 bytes"):
         extract_unitary(standard)
+
+
+def test_kept_outcome_bits_count_towards_the_bound(monkeypatch):
+    # on a closed layout each of the 2^12 branches ends as one amplitude,
+    # 16 bytes, but holds two outcome bytes per measurement, 24 in all
+    standard = standardize(j_chain([0] * 12))[0]
+    layout = simulate._layout(standard, 1, close=[0])
+    psi = np.array([[1.0, 0.0]], dtype=complex)
+    records = []
+    check_norms = simulate._check_norms
+
+    def recorded_check(record, rows):
+        records.append(record)
+        check_norms(record, rows)
+
+    monkeypatch.setattr(simulate, "_check_norms", recorded_check)
+    bits, out, norms, _ = simulate._walk(layout, psi.copy())
+    assert len(bits) == 1 << 12 and out.shape == (1 << 12, 1, 1) and bits.nbytes > out.nbytes
+    recorded = sum(before.nbytes + after.nbytes for _, before, after in records[0])
+    monkeypatch.setattr(simulate, "_MAX_KEPT_BYTES", out.nbytes + norms.nbytes + recorded)
+    with pytest.raises(SimulationError, match="kept branches and norms would hold more than"):
+        simulate._walk(layout, psi.copy())
 
 
 def _same_leaves(a, b):

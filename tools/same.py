@@ -7,10 +7,13 @@ directory.  One dumper per tree runs in its own interpreter, under
 ``PYTHONHASHSEED=0`` and with BLAS pinned to one thread, and pickles that
 tree's outputs; the corpora come from the benchmark's builders in
 ``perfbench/workloads.py`` at ``--seed``.  ``--src`` names the tree to
-check (default: this checkout's ``src/``).  Five families are compared:
+check (default: this checkout's ``src/``).  Seven families are compared:
 
 - ``normal-forms``: the ``serialize`` text of ``parse``, ``standardize``
   and ``standardize_extended`` on the ``rewrite-wild`` corpus;
+- ``paper-order``: the same texts written with ``paper_order=True``;
+- ``traces``: ``format_trace`` of the core and extended traces, forced, of
+  the ``rewrite-wild`` patterns of at most ``TRACED_SIZE`` commands;
 - ``unitaries``: ``extract_unitary``, ``branch_maps`` and
   ``is_deterministic`` on the ``unitary-check`` corpus, as built and
   standardized;
@@ -48,8 +51,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 TOLERANCE = 1e-9
-FAMILIES = ("normal-forms", "unitaries", "branches", "cli", "errors")
+FAMILIES = ("normal-forms", "paper-order", "traces", "unitaries", "branches", "cli", "errors")
 MUTATIONS_PER_TEXT = 2
+TRACED_SIZE = 40
 
 _INVALID = "pattern bad { space: 1, 2; input: 1; output: 2; seq: E(1,2); X(1, s[2]); }"
 _MALFORMED = "pattern bad { space: 1, 2; input: 1; output: 2; seq: E(1,2); M(1, 1/0pi); }"
@@ -124,11 +128,17 @@ def dump(path: str, seed: int) -> None:
         except Exception as exc:
             return ("raised", type(exc).__name__, str(exc))
 
-    def forms(text):
+    def forms(text, paper_order=False):
         p = dsl.parse(text)
         return tuple(
-            dsl.serialize(result, "nf")
+            dsl.serialize(result, "nf", paper_order)
             for result in (p, rewrite.standardize(p)[0], rewrite.standardize_extended(p)[0])
+        )
+
+    def traces(pattern):
+        return tuple(
+            rewrite.format_trace(standardize(pattern)[1])
+            for standardize in (rewrite.standardize, rewrite.standardize_extended)
         )
 
     def maps(p):
@@ -138,8 +148,11 @@ def dump(path: str, seed: int) -> None:
         return [(list(b.outcomes.items()), b.probability, b.output) for b in simulate.run_all_branches(p, psi)]
 
     out = {family: {} for family in FAMILIES}
-    for label, (_, text, _) in workloads.RewriteWild(seed).inputs.items():
+    for label, (pattern, text, _) in workloads.RewriteWild(seed).inputs.items():
         out["normal-forms"][label] = attempt(forms, text)
+        out["paper-order"][label] = attempt(forms, text, True)
+        if len(pattern.commands) <= TRACED_SIZE:
+            out["traces"][label] = attempt(traces, pattern)
     patterns = {}
     for name, (pattern, _, _) in workloads.UnitaryCheck(seed).cases.items():
         patterns[name, "builder"] = pattern
