@@ -316,7 +316,7 @@ class _Parser:
         except PatternError as exc:
             # the interface lists are checked above, so a command is at fault
             self.fail(
-                f"command {format_command(exc.command)} refers to a qubit outside the space",
+                f"command {_format_command(exc.command)} refers to a qubit outside the space",
                 starts[commands.index(exc.command)],
             )
         return PatternDocument(name, pattern)
@@ -484,25 +484,32 @@ def format_angle(angle: Angle) -> str:
 
 
 def format_command(cmd) -> str:
-    return _format_command(cmd, str)
+    return _format_command(cmd)
 
 
-def _format_command(cmd, signal_text) -> str:
-    """``cmd`` as text, each of its signals written by ``signal_text``."""
+def _format_command(cmd) -> str:
+    """``cmd`` as text, each signal from ``_signal_text``.
+
+    ``serialize`` and ``rewrite.format_trace`` call this, not
+    ``format_command``, so a profiler that wraps every public function
+    times them, not each command they write.
+    """
     kind = type(cmd)
     letter = _COMMAND_LETTERS.get(kind)
     if letter is not None:
-        return f"{letter}({cmd.qubit}, {signal_text(cmd.signal)})"
+        signal = cmd.signal
+        return f"{letter}({cmd.qubit}, {_signal_text(signal.support, signal.constant)})"
     if kind is Entangle:
         return f"E({cmd.i},{cmd.j})"
     if kind is Measure:
         text = f"M({cmd.qubit}, {format_angle(cmd.angle)}"
-        s, t = cmd.s, cmd.t
-        # ``if s`` asks ``Signal.__bool__``, two Python calls per signal
-        if s.support or s.constant:
-            text += f", s={signal_text(s)}"
-        if t.support or t.constant:
-            text += f", t={signal_text(t)}"
+        # a measurement's signals have constant 0 (``Measure`` folds it
+        # into the angle), so a signal is nonzero when its support is
+        s, t = cmd.s.support, cmd.t.support
+        if s:
+            text += f", s={_signal_text(s, 0)}"
+        if t:
+            text += f", t={_signal_text(t, 0)}"
         return text + ")"
     raise TypeError(f"unknown command {cmd!r}")
 
@@ -530,11 +537,7 @@ def serialize(pattern: Pattern, name: str = "p", paper_order: bool = False) -> s
     lines.append("  input: " + ", ".join(map(str, pattern.inputs)) + ";")
     lines.append("  output: " + ", ".join(map(str, pattern.outputs)) + ";")
     lines.append("  seq:")
-
-    def signal_text(signal: Signal) -> str:
-        return _signal_text(signal.support, signal.constant)
-
     for cmd in commands:
-        lines.append(f"    {_format_command(cmd, signal_text)};")
+        lines.append(f"    {_format_command(cmd)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -23,13 +23,22 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .commands import Command, CorrectX, CorrectZ, Entangle, Measure, Shift
-from .dsl import format_command
+from .dsl import _format_command
 from .patterns import Pattern, _check_valid
 from .signals import ONE, ZERO, Signal
 
 
 class RewriteError(RuntimeError):
-    """A rule was applied where it does not match, or rewriting ran away."""
+    """A rule was applied where it does not match, rewriting ran away, or a
+    normal form would be larger than ``MAX_COMMANDS``."""
+
+
+# The most commands a normal form may hold, checked before it is built
+# (``_core_size``), since it grows quadratically in its source.  At the peak
+# of ``_shift_out`` an extended form takes about 1.2 KB per command, a core
+# form about 70 B: the 491,653 commands of random_wild_pattern(4100, 1) took
+# 623 MB and 80 MB of peak RSS in all.
+MAX_COMMANDS = 1 << 19
 
 
 class Rule(Enum):
@@ -85,15 +94,16 @@ def _split(cmd: Command) -> tuple | None:
     whose exact angle is pi or 3*pi/2 with no sign-action dependency: there
     a constant shift turns it into a plain Pauli-axis measurement (this is
     how the phase-gate pattern acquires its ``s1 + 1`` correction signal).
+    ``Measure`` folds a signal's constant into the angle, so a measurement's
+    signal is nonzero exactly when its support is.
     """
     if type(cmd) is not Measure:
         return None
     angle, t = cmd.angle, cmd.t
-    if not t:
-        if cmd.s or not angle.is_exact or angle.fraction not in _SPLIT_FRACTIONS:
+    if not t.support:
+        if cmd.s.support or not angle.is_exact or angle.fraction not in _SPLIT_FRACTIONS:
             return None
-        angle = angle.plus_pi()
-        t = Signal(t.support, t.constant ^ 1)
+        angle, t = angle.plus_pi(), ONE
     return (Measure(cmd.qubit, angle, cmd.s, ZERO), Shift(cmd.qubit, t))
 
 
@@ -424,6 +434,37 @@ def _core(commands) -> list:
     return out
 
 
+def _core_size(commands) -> int:
+    """A bound on the length of ``_core(commands)``, exact but for absorbed Zs.
+
+    ``_core`` adds to the commands one Z for each live X that an E on its
+    qubit meets (EX), and an X is live from its command until its qubit is
+    measured; MX and MZ only take commands away.
+    """
+    size, live = len(commands), {}
+    for cmd in commands:
+        kind = type(cmd)
+        if kind is Entangle:
+            size += live.get(cmd.i, 0) + live.get(cmd.j, 0)
+        elif kind is CorrectX:
+            live[cmd.qubit] = live.get(cmd.qubit, 0) + 1
+        elif kind is Measure:
+            live.pop(cmd.qubit, None)
+    return size
+
+
+def _check_size(pattern: Pattern) -> None:
+    n = len(pattern.commands)
+    # each spawned Z pairs an X with a later E, so there are at most n^2 / 4
+    if n + n * n // 4 <= MAX_COMMANDS:
+        return
+    size = _core_size(pattern.commands)
+    if size > MAX_COMMANDS:
+        raise RewriteError(
+            f"the normal form would hold up to {size} commands, more than the {MAX_COMMANDS} allowed"
+        )
+
+
 def _substituted(signal: Signal, d: dict) -> Signal:
     """``signal`` with ``s_q + d[q]`` in place of each ``s_q`` it holds that ``d`` maps."""
     # a signal's support is small, and usually smaller than ``d``
@@ -433,81 +474,61 @@ def _substituted(signal: Signal, d: dict) -> Signal:
     return signal
 
 
-def _shift_out(commands) -> list:
-    """The extended normal form of a core normal form, in two passes.
+def _substitution_pass(commands, split: bool) -> list:
+    """``commands`` with every shift carried to the end and dropped there.
 
     SHIFT_X, SHIFT_Z and SHIFT_M carry a Shift(q, t) to the end, putting
     ``s_q + t`` in place of ``s_q`` in every signal on the way, and
-    SHIFT_DROP drops it there.  The source's shifts compose into one
-    substitution ``d``, left to right.  If there were any, the core pass
-    runs again between the two passes, since the corrections they held back
-    can now move.  Then each measurement that SHIFT_SPLIT rewrites (see
-    ``_split``) adds its shift to a fresh substitution, which every later
-    command takes.
+    SHIFT_DROP drops it there.  The shifts met so far compose into one
+    substitution ``d``, left to right, which every later command takes.
+    With ``split``, each measurement that SHIFT_SPLIT rewrites (see
+    ``_split``) adds its shift to ``d`` after taking ``d`` itself.
 
     An inexact angle rounds at each negation or pi that a rule adds, so a
-    measurement at one takes the shifts one SHIFT_M at a time, as the rules
-    do; an exact one takes ``d`` at once.
+    measurement at one takes the shifts one SHIFT_M at a time, in the order
+    the rules move them out: the source's rightmost shift first, and split
+    shifts as they are made.  An exact one takes ``d`` at once.
     """
     d: dict = {}
-    shifts, seq = [], []
+    shifts, out = [], []
     for cmd in commands:
         kind = type(cmd)
         if kind is Shift:
             q, t = cmd.qubit, _substituted(cmd.signal, d)
             d[q] = d[q] + t if q in d else t
             shifts.append(cmd)
-        elif kind is Entangle:
-            seq.append(cmd)
-        elif kind is Measure:
+            continue
+        if kind is Measure:
             s, t = cmd.s, cmd.t
-            if s.support.isdisjoint(d) and t.support.isdisjoint(d):
-                seq.append(cmd)
-            elif not cmd.angle.is_exact:
-                # the rules move the rightmost shift out first
-                for shift in reversed(shifts):
-                    cmd = _shift_m(shift, cmd)[1][0]
-                seq.append(cmd)
-            else:
-                seq.append(Measure(cmd.qubit, cmd.angle, _substituted(s, d), _substituted(t, d)))
-        elif cmd.signal.support.isdisjoint(d):
-            seq.append(cmd)
-        else:
-            seq.append(kind(cmd.qubit, _substituted(cmd.signal, d)))
-    if shifts:
-        seq = _core(seq)
-    d = {}
-    shifts, out = [], []
-    for cmd in seq:
-        kind = type(cmd)
-        if kind is Entangle:
-            out.append(cmd)
-            continue
-        if kind is not Measure:
-            signal = cmd.signal
-            out.append(cmd if signal.support.isdisjoint(d) else kind(cmd.qubit, _substituted(signal, d)))
-            continue
-        q, angle, s, t = cmd.qubit, cmd.angle, cmd.s, cmd.t
-        if not (s.support.isdisjoint(d) and t.support.isdisjoint(d)):
-            if angle.is_exact:
-                cmd = Measure(q, angle, _substituted(s, d), _substituted(t, d))
-            else:
-                for shift in shifts:
-                    cmd = _shift_m(shift, cmd)[1][0]
-            angle, s, t = cmd.angle, cmd.s, cmd.t
-        # SHIFT_SPLIT, as ``_split`` tests it; a measurement's signals have
-        # constant 0, so a signal is nonzero when its support is
-        if t.support:
-            cmd = Measure(q, angle, s, ZERO)
-        elif not s.support and angle.is_exact and angle.fraction in _SPLIT_FRACTIONS:
-            cmd, t = Measure(q, angle.plus_pi(), s, ZERO), ONE
-        else:
-            out.append(cmd)
-            continue
+            if not (s.support.isdisjoint(d) and t.support.isdisjoint(d)):
+                if cmd.angle.is_exact:
+                    cmd = Measure(cmd.qubit, cmd.angle, _substituted(s, d), _substituted(t, d))
+                else:
+                    for shift in shifts if split else reversed(shifts):
+                        cmd = _shift_m(shift, cmd)[1][0]
+            after = _split(cmd) if split else None
+            if after is not None:
+                cmd, shift = after
+                d[cmd.qubit] = shift.signal
+                shifts.append(shift)
+        elif kind is not Entangle and not cmd.signal.support.isdisjoint(d):
+            cmd = kind(cmd.qubit, _substituted(cmd.signal, d))
         out.append(cmd)
-        d[q] = t
-        shifts.append(Shift(q, t))
     return out
+
+
+def _shift_out(commands: list) -> list:
+    """The extended normal form of a core normal form.
+
+    The source's shifts go first.  If there were any, the core pass runs
+    again, since the corrections they held back can now move; every E is
+    first by then, so it spawns no Z and the form stays within the size
+    checked before the first.  Then the shifts that SHIFT_SPLIT makes go.
+    """
+    seq = _substitution_pass(commands, False)
+    if len(seq) < len(commands):  # the pass dropped the source's shifts
+        seq = _core(seq)
+    return _substitution_pass(seq, True)
 
 
 def standardize(pattern: Pattern) -> tuple[Pattern, Sequence[RewriteStep]]:
@@ -520,9 +541,12 @@ def standardize(pattern: Pattern) -> tuple[Pattern, Sequence[RewriteStep]]:
     are preserved by every rule.
 
     The normal form is built in one pass.  The trace is the rule engine's
-    list of steps to it, computed when the trace is first read.
+    list of steps to it, computed when the trace is first read.  A form
+    that could exceed ``MAX_COMMANDS`` raises ``RewriteError`` before it
+    is built.
     """
     _check_valid(pattern, "standardize")
+    _check_size(pattern)
     return Pattern._rebuilt(pattern, _core(pattern.commands)), _LazyTrace(pattern.commands, False)
 
 
@@ -532,9 +556,11 @@ def standardize_extended(pattern: Pattern) -> tuple[Pattern, Sequence[RewriteSte
     The result carries no pi-action signals on measurements and no shift
     commands: those dependencies are folded into later measurement
     sign-actions or into the final corrections.  As in :func:`standardize`,
-    the result is built directly and the trace is computed when first read.
+    the result is built directly and the trace is computed when first read,
+    and is bounded by ``MAX_COMMANDS`` in the same way.
     """
     _check_valid(pattern, "standardize")
+    _check_size(pattern)
     return (
         Pattern._rebuilt(pattern, _shift_out(_core(pattern.commands))),
         _LazyTrace(pattern.commands, True),
@@ -602,7 +628,7 @@ def format_trace(trace: Iterable[RewriteStep]) -> str:
     """
     lines = []
     for step in trace:
-        before = " ".join(format_command(c) for c in reversed(step.before))
-        after = " ".join(format_command(c) for c in reversed(step.after)) or "(nothing)"
+        before = " ".join(map(_format_command, reversed(step.before)))
+        after = " ".join(map(_format_command, reversed(step.after))) or "(nothing)"
         lines.append(f"{step.rule.value} @ {step.position}: {before} => {after}")
     return "\n".join(lines)

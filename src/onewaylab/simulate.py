@@ -36,12 +36,13 @@ sound but incomplete.  A certified pattern has every branch equal up to
 phase, so ``is_deterministic`` answers at once and ``extract_unitary``
 walks a single branch, the all-zero one, which is the branch the full walk
 would pick.  That planned walk applies no cutoff, and its signals are
-plain ints; its check that the branch has probability 2^-m catches a
-branch that vanishes or whose norm underflows.  ``run_all_branches`` of a
-large certified pattern builds every branch as a phase times that one,
-the phase read off one amplitude per branch.  Patterns the certificate
-does not decide fall back to walking every branch and comparing them, the
-brute force that stays the reference.
+plain ints; it scales its branch by 2^128 after every 256 measurements,
+so the norm, which halves at each, cannot underflow, and its check that
+the branch has probability 2^-m catches a branch that vanishes.
+``run_all_branches`` of a large certified pattern builds every branch as
+a phase times that one, the phase read off one amplitude per branch.
+Patterns the certificate does not decide fall back to walking every branch
+and comparing them, the brute force that stays the reference.
 
 ``run_branch`` is the eager reference the walk is tested against: it runs
 one branch on a state prepared over the whole space up front, inputs first
@@ -98,6 +99,12 @@ _PHASE_KEYS = tuple(((-1.0) ** s, t * np.pi) for s in (0, 1) for t in (0, 1))
 # at the walk's peak width is split in two (see ``_walk``).  At 2^16
 # amplitudes, 1 MiB, larger batches no longer walk faster.
 _BATCH_SHIFT = 8
+
+# A planned walk's branch loses half its squared norm at each measurement, so
+# after every _RESCALE_EVERY of them it is scaled by exactly 2^_RESCALE_BITS,
+# which restores it and keeps it far from the subnormal range.
+_RESCALE_EVERY = 256
+_RESCALE_BITS = _RESCALE_EVERY // 2
 
 # ``run_all_branches`` of a certified pattern whose 2^m branch outputs hold
 # at least this many amplitudes in all takes the certified amplitude path.
@@ -518,7 +525,10 @@ def _walk(layout: _Layout, batch: np.ndarray, planned: bool = False):
     it is for certified patterns (see ``_certified``), whose 2^m branches
     each have probability 2^-m, so the sum check becomes a check that each
     row's probability is 2^-m, which also catches a planned branch that
-    vanishes.  Its raw outcome bits are all 0, so its signals fold to
+    vanishes.  After every ``_RESCALE_EVERY`` measurements it scales its
+    branch by 2^_RESCALE_BITS, so its ``out`` and ``norms`` come scaled by
+    2^k and 4^k, k = 0 below that many measurements; the check allows for
+    it.  Its raw outcome bits are all 0, so its signals fold to
     Python ints, with shifts applied to the columns after shifts: a
     correction that reads 0 is skipped and a measurement takes one phase.
 
@@ -532,7 +542,7 @@ def _walk(layout: _Layout, batch: np.ndarray, planned: bool = False):
     cutoff = None if planned or layout.closed else _BRANCH_CUTOFF * start
     cap = MAX_AMPLITUDES >> _BATCH_SHIFT
     steps, perm = layout.steps, layout.perm
-    leaves, record, kept = [], [], 0
+    leaves, record, kept, scale = [], [], 0, 0
     # a planned walk reads its outcome columns from a list, a full walk from an array per batch
     columns = 2 * len(layout.measured)
     read = _folded if planned else _value
@@ -572,6 +582,9 @@ def _walk(layout: _Layout, batch: np.ndarray, planned: bool = False):
                 kept += pre_norms.nbytes + norms.nbytes
                 if planned:
                     tensor = halves[:, 1].reshape(shape)
+                    if not len(record) % _RESCALE_EVERY:
+                        tensor *= 2.0**_RESCALE_BITS
+                        scale += _RESCALE_BITS
                     continue
                 size *= 2
                 tensor = halves.reshape(shape)
@@ -630,11 +643,10 @@ def _walk(layout: _Layout, batch: np.ndarray, planned: bool = False):
     if planned:
         m = len(layout.measured)
         prob = norms / start
-        gap = np.abs(np.ldexp(prob, m) - 1.0)
+        gap = np.abs(np.ldexp(prob, m - 2 * scale) - 1.0)
         if not (gap <= 1e-9).all():
-            raise SimulationError(
-                f"planned branch has probability {prob.flat[np.argmax(gap)]}, not 2^-{m}"
-            )
+            prob = np.ldexp(prob, -2 * scale).flat[np.argmax(gap)]
+            raise SimulationError(f"planned branch has probability {prob}, not 2^-{m}")
     return bits, out, norms, start
 
 
@@ -654,6 +666,9 @@ def run_all_branches(pattern: Pattern, input_state=None) -> list[Branch]:
     all-zero one times the ratio of their amplitudes at x, and its
     probability is the ratio's squared modulus times the all-zero branch's;
     a ratio off the unit circle by more than 1e-9 raises ``SimulationError``.
+    The closed walk keeps all 2^m branches within ``_MAX_KEPT_BYTES``, so
+    when it returns, m is below ``_RESCALE_EVERY`` and the planned walk's
+    outputs are unscaled.
     """
     _check_valid(pattern, "run")
     schedule = _schedule(pattern.commands, pattern.inputs)
@@ -912,8 +927,8 @@ def extract_unitary(pattern: Pattern, check_deterministic: bool = True) -> np.nd
     A certified pattern (see ``_certified``) needs no check, and only its
     all-zero branch, the first in that order, is walked, with no cutoff:
     the walk checks that it has probability 2^-m on every basis input, so
-    a branch that vanishes, or whose norm underflows, raises
-    ``SimulationError`` there.
+    a branch that vanishes raises ``SimulationError`` there.  The walk's
+    power-of-two scaling cancels in the normalization.
     """
     _check_valid(pattern, "run")
     dim_in = 2 ** len(pattern.inputs)

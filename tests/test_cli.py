@@ -181,17 +181,22 @@ def test_non_utf8_file_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
 
 def test_simulate_deep_patterns(tmp_path):
     # 1,200 measurements walk in a loop; a certified branch of 1,100 Y
-    # measurements has a norm that underflows, which is an error, not a crash
+    # measurements, probability 2^-1100, is rescaled as it goes, so its norm
+    # does not underflow and its unitary is |+> up to phase
     code = "import sys; from onewaylab.cli import main; sys.exit(main(sys.argv[1:]))"
-    deep, underflow = tmp_path / "deep.txt", tmp_path / "underflow.txt"
+    deep, tiny = tmp_path / "deep.txt", tmp_path / "tiny.txt"
     deep.write_text(serialize(flat_pattern(1200, Angle.exact(0))))
-    underflow.write_text(serialize(flat_pattern(1100, Angle.exact(1, 2))))
+    tiny.write_text(serialize(flat_pattern(1100, Angle.exact(1, 2))))
     result = run_isolated(code, "simulate", str(deep))
     assert result.returncode == 0 and "deterministic: yes" in result.stdout, result.stderr
-    result = run_isolated(code, "simulate", str(underflow))
-    assert result.returncode == 1
-    assert result.stderr.startswith("error: planned branch has probability 0.0")
-    assert "Traceback" not in result.stderr
+    result = run_isolated(code, "simulate", str(tiny))
+    assert result.returncode == 0, result.stderr
+    words = result.stdout.split()
+    assert words[:3] == ["deterministic:", "yes", "unitary:"], result.stdout
+    amplitudes = [complex(word) for word in words[3:]]
+    assert len(amplitudes) == 2 and abs(amplitudes[0] - amplitudes[1]) < 1e-8
+    assert abs(abs(amplitudes[0]) - 0.5**0.5) < 1e-8, amplitudes
+    assert result.stderr == ""
 
 
 def test_verify_matrix_of_the_wrong_shape_is_a_failure(tmp_path, capsys, monkeypatch):

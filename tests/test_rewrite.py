@@ -1,14 +1,15 @@
 import io
 import random
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import aligned_distance, with_extra_shifts
+from conftest import aligned_distance, run_isolated, with_extra_shifts
 
-from onewaylab import rewrite
+from onewaylab import dsl, rewrite
 from onewaylab.angles import Angle
 from onewaylab.cli import main as cli_main
 from onewaylab.clifford import pauli_eliminate
@@ -475,6 +476,28 @@ def test_trace_replays_and_formats():
     assert "=>" in text
 
 
+def test_text_is_written_without_the_public_wrapper(monkeypatch):
+    # a tracer rebinds every public function wherever a onewaylab module
+    # holds it; if serialize or format_trace went through format_command, a
+    # traced run would time one span per command
+    wild = with_extra_shifts(random_wild_pattern(40, 3), random.Random(3))
+    texts = []
+    for run in (standardize, standardize_extended):
+        std, trace = run(wild)
+        texts.append((std, trace, serialize(std), serialize(std, paper_order=True), format_trace(trace)))
+    public = dsl.format_command
+
+    def forbidden(cmd):
+        raise AssertionError("format_command was called")
+
+    for name, module in list(sys.modules.items()):
+        if name.split(".")[0] == "onewaylab" and vars(module).get("format_command") is public:
+            monkeypatch.setattr(module, "format_command", forbidden)
+    assert dsl.format_command is forbidden
+    for std, trace, text, paper, steps in texts:
+        assert (serialize(std), serialize(std, paper_order=True), format_trace(trace)) == (text, paper, steps)
+
+
 def test_rewriting_never_creates_dependencies():
     for seed in range(10):
         wild = random_wild_pattern(20, seed)
@@ -551,3 +574,70 @@ def test_dropped_traces_never_run_the_rules(monkeypatch, capsys):
     assert capsys.readouterr().out.startswith("pattern wild")
     with pytest.raises(AssertionError, match="nobody read"):
         len(trace)
+
+
+# the size bound -------------------------------------------------------
+
+
+@settings(deadline=None, max_examples=100)
+@given(st.integers(1, 120), st.integers(0, 10**6), st.integers(0, 2**32 - 1))
+def test_core_size_bounds_both_core_passes(n, seed, extra_seed):
+    wild = with_extra_shifts(random_wild_pattern(n, seed), random.Random(extra_seed))
+    core, size = rewrite._core(wild.commands), len(wild.commands)
+    assert len(core) <= rewrite._core_size(wild.commands) <= size + size * size // 4
+    # _shift_out's second core pass starts with every E first, so it spawns
+    # nothing and ends no longer than the form checked before the first
+    first = rewrite._substitution_pass(core, False)
+    assert rewrite._core_size(first) == len(first) <= len(core)
+    assert len(rewrite._core(first)) <= len(first)
+
+
+def test_normal_form_size_is_checked_before_it_is_built(monkeypatch):
+    wild = random_wild_pattern(200, 1)  # 777 commands in core normal form, bounded by 778
+    assert len(standardize(wild)[0].commands) == 777
+    runs = (standardize, standardize_extended)
+    monkeypatch.setattr(rewrite, "MAX_COMMANDS", 778)
+    for run in runs:
+        run(wild)  # a bound at the limit is accepted
+
+    def unreachable(commands):
+        raise AssertionError("a normal form over the limit was built")
+
+    monkeypatch.setattr(rewrite, "MAX_COMMANDS", 777)
+    monkeypatch.setattr(rewrite, "_core", unreachable)
+    for run in runs:
+        with pytest.raises(RewriteError) as info:
+            run(wild)
+        assert str(info.value) == "the normal form would hold up to 778 commands, more than the 777 allowed"
+
+
+_REFUSED_AT_SCALE = """
+import resource, subprocess, sys, time
+from onewaylab.dsl import serialize
+from onewaylab.library import random_wild_pattern
+
+text = serialize(random_wild_pattern(12800, 1))  # about 4.49 M commands in normal form
+main = "import sys; from onewaylab.cli import main; sys.exit(main(sys.argv[1:]))"
+
+def cap():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+for args in (["standardize"], ["standardize", "--extended"]):
+    start = time.perf_counter()
+    result = subprocess.run(
+        [sys.executable, "-c", main, *args], input=text, capture_output=True, text=True, preexec_fn=cap
+    )
+    elapsed = time.perf_counter() - start
+    assert result.returncode == 1, (args, result.returncode, result.stderr[-500:])
+    assert result.stderr.startswith("error: the normal form would hold up to 4487478 commands"), result.stderr
+    assert result.stdout == ""
+    assert elapsed < 1.0, (args, elapsed)
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+assert peak_mb < 100, peak_mb
+"""
+
+
+def test_a_normal_form_past_the_limit_is_refused_at_once():
+    # a wrapper interpreter runs the CLI, so RUSAGE_CHILDREN sees only its runs
+    result = run_isolated(_REFUSED_AT_SCALE, timeout=120)
+    assert result.returncode == 0, result.stderr

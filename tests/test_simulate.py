@@ -956,16 +956,25 @@ def test_certified_extraction_walks_only_the_planned_branch():
     result = run_isolated(_DEEP + """
 u = extract_unitary(j_chain([0] * 80))  # H^80
 assert abs(abs(np.trace(u)) - 2) < 1e-9, u
-for m in (80, 1000):
+for m in (80, 1000, 1100):  # 2^-1100 would underflow to 0 without the rescaling
     assert_plus(extract_unitary(flat_pattern(m, Angle.exact(1, 2))))
-try:
-    extract_unitary(flat_pattern(1100, Angle.exact(1, 2)))  # 2^-1100 underflows to 0
-except SimulationError as exc:
-    assert "planned branch has probability 0.0" in str(exc), exc
-else:
-    raise AssertionError("no SimulationError")
 """)
     assert result.returncode == 0, result.stderr
+
+
+def test_a_long_planned_walk_matches_the_textbook_product():
+    # 4,000 J(pi/4) steps written as one pattern (j_chain composes them in
+    # quadratic time): the branch probability, 2^-4000, is far below the
+    # smallest float, and the unitary is the product of the J matrices
+    n, alpha = 4000, Angle.exact(1, 4)
+    commands = []
+    for k in range(n):
+        commands += [Entangle(k, k + 1), Measure(k, alpha.negated()), CorrectX(k + 1, signal(k))]
+    chain = Pattern(frozenset(range(n + 1)), (0,), (n,), tuple(commands))
+    expected = np.eye(2, dtype=complex)
+    for _ in range(n):
+        expected = j_mat(np.pi / 4) @ expected
+    assert aligned_distance(extract_unitary(chain), expected) < 1e-9
 
 
 def test_planned_walk_checks_branch_probability():

@@ -10,10 +10,13 @@ tree's outputs; the corpora come from the benchmark's builders in
 check (default: this checkout's ``src/``).  Seven families are compared:
 
 - ``normal-forms``: the ``serialize`` text of ``parse``, ``standardize``
-  and ``standardize_extended`` on the ``rewrite-wild`` corpus;
+  and ``standardize_extended`` on the ``rewrite-wild`` corpus, and on a
+  seeded variant of each of its patterns with shifts after some
+  measurements and some angles made inexact (``_with_shifts``), so that
+  the order in which an inexact angle takes its shifts shows;
 - ``paper-order``: the same texts written with ``paper_order=True``;
 - ``traces``: ``format_trace`` of the core and extended traces, forced, of
-  the ``rewrite-wild`` patterns of at most ``TRACED_SIZE`` commands;
+  those patterns and variants of at most ``TRACED_SIZE`` commands;
 - ``unitaries``: ``extract_unitary``, ``branch_maps`` and
   ``is_deterministic`` on the ``unitary-check`` corpus, as built and
   standardized;
@@ -58,12 +61,19 @@ TRACED_SIZE = 40
 _INVALID = "pattern bad { space: 1, 2; input: 1; output: 2; seq: E(1,2); X(1, s[2]); }"
 _MALFORMED = "pattern bad { space: 1, 2; input: 1; output: 2; seq: E(1,2); M(1, 1/0pi); }"
 _UNCLOSED = "pattern bad { space: 1; input: 1; output: 1; seq: "
+_SHIFTED = (
+    "pattern shifted { space: 1, 2, 3, 4; input: 1; output: 4; seq: E(1,2); E(2,3); E(3,4);"
+    " M(1, 0.3); X(2, s[1]); S(1, 1); M(2, 1/4 pi, t=s[1]); Z(3, s[1]); S(2, s[1]);"
+    " M(3, 1.2, s=s[2], t=s[1]); X(4, s[3]); Z(4, s[2]); }"
+)
 # (argv, stdin); a stdin of argv lists is the stdout of those commands piped from no input
 CLI_CASES = (
     (["library", "cnot"], ""),
     (["library", "ghz", "1"], ""),
     (["standardize"], (["library", "cnot"],)),
     (["standardize", "--extended", "--paper-order"], (["library", "teleport", "1/4pi", "1/3pi"],)),
+    (["standardize", "--trace"], (["library", "teleport", "1/4pi", "1/3pi"],)),
+    (["standardize", "--extended", "--trace"], _SHIFTED),
     (["simulate", "--branches", "--input", "1,2"], (["library", "rotation", "1/4pi", "1/3pi", "1/5pi"],)),
     (["simulate", "--branches"], (["library", "cnot"],)),
     (["simulate", "--branches"], (["library", "ghz", "9"], ["standardize"])),
@@ -112,6 +122,27 @@ def _mutated(text: str, rng) -> str:
     return text[:k] + re.sub(r"[0-9]+", "999", text[k:], count=1)
 
 
+def _with_shifts(pattern, rng):
+    """``pattern`` with about 30% of its angles made inexact (+0.1 rad) and a
+    shift after about half of its measurements, as ``tests/conftest.py``'s
+    ``with_extra_shifts`` makes them."""
+    from onewaylab.angles import Angle
+    from onewaylab.commands import Measure, Shift
+    from onewaylab.signals import signal
+
+    commands, measured = [], []
+    for cmd in pattern.commands:
+        commands.append(cmd)
+        if type(cmd) is Measure:
+            if rng.random() < 0.3:
+                commands[-1] = Measure(cmd.qubit, Angle.from_radians(cmd.angle.radians + 0.1), cmd.s, cmd.t)
+            measured.append(cmd.qubit)
+            if rng.random() < 0.5:
+                support = [q for q in measured if rng.random() < 0.3]
+                commands.append(Shift(rng.choice(measured), signal(*support, constant=rng.randint(0, 1))))
+    return pattern.with_commands(commands)
+
+
 def dump(path: str, seed: int) -> None:
     """Pickle the outputs of the ``onewaylab`` on ``sys.path`` to ``path``."""
     import inspect
@@ -148,11 +179,14 @@ def dump(path: str, seed: int) -> None:
         return [(list(b.outcomes.items()), b.probability, b.output) for b in simulate.run_all_branches(p, psi)]
 
     out = {family: {} for family in FAMILIES}
+    rng = random.Random(seed)
     for label, (pattern, text, _) in workloads.RewriteWild(seed).inputs.items():
-        out["normal-forms"][label] = attempt(forms, text)
-        out["paper-order"][label] = attempt(forms, text, True)
-        if len(pattern.commands) <= TRACED_SIZE:
-            out["traces"][label] = attempt(traces, pattern)
+        shifted = _with_shifts(pattern, rng)
+        for key, p, text in ((label, pattern, text), ((label, "shifted"), shifted, dsl.serialize(shifted))):
+            out["normal-forms"][key] = attempt(forms, text)
+            out["paper-order"][key] = attempt(forms, text, True)
+            if len(p.commands) <= TRACED_SIZE:
+                out["traces"][key] = attempt(traces, p)
     patterns = {}
     for name, (pattern, _, _) in workloads.UnitaryCheck(seed).cases.items():
         patterns[name, "builder"] = pattern
