@@ -19,6 +19,7 @@ import numpy as np
 
 from . import clifford, dsl, library, rewrite, simulate
 from .patterns import PatternError, rename, tensor, validate
+from .signals import qubit_key
 
 
 def _read_text(path: str) -> str:
@@ -71,7 +72,7 @@ def cmd_validate(args) -> int:
             print(f"{cond.upper()}: violated at command {where} "
                   f"({dsl.format_command(doc.pattern.commands[where])})")
         else:
-            bad = ", ".join(str(q) for q in sorted(report.d2_qubits, key=str))
+            bad = ", ".join(str(q) for q in sorted(report.d2_qubits, key=qubit_key))
             print(f"{cond.upper()}: violated (qubits: {bad})")
     print(f"EMC: {'yes' if emc else 'no'}")
     return 0 if report.ok else 1

@@ -14,11 +14,11 @@ from fractions import Fraction
 
 import networkx as nx
 
+from . import rewrite
 from .angles import Angle, as_angle
 from .commands import CorrectX, CorrectZ, Entangle, Measure, Shift, command_signals
 from .dsl import format_command
 from .patterns import Pattern, PatternError, _check_valid, compose, tensor
-from .rewrite import is_emc
 from .signals import Qubit, Signal, qubit_key, signal
 
 
@@ -110,10 +110,16 @@ def ghz(n: int) -> Pattern:
 
     No inputs; qubits are labelled 1, 2, 2', ..., n, n' and the outputs are
     (1, 2', ..., n').  Each level entangles with the previous output and
-    teleports through an X measurement.
+    teleports through an X measurement.  It holds 4(n - 1) commands, and
+    is refused before it is built when that is more than
+    ``rewrite.MAX_COMMANDS``, the most a normal form may hold.
     """
     if n < 2:
         raise PatternError("ghz needs n >= 2")
+    if 4 * (n - 1) > rewrite.MAX_COMMANDS:
+        raise PatternError(
+            f"ghz({n}) would hold {4 * (n - 1)} commands, more than the {rewrite.MAX_COMMANDS} allowed"
+        )
     space = {1}
     commands = []
     outputs = [1]
@@ -253,6 +259,14 @@ def random_wild_pattern(n_commands: int, seed: int) -> Pattern:
     rng.shuffle(to_measure)
     measured: list = []
     commands = []
+
+    def measure(q):
+        angle = Angle.exact(rng.choice(_RANDOM_FRACTIONS))
+        s = _random_signal(rng, measured, allow_constant=False)
+        t = _random_signal(rng, measured, allow_constant=False)
+        commands.append(Measure(q, angle, s, t))
+        measured.append(q)
+
     while len(commands) < n_commands:
         unmeasured = [q for q in space if q not in measured]
         kind = rng.choice("EEMMXZS")
@@ -260,16 +274,7 @@ def random_wild_pattern(n_commands: int, seed: int) -> Pattern:
             a, b = rng.sample(unmeasured, 2)
             commands.append(Entangle(a, b))
         elif kind == "M" and to_measure:
-            q = to_measure.pop()
-            commands.append(
-                Measure(
-                    q,
-                    Angle.exact(rng.choice(_RANDOM_FRACTIONS)),
-                    _random_signal(rng, measured, allow_constant=False),
-                    _random_signal(rng, measured, allow_constant=False),
-                )
-            )
-            measured.append(q)
+            measure(to_measure.pop())
         elif kind in "XZ" and unmeasured:
             q = rng.choice(unmeasured)
             cls = CorrectX if kind == "X" else CorrectZ
@@ -278,15 +283,7 @@ def random_wild_pattern(n_commands: int, seed: int) -> Pattern:
             q = rng.choice(measured)
             commands.append(Shift(q, _random_signal(rng, measured)))
     for q in to_measure:
-        commands.append(
-            Measure(
-                q,
-                Angle.exact(rng.choice(_RANDOM_FRACTIONS)),
-                _random_signal(rng, measured, allow_constant=False),
-                _random_signal(rng, measured, allow_constant=False),
-            )
-        )
-        measured.append(q)
+        measure(q)
     return Pattern(frozenset(space), tuple(inputs), tuple(outputs), tuple(commands))
 
 
@@ -334,7 +331,7 @@ def _dependencies(pattern: Pattern, refusal: str = "dependency graph requires a 
     pattern, in command order; ``sources`` are the indices of the
     measurements its signals read.  A pattern that is not EMC raises
     ``PatternError(refusal)``, and an invalid one the validity guard's."""
-    if not is_emc(pattern):
+    if not rewrite.is_emc(pattern):
         raise PatternError(refusal)
     _check_valid(pattern, "read the dependencies of")
     commands = pattern.commands

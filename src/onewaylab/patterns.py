@@ -44,23 +44,21 @@ class Pattern(Value):
         for q in (*inputs, *outputs):
             if q not in space:
                 raise PatternError(f"input/output qubit {q!r} not in space")
-        named = _named_qubits(commands)
-        # a qubit equal to a label of the space is that label when its type
-        # is int or str; True and 1.0 equal 1 and are not labels
-        if not (space.issuperset(named) and _LABEL_TYPES.issuperset(map(type, named))):
-            # rescan in order, so the error names the first command at fault
-            for cmd in commands:
-                for q in (cmd.i, cmd.j) if type(cmd) is Entangle else (cmd.qubit,):
+        # in command order, so the error names the first command at fault; a
+        # qubit in the space is also tested as a label, since True and 1.0
+        # equal 1 and are not labels
+        for cmd in commands:
+            for q in (cmd.i, cmd.j) if type(cmd) is Entangle else (cmd.qubit,):
+                if q not in space:
+                    raise PatternError(f"command {cmd!r} acts outside the space", cmd)
+                if not is_label(q):
+                    raise PatternError(f"command {cmd!r} acts on {q!r}, which is not a qubit label", cmd)
+            for sig in command_signals(cmd):
+                for q in sig.support:
                     if q not in space:
-                        raise PatternError(f"command {cmd!r} acts outside the space", cmd)
+                        raise PatternError(f"signal qubit {q!r} not in space", cmd)
                     if not is_label(q):
-                        raise PatternError(f"command {cmd!r} acts on {q!r}, which is not a qubit label", cmd)
-                for sig in command_signals(cmd):
-                    for q in sig.support:
-                        if q not in space:
-                            raise PatternError(f"signal qubit {q!r} not in space", cmd)
-                        if not is_label(q):
-                            raise PatternError(f"signal qubit {q!r} is not a qubit label", cmd)
+                        raise PatternError(f"signal qubit {q!r} is not a qubit label", cmd)
         self._set_fields(space, inputs, outputs, commands)
 
     @classmethod
@@ -90,29 +88,6 @@ class Pattern(Value):
 
     def with_commands(self, commands: Iterable[Command]) -> "Pattern":
         return Pattern(self.space, self.inputs, self.outputs, tuple(commands))
-
-
-_LABEL_TYPES = frozenset((int, str))
-
-
-def _named_qubits(commands) -> list:
-    """Every qubit that a command acts on or that one of its signals reads,
-    once per mention."""
-    named = []
-    append, extend = named.append, named.extend
-    for cmd in commands:
-        kind = type(cmd)
-        if kind is Entangle:
-            append(cmd.i)
-            append(cmd.j)
-        elif kind is Measure:
-            append(cmd.qubit)
-            extend(cmd.s.support)
-            extend(cmd.t.support)
-        else:
-            append(cmd.qubit)
-            extend(cmd.signal.support)
-    return named
 
 
 class ValidityReport(Value):

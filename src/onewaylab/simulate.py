@@ -35,10 +35,10 @@ GF(2) test that reads the command sequence once, keeping a Pauli frame,
 sound but incomplete.  A certified pattern has every branch equal up to
 phase, so ``is_deterministic`` answers at once and ``extract_unitary``
 walks a single branch, the all-zero one, which is the branch the full walk
-would pick.  That planned walk applies no cutoff, and its signals are
-plain ints; it scales its branch by 2^128 after every 256 measurements,
-so the norm, which halves at each, cannot underflow, and its check that
-the branch has probability 2^-m catches a branch that vanishes.
+would pick.  That planned walk applies no cutoff; it scales its branch
+by 2^128 after every 256 measurements, so the norm, which halves at
+each, cannot underflow, and its check that the branch has probability
+2^-m catches a branch that vanishes.
 ``run_all_branches`` of a large certified pattern builds every branch as
 a phase times that one, the phase read off one amplitude per branch.
 Patterns the certificate does not decide fall back to walking every branch
@@ -432,15 +432,6 @@ def _value(signal, bits: np.ndarray):
     return value ^ constant if constant else value
 
 
-def _folded(signal, bits: list) -> int:
-    """A compiled signal on a planned walk's one branch, whose outcome
-    columns are the ints ``bits``."""
-    constant, columns = signal
-    for c in columns:
-        constant ^= bits[c]
-    return constant
-
-
 def _chosen(value, ndim: int):
     """The branches a signal value selects: None for none, True for all,
     otherwise a mask over the branches shaped to broadcast over ``ndim`` axes."""
@@ -528,9 +519,8 @@ def _walk(layout: _Layout, batch: np.ndarray, planned: bool = False):
     vanishes.  After every ``_RESCALE_EVERY`` measurements it scales its
     branch by 2^_RESCALE_BITS, so its ``out`` and ``norms`` come scaled by
     2^k and 4^k, k = 0 below that many measurements; the check allows for
-    it.  Its raw outcome bits are all 0, so its signals fold to
-    Python ints, with shifts applied to the columns after shifts: a
-    correction that reads 0 is skipped and a measurement takes one phase.
+    it.  It keeps its outcome bits as every walk does, with its raw bits
+    all 0; since it holds one branch, a measurement takes one phase.
 
     A closed layout (see ``_layout``) ends each branch as one amplitude, so
     ``out`` has shape ``(branches, rows, 1)``: that walk keeps every branch,
@@ -543,11 +533,8 @@ def _walk(layout: _Layout, batch: np.ndarray, planned: bool = False):
     cap = MAX_AMPLITUDES >> _BATCH_SHIFT
     steps, perm = layout.steps, layout.perm
     leaves, record, kept, scale = [], [], 0, 0
-    # a planned walk reads its outcome columns from a list, a full walk from an array per batch
-    columns = 2 * len(layout.measured)
-    read = _folded if planned else _value
     tensor = batch.reshape((1, rows) + (2,) * layout.inputs)
-    stack = [(tensor, [0] * columns if planned else np.zeros((1, columns), dtype=np.int8), 0)]
+    stack = [(tensor, np.zeros((1, 2 * len(layout.measured)), dtype=np.int8), 0)]
     while stack:
         tensor, bits, pos = stack.pop()
         for i in range(pos, len(steps)):
@@ -561,9 +548,9 @@ def _walk(layout: _Layout, batch: np.ndarray, planned: bool = False):
                 s, t, radians, col, shape, qubit = operand
                 view = np.ascontiguousarray(tensor).reshape(where)
                 size = len(view)
-                index = 2 * read(s, bits) + read(t, bits)
+                index = 2 * _value(s, bits) + _value(t, bits)
                 if not isinstance(index, int) and size == 1:
-                    index = int(index[0])  # one branch takes a scalar phase
+                    index = int(index[0])  # one branch, as in every planned walk, takes a scalar phase
                 if isinstance(index, int):
                     phase = _phase(radians, index)
                 else:
@@ -603,27 +590,23 @@ def _walk(layout: _Layout, batch: np.ndarray, planned: bool = False):
                     stack.append((tensor[:half], bits[:half], i + 1))
                     break
             elif kind is CorrectX:
-                chosen = _chosen(read(operand, bits), tensor.ndim)
+                chosen = _chosen(_value(operand, bits), tensor.ndim)
                 if chosen is True:
                     tensor = tensor[where]
                 elif chosen is not None:
                     np.copyto(tensor, tensor[where], where=chosen)
             elif kind is CorrectZ:
-                chosen = _chosen(read(operand, bits), tensor.ndim - 1)
+                chosen = _chosen(_value(operand, bits), tensor.ndim - 1)
                 if chosen is not None:
                     ones = tensor[where]
                     np.multiply(ones, -1.0, out=ones, where=chosen)
             elif kind is None:  # an output leaves a closed layout
                 tensor = tensor[where]
-            elif planned:  # Shift
-                bits[where] ^= read(operand, bits)
-            else:
-                bits[:, where] ^= read(operand, bits)
+            else:  # Shift
+                bits[:, where] ^= _value(operand, bits)
         else:
             if layout.tail:
                 tensor = _join_plus(tensor, layout.tail)
-            if planned:
-                bits = np.array([bits], dtype=np.int8)
             out = tensor.transpose(perm).reshape(len(tensor), rows, -1)
             norms = _row_norms(out, 2)
             kept += out.nbytes + bits.nbytes + norms.nbytes

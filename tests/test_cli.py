@@ -45,6 +45,14 @@ def test_validate_failure_exit_code(capsys, monkeypatch):
     assert "violated" in out
 
 
+def test_validate_lists_d2_qubits_in_label_order(capsys, monkeypatch):
+    # no qubit is measured and 1 is the only output, so 2, 9, 10 and a break D2
+    text = "pattern p { space: 1, 2, 9, 10, a; input: 1; output: 1; seq: }"
+    code, out, _ = run_cli(capsys, monkeypatch, ["validate"], stdin=text)
+    assert code == 1
+    assert "D2: violated (qubits: 2, 9, 10, a)" in out.splitlines()
+
+
 def test_parse_error_exit_code(capsys, monkeypatch):
     code, _, err = run_cli(capsys, monkeypatch, ["validate"], stdin="pattern {")
     assert code == 2
@@ -386,6 +394,34 @@ def test_bad_builder_call_is_a_usage_error(capsys, monkeypatch, argv):
     captured = capsys.readouterr()
     assert exit_.value.code == 2
     assert captured.err.startswith("error: ") and captured.out == ""
+
+
+_GHZ_PAST_THE_LIMIT = """
+import resource, subprocess, sys, time
+
+main = "import sys; from onewaylab.cli import main; sys.exit(main(sys.argv[1:]))"
+
+def cap():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+start = time.perf_counter()
+result = subprocess.run(
+    [sys.executable, "-c", main, "library", "ghz", "100000000"], capture_output=True, text=True, preexec_fn=cap
+)
+elapsed = time.perf_counter() - start
+assert result.returncode == 1, (result.returncode, result.stderr[-500:])
+assert result.stderr.startswith("error: ghz(100000000) would hold 399999996 commands"), result.stderr
+assert result.stdout == ""
+assert elapsed < 1.0, elapsed
+peak_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024
+assert peak_mb < 100, peak_mb
+"""
+
+
+def test_a_ghz_past_the_limit_is_refused_at_once():
+    # a wrapper interpreter runs the CLI, so RUSAGE_CHILDREN sees only its run
+    result = run_isolated(_GHZ_PAST_THE_LIMIT)
+    assert result.returncode == 0, result.stderr
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate", "standardize"])

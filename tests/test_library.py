@@ -17,6 +17,7 @@ from conftest import (
     rotation_mat,
 )
 
+from onewaylab import rewrite
 from onewaylab.angles import Angle
 from onewaylab.commands import Entangle, Measure
 from onewaylab.dsl import parse
@@ -108,6 +109,14 @@ def test_ghz_state_and_rejection():
         assert_proportional(branches[0].output, ghz_vec(n))
     with pytest.raises(PatternError):
         ghz(1)
+
+
+def test_ghz_past_the_command_limit_is_refused(monkeypatch):
+    monkeypatch.setattr(rewrite, "MAX_COMMANDS", 12)
+    assert len(ghz(4).commands) == 12  # 4(n - 1) at the limit is accepted
+    with pytest.raises(PatternError) as info:
+        ghz(5)
+    assert str(info.value) == "ghz(5) would hold 16 commands, more than the 12 allowed"
 
 
 def test_controlled_u_matches_oracle():

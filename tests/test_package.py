@@ -40,6 +40,15 @@ def test_no_module_imports_dataclasses():
     assert offenders == []
 
 
+def test_sources_parse_under_the_declared_python_floor():
+    # pyproject.toml declares requires-python >= 3.10; this checks grammar only,
+    # not a library feature such as a regex's possessive quantifiers
+    paths = sorted(Path(onewaylab.__file__).parent.glob("*.py")) + sorted((REPO / "tools").glob("*.py"))
+    assert len(paths) > 1
+    for path in paths:
+        ast.parse(path.read_text(), str(path), feature_version=(3, 10))
+
+
 def test_failing_property_reports_its_example(tmp_path):
     # under the repo's warning filters, a failing @given test must report its
     # falsifying example, not end in an INTERNALERROR

@@ -1,8 +1,13 @@
+import random
+
 import pytest
+
+from conftest import with_extra_shifts
 
 from onewaylab.angles import Angle
 from onewaylab.commands import CorrectX, CorrectZ, Entangle, Measure, Shift
 from onewaylab.dsl import parse, serialize
+from onewaylab.library import random_wild_pattern
 from onewaylab.patterns import (
     Pattern,
     PatternError,
@@ -11,6 +16,7 @@ from onewaylab.patterns import (
     tensor,
     validate,
 )
+from onewaylab.rewrite import standardize, standardize_extended
 from onewaylab.signals import signal
 
 
@@ -83,6 +89,35 @@ def test_a_qubit_equal_to_a_label_but_not_one_is_refused(impostor, make, message
     with pytest.raises(PatternError) as info:
         h_pattern().with_commands(commands)
     assert info.value.command == first
+
+
+def test_parse_and_normal_forms_bypass_the_checking_constructor(monkeypatch):
+    # reading a document and rewriting it build through ``Pattern._rebuilt``,
+    # so ``Pattern``'s scan of every command stays off their path
+    texts = []
+    for seed in range(6):
+        wild = random_wild_pattern(80, seed)
+        texts += [serialize(wild), serialize(with_extra_shifts(wild, random.Random(seed)))]
+
+    def results():
+        found = []
+        for text in texts:
+            parsed = parse(text)
+            core, extended = standardize(parsed)[0], standardize_extended(parsed)[0]
+            found.append([serialize(p, paper_order=order) for p in (parsed, core, extended) for order in (False, True)])
+        return found
+
+    want = results()
+    checked = Pattern.__init__
+
+    def no_commands(self, space, inputs, outputs, commands):
+        commands = tuple(commands)
+        if commands:
+            raise AssertionError("a pattern with commands was built through the checking constructor")
+        checked(self, space, inputs, outputs, commands)
+
+    monkeypatch.setattr(Pattern, "__init__", no_commands)
+    assert results() == want
 
 
 def test_with_commands_keeps_the_interface_and_checks():

@@ -866,6 +866,18 @@ def test_one_branch_unitary_equals_full_walk(monkeypatch):
         assert np.array_equal(u, extract_unitary(pattern))
 
 
+def test_planned_walk_reads_shifted_outcomes(monkeypatch):
+    # S(1, 1) sets qubit 1's outcome after shifts to 1 on the all-zero branch,
+    # so the planned walk must apply X(2, s[1]) there: the pattern is X J(a)
+    p = j(Fraction(1, 4))
+    p = p.with_commands(p.commands[:2] + (Shift(1, signal(constant=1)),) + p.commands[2:])
+    assert simulate._certified(p)
+    u = extract_unitary(p)
+    assert_proportional(u, X_MAT @ j_mat(math.pi / 4))
+    monkeypatch.setattr(simulate, "_certified", lambda pattern: False)
+    assert aligned_distance(extract_unitary(p), u) < 1e-12
+
+
 def test_vanishing_planned_branch_raises(monkeypatch):
     # Z then an X-basis measurement: outcome 0 never occurs, so a false
     # certificate plans a branch of probability 0, and the walk says so

@@ -124,8 +124,8 @@ def _mutated(text: str, rng) -> str:
 
 def _with_shifts(pattern, rng):
     """``pattern`` with about 30% of its angles made inexact (+0.1 rad) and a
-    shift after about half of its measurements, as ``tests/conftest.py``'s
-    ``with_extra_shifts`` makes them."""
+    shift after about half of its measurements; the test suite imports it
+    as ``conftest.with_extra_shifts``."""
     from onewaylab.angles import Angle
     from onewaylab.commands import Measure, Shift
     from onewaylab.signals import signal
