@@ -66,7 +66,7 @@ def pauli_eliminate(pattern: Pattern) -> Pattern:
             commands.append(Measure(cmd.qubit, cmd.angle, Signal(), cmd.s + cmd.t))
         else:
             commands.append(cmd)
-    result, _ = standardize_extended(pattern.with_commands(commands))
+    result, _ = standardize_extended(Pattern._rebuilt(pattern, commands))
     return result
 
 

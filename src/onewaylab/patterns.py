@@ -26,6 +26,21 @@ class PatternError(ValueError):
 
 
 class Pattern(Value):
+    """A measurement pattern, checked once when it is made.
+
+    ``Pattern(space, inputs, outputs, commands)`` checks what comes from
+    outside the package: every label of the space, no duplicate input or
+    output, inputs and outputs in the space, and, in one in-order scan,
+    every qubit a command acts on or a signal names.  A pattern derived
+    inside the package from checked parts is not scanned again: its
+    interface goes through ``Pattern(space, inputs, outputs, ())``, which
+    still checks the labels, duplicates and space membership, and its
+    commands, which name only qubits of that space, join it through
+    ``_rebuilt``.  Parsing, the combinators, the rewrite rules, the normal
+    forms and ``clifford.pauli_eliminate`` build that way, so each command
+    of a composite is checked once, when its leaf is made.
+    """
+
     __slots__ = ("space", "inputs", "outputs", "commands")
 
     def __init__(self, space: Iterable, inputs: Iterable, outputs: Iterable, commands: Iterable):
@@ -63,8 +78,12 @@ class Pattern(Value):
 
     @classmethod
     def _rebuilt(cls, like: "Pattern", commands: Iterable[Command]) -> "Pattern":
-        """``like`` with ``commands``, which name only its qubits, unchecked
-        (``with_commands`` checks); for normal forms of ``like``'s commands."""
+        """``like``'s interface with ``commands``, which are not scanned.
+
+        The caller vouches that ``commands`` name only qubits of ``like``'s
+        space: they were made from commands of checked patterns whose spaces
+        ``like``'s holds.  Commands from a caller go through ``with_commands``.
+        """
         pattern = object.__new__(cls)
         pattern._set_fields(like.space, like.inputs, like.outputs, tuple(commands))
         return pattern
@@ -87,6 +106,8 @@ class Pattern(Value):
         return frozenset(c.qubit for c in self.commands if isinstance(c, Measure))
 
     def with_commands(self, commands: Iterable[Command]) -> "Pattern":
+        """This pattern's interface with ``commands``, scanned as ``Pattern`` scans
+        them; for commands from outside the package, such as ``rewrite.replay``'s."""
         return Pattern(self.space, self.inputs, self.outputs, tuple(commands))
 
 
@@ -106,6 +127,16 @@ class ValidityReport(Value):
     @property
     def ok(self) -> bool:
         return self.d0 is None and self.d1 is None and self.d2 is None
+
+    def __repr__(self):
+        qubits = f"frozenset({_in_label_order(self.d2_qubits)})" if self.d2_qubits else "frozenset()"
+        return f"ValidityReport(d0={self.d0!r}, d1={self.d1!r}, d2={self.d2!r}, d2_qubits={qubits})"
+
+
+def _in_label_order(qubits) -> str:
+    """``qubits`` written like a set's repr, but in ``qubit_key`` order rather
+    than hash order, so that no message depends on ``PYTHONHASHSEED``."""
+    return "{" + ", ".join(repr(q) for q in sorted(qubits, key=qubit_key)) + "}" if qubits else "set()"
 
 
 def validate(pattern: Pattern) -> ValidityReport:
@@ -161,40 +192,31 @@ def compose(second: Pattern, first: Pattern) -> Pattern:
     if not (overlap == first.output_set == second.input_set):
         raise PatternError(
             "composition interface mismatch: need space overlap == outputs of "
-            f"first == inputs of second, got {set(overlap)!r} / "
-            f"{set(first.output_set)!r} / {set(second.input_set)!r}"
+            f"first == inputs of second, got {_in_label_order(overlap)} / "
+            f"{_in_label_order(first.output_set)} / {_in_label_order(second.input_set)}"
         )
-    return Pattern(
-        space=first.space | second.space,
-        inputs=first.inputs,
-        outputs=second.outputs,
-        commands=first.commands + second.commands,
-    )
+    interface = Pattern(first.space | second.space, first.inputs, second.outputs, ())
+    return Pattern._rebuilt(interface, first.commands + second.commands)
 
 
 def tensor(left: Pattern, right: Pattern) -> Pattern:
     """Parallel composition of patterns on disjoint spaces."""
     if left.space & right.space:
-        raise PatternError(f"tensor spaces overlap on {set(left.space & right.space)!r}")
-    return Pattern(
-        space=left.space | right.space,
-        inputs=left.inputs + right.inputs,
-        outputs=left.outputs + right.outputs,
-        commands=left.commands + right.commands,
-    )
+        raise PatternError(f"tensor spaces overlap on {_in_label_order(left.space & right.space)}")
+    interface = Pattern(left.space | right.space, left.inputs + right.inputs, left.outputs + right.outputs, ())
+    return Pattern._rebuilt(interface, left.commands + right.commands)
 
 
 def rename(pattern: Pattern, mapping: Mapping[Qubit, Qubit]) -> Pattern:
-    """Rename qubits through an injective map defined on the whole space."""
+    """Rename qubits through an injective map defined on the whole space.
+
+    The images are checked as labels by ``Pattern``, with its message.
+    """
     missing = [q for q in pattern.space if q not in mapping]
     if missing:
         raise PatternError(f"rename map missing qubits {sorted(missing, key=qubit_key)!r}")
     images = [mapping[q] for q in pattern.space]
     if len(set(images)) != len(images):
         raise PatternError("rename map is not injective on the pattern space")
-    return Pattern(
-        space=frozenset(images),
-        inputs=tuple(mapping[q] for q in pattern.inputs),
-        outputs=tuple(mapping[q] for q in pattern.outputs),
-        commands=tuple(rename_command(c, mapping) for c in pattern.commands),
-    )
+    interface = Pattern(images, (mapping[q] for q in pattern.inputs), (mapping[q] for q in pattern.outputs), ())
+    return Pattern._rebuilt(interface, (rename_command(c, mapping) for c in pattern.commands))

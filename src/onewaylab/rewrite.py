@@ -234,7 +234,7 @@ def apply_rule(pattern: Pattern, rule: Rule, position: int) -> Pattern:
     """Apply one rule at a position; raises RewriteError when it does not match."""
     seq = list(pattern.commands)
     _apply(seq, rule, position)
-    return pattern.with_commands(seq)
+    return Pattern._rebuilt(pattern, seq)
 
 
 def _step_budget(n: int) -> int:
@@ -602,7 +602,7 @@ def random_order_standardize(pattern: Pattern, seed: int) -> Pattern:
     for _ in range(_step_budget(len(seq))):
         redexes = _redexes(seq)
         if not redexes:
-            return pattern.with_commands(seq)
+            return Pattern._rebuilt(pattern, seq)
         rule, pos = rng.choice(redexes)
         _apply(seq, rule, pos)
     raise RewriteError("rewrite step budget exceeded: rule loop?")

@@ -278,6 +278,40 @@ def test_graph_output_does_not_depend_on_the_hash_seed(monkeypatch):
     assert '"A" -- "b";' in outputs[0]["cu entanglement"]
 
 
+# writes the CLI's refusal of the invalid pattern argv[1] to stderr, then
+# the refusals of a composition and a tensor product over str labels
+_RUN_REFUSALS = """
+import io, sys
+from onewaylab.cli import main
+from onewaylab.patterns import Pattern, PatternError, compose, tensor
+sys.stdin = io.StringIO(sys.argv[1])
+assert main(["standardize"]) == 1
+abc = Pattern("abc", "abc", "abc", ())
+for refuse in (lambda: compose(Pattern("abcd", "d", "abcd", ()), abc), lambda: tensor(abc, abc)):
+    try:
+        refuse()
+    except PatternError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+"""
+
+
+def test_refusals_do_not_depend_on_the_hash_seed(monkeypatch):
+    invalid = "pattern p { space: a, b, c, d, e; input: ; output: a; seq: E(a,b); }"
+    errors = {}
+    for seed in range(1, 5):
+        monkeypatch.setenv("PYTHONHASHSEED", str(seed))
+        result = run_isolated(_RUN_REFUSALS, invalid)
+        assert result.returncode == 0 and result.stdout == "", result.stderr
+        errors[seed] = result.stderr
+    assert set(errors.values()) == {
+        "error: cannot standardize an invalid pattern: ValidityReport(d0=None, d1=None, d2=-1, "
+        "d2_qubits=frozenset({'b', 'c', 'd', 'e'}))\n"
+        "error: composition interface mismatch: need space overlap == outputs of first == inputs "
+        "of second, got {'a', 'b', 'c'} / {'a', 'b', 'c'} / {'d'}\n"
+        "error: tensor spaces overlap on {'a', 'b', 'c'}\n"
+    }, errors
+
+
 def test_library_emits_parseable_pattern(capsys, monkeypatch):
     code, out, _ = run_cli(capsys, monkeypatch, ["library", "ghz", "3"])
     assert code == 0

@@ -45,7 +45,7 @@ from onewaylab.library import (
     rz,
     teleport,
 )
-from onewaylab.patterns import validate
+from onewaylab.patterns import Pattern, validate
 from onewaylab.rewrite import is_emc, standardize, standardize_extended
 from onewaylab.simulate import extract_unitary, is_deterministic, run_all_branches
 
@@ -130,6 +130,33 @@ def test_controlled_u_exact_params_stay_exact():
     assert all(
         cmd.angle.is_exact for cmd in p.commands if isinstance(cmd, Measure)
     )
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: j_chain([0] * 200),
+        lambda: controlled_u(Fraction(1, 8), Fraction(3, 8), Fraction(5, 8), Fraction(7, 8)),
+        cnot,
+        lambda: rotation(Fraction(1, 4), Fraction(1, 3), Fraction(1, 5)),
+        lambda: random_circuit_pattern(7, 3, 40),
+    ],
+    ids=["j_chain-200", "controlled_u", "cnot", "rotation", "random_circuit_pattern"],
+)
+def test_builders_hand_each_command_to_the_checking_constructor_once(monkeypatch, build):
+    # the leaves are checked; compose and tensor join checked parts without
+    # a rescan, so the scan stays linear in the result, not quadratic
+    handed = []
+    checked = Pattern.__init__
+
+    def counting(self, space, inputs, outputs, commands):
+        commands = tuple(commands)
+        handed.append(len(commands))
+        checked(self, space, inputs, outputs, commands)
+
+    monkeypatch.setattr(Pattern, "__init__", counting)
+    result = build()
+    assert sum(handed) == len(result.commands)
 
 
 def test_random_wild_pattern_is_valid():

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -6,8 +7,9 @@ from conftest import with_extra_shifts
 
 from onewaylab.angles import Angle
 from onewaylab.commands import CorrectX, CorrectZ, Entangle, Measure, Shift
+from onewaylab.clifford import pauli_eliminate
 from onewaylab.dsl import parse, serialize
-from onewaylab.library import random_wild_pattern
+from onewaylab.library import cnot, identity, j, random_circuit_pattern, random_wild_pattern, rx
 from onewaylab.patterns import (
     Pattern,
     PatternError,
@@ -16,7 +18,13 @@ from onewaylab.patterns import (
     tensor,
     validate,
 )
-from onewaylab.rewrite import standardize, standardize_extended
+from onewaylab.rewrite import (
+    applicable_redexes,
+    apply_rule,
+    random_order_standardize,
+    standardize,
+    standardize_extended,
+)
 from onewaylab.signals import signal
 
 
@@ -108,6 +116,12 @@ def test_parse_and_normal_forms_bypass_the_checking_constructor(monkeypatch):
         return found
 
     want = results()
+    _refuse_checked_commands(monkeypatch)
+    assert results() == want
+
+
+def _refuse_checked_commands(monkeypatch):
+    """Patch ``Pattern.__init__`` to raise when it is given commands."""
     checked = Pattern.__init__
 
     def no_commands(self, space, inputs, outputs, commands):
@@ -117,6 +131,36 @@ def test_parse_and_normal_forms_bypass_the_checking_constructor(monkeypatch):
         checked(self, space, inputs, outputs, commands)
 
     monkeypatch.setattr(Pattern, "__init__", no_commands)
+
+
+def test_derivations_bypass_the_checking_constructor(monkeypatch):
+    # the combinators, the rule steps and Pauli elimination build from
+    # checked parts: the interface through ``Pattern(..., ())``, the
+    # commands through ``Pattern._rebuilt``
+    wild = [random_wild_pattern(40, seed) for seed in range(4)]
+    circuit = random_circuit_pattern(5, 3, 12)
+    j1, j2, lead = j(Fraction(1, 3)), j(Fraction(1, 4), 2, 3), j(Fraction(1, 2), 1, 100)
+    wires = (identity(200), identity(300))
+    cnot_, pauli = cnot(), standardize(rx(Fraction(1, 2)))[0]
+    pauli_cnot = standardize(cnot_)[0]
+
+    def results():
+        found = [
+            compose(j2, j1),
+            compose(circuit, tensor(lead, tensor(*wires))),
+            tensor(circuit, rename(cnot_, {1: "a", 2: "b", 3: "c", 4: "d"})),
+            rename(circuit, {q: f"q{q}" for q in circuit.space}),
+            pauli_eliminate(pauli),
+            pauli_eliminate(pauli_cnot),
+        ]
+        for k, p in enumerate(wild):
+            found += [apply_rule(p, rule, position) for rule, position in applicable_redexes(p)]
+            found.append(random_order_standardize(p, k))
+        return [(p, serialize(p)) for p in found]
+
+    want = results()
+    assert want[4][0] != pauli and len(want) > 10  # the Y-axis fold ran
+    _refuse_checked_commands(monkeypatch)
     assert results() == want
 
 
@@ -263,3 +307,74 @@ def test_rename_every_command_kind():
         ),
     )
     assert parse(serialize(r)) == r
+
+
+_NO_TEXT_FORM = (
+    "qubit label {!r} has no text form: labels are non-negative ints "
+    "or words of letters, digits, '_' and primes, not all digits"
+)
+
+
+@pytest.mark.parametrize(
+    "refuse, message",
+    [
+        # the overlap is the whole space, not the interface
+        (
+            lambda: compose(h_pattern(), h_pattern()),
+            "composition interface mismatch: need space overlap == outputs of "
+            "first == inputs of second, got {1, 2} / {2} / {1}",
+        ),
+        (
+            lambda: compose(rename(h_pattern(), {1: 4, 2: 5}), h_pattern()),
+            "composition interface mismatch: need space overlap == outputs of "
+            "first == inputs of second, got set() / {2} / {4}",
+        ),
+        # sets are written in label order: ints, then words
+        (
+            lambda: compose(Pattern("abcd", "d", "abcd", ()), Pattern([9, 2, *"cba"], "", [9, 2, *"cba"], ())),
+            "composition interface mismatch: need space overlap == outputs of "
+            "first == inputs of second, got {'a', 'b', 'c'} / {2, 9, 'a', 'b', 'c'} / {'d'}",
+        ),
+        (lambda: tensor(h_pattern(), h_pattern()), "tensor spaces overlap on {1, 2}"),
+        (
+            lambda: tensor(Pattern([9, 2, "b", "a"], "", "", ()), Pattern("ab", "", "", ())),
+            "tensor spaces overlap on {'a', 'b'}",
+        ),
+        (
+            lambda: tensor(Pattern([9, 2], "", "", ()), Pattern([2, 9], "", "", ())),
+            "tensor spaces overlap on {2, 9}",
+        ),
+        (lambda: rename(h_pattern(), {1: 5}), "rename map missing qubits [2]"),
+        (
+            lambda: rename(Pattern([10, 9, "b", "a"], "", "", ()), {9: 1}),
+            "rename map missing qubits [10, 'a', 'b']",
+        ),
+        (lambda: rename(h_pattern(), {1: 5, 2: 5}), "rename map is not injective on the pattern space"),
+        (lambda: rename(h_pattern(), {1: 5, 2: 5.0}), "rename map is not injective on the pattern space"),
+        (lambda: rename(h_pattern(), {1: True, 2: 5}), _NO_TEXT_FORM.format(True)),
+        (lambda: rename(h_pattern(), {1: 4, 2: -1}), _NO_TEXT_FORM.format(-1)),
+        (lambda: rename(h_pattern(), {1: "7", 2: "a"}), _NO_TEXT_FORM.format("7")),
+        (lambda: rename(h_pattern(), {1: 3, 2: "a b"}), _NO_TEXT_FORM.format("a b")),
+    ],
+    ids=[
+        "compose-whole-space",
+        "compose-disjoint",
+        "compose-words",
+        "tensor",
+        "tensor-words",
+        "tensor-wrapping-ints",
+        "rename-missing",
+        "rename-missing-several",
+        "rename-not-injective",
+        "rename-equal-images",
+        "rename-True",
+        "rename-negative",
+        "rename-digits",
+        "rename-space",
+    ],
+)
+def test_combinators_refuse_with_their_messages(refuse, message):
+    with pytest.raises(PatternError) as info:
+        refuse()
+    assert str(info.value) == message
+    assert info.value.command is None

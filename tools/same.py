@@ -13,13 +13,20 @@ check (default: this checkout's ``src/``).  Seven families are compared:
   and ``standardize_extended`` on the ``rewrite-wild`` corpus, and on a
   seeded variant of each of its patterns with shifts after some
   measurements and some angles made inexact (``_with_shifts``), so that
-  the order in which an inexact angle takes its shifts shows;
+  the order in which an inexact angle takes its shifts shows; and the
+  ``serialize`` text of the composed patterns (``_library_patterns``):
+  every ``library.BUILDERS`` entry on seeded parameters, ``j_chain`` over
+  ``CHAIN_LENGTH`` seeded angles and ``random_circuit_pattern`` on a few
+  seeds;
 - ``paper-order``: the same texts written with ``paper_order=True``;
 - ``traces``: ``format_trace`` of the core and extended traces, forced, of
   those patterns and variants of at most ``TRACED_SIZE`` commands;
 - ``unitaries``: ``extract_unitary``, ``branch_maps`` and
   ``is_deterministic`` on the ``unitary-check`` corpus, as built and
-  standardized;
+  standardized; and, on the ``rewrite-wild`` patterns of at most
+  ``BRUTE_FORCE_QUBITS`` qubits, which no certificate covers, the
+  brute-force ``is_deterministic``, ``branch_maps`` and
+  ``extract_unitary(p, check_deterministic=False)``;
 - ``branches``: ``run_all_branches`` (outcomes, order, probabilities and
   outputs) on that corpus and on every ``library.BUILDERS`` entry that
   takes no argument, on input |0...0> and on a seeded random input;
@@ -27,9 +34,12 @@ check (default: this checkout's ``src/``).  Seven families are compared:
   commands and texts, malformed ones among them, run in-process;
 - ``errors``: on seeded mutations of the ``rewrite-wild`` texts, the
   ``serialize`` text of what ``parse_document`` reads, or its ``DslError``
-  with line and column; and on each ``rewrite-wild`` pattern with one qubit
+  with line and column; on each ``rewrite-wild`` pattern with one qubit
   dropped from its space, the ``PatternError`` that ``Pattern`` raises, with
-  the command at fault.
+  the command at fault; and ``compose`` and ``tensor`` of every ordered
+  pair of the composed patterns, and ``rename`` of each through a seeded
+  map that is total, misses a qubit, is not injective, or sends a qubit to
+  each of ``RENAME_NON_LABELS``: the ``serialize`` text or the refusal.
 
 An exception is an output too: its type and message are compared.  Each
 family prints one line with its largest numeric difference and whether
@@ -57,6 +67,12 @@ TOLERANCE = 1e-9
 FAMILIES = ("normal-forms", "paper-order", "traces", "unitaries", "branches", "cli", "errors")
 MUTATIONS_PER_TEXT = 2
 TRACED_SIZE = 40
+BRUTE_FORCE_QUBITS = 10
+CHAIN_LENGTH = 50
+CIRCUIT_SEEDS = 4
+RENAME_NON_LABELS = (True, -1, "7", "a b")
+# the builder parameters ``_library_patterns`` draws; the rest keep their defaults
+_PARAMETERS = ("n", "alpha", "beta", "gamma", "delta")
 
 _INVALID = "pattern bad { space: 1, 2; input: 1; output: 2; seq: E(1,2); X(1, s[2]); }"
 _MALFORMED = "pattern bad { space: 1, 2; input: 1; output: 2; seq: E(1,2); M(1, 1/0pi); }"
@@ -143,6 +159,48 @@ def _with_shifts(pattern, rng):
     return pattern.with_commands(commands)
 
 
+def _library_patterns(rng) -> dict:
+    """The composed patterns: every ``library.BUILDERS`` entry with its angles
+    drawn from ``rng`` (exact multiples of pi/4 or floats) and ``ghz`` on 2 to
+    9 qubits, ``j_chain`` over ``CHAIN_LENGTH`` such angles, and
+    ``random_circuit_pattern`` on ``CIRCUIT_SEEDS`` seeds from ``rng``."""
+    import inspect
+    import math
+    from fractions import Fraction
+
+    from onewaylab import library
+
+    def angle():
+        return Fraction(rng.randrange(8), 4) if rng.random() < 0.5 else rng.uniform(-math.pi, math.pi)
+
+    patterns = {}
+    for name, builder in library.BUILDERS.items():
+        params = inspect.signature(builder).parameters
+        args = [rng.randint(2, 9) if param == "n" else angle() for param in params if param in _PARAMETERS]
+        patterns[name] = builder(*args)
+    patterns["j_chain"] = library.j_chain([angle() for _ in range(CHAIN_LENGTH)])
+    for k in range(CIRCUIT_SEEDS):
+        patterns["circuit", k] = library.random_circuit_pattern(rng.randrange(2**31), wires=3, steps=12)
+    return patterns
+
+
+def _renames(pattern, rng) -> dict:
+    """Seeded maps for ``rename(pattern, ...)``: total and injective onto
+    fresh labels, then one that misses a qubit, one that is not injective
+    and one per ``RENAME_NON_LABELS`` entry; ``pattern`` has two qubits or more."""
+    space = sorted(pattern.space, key=repr)
+    fresh = {q: f"r{k}" for k, q in enumerate(rng.sample(space, len(space)))}
+    q, other = rng.sample(space, 2)
+    maps = {
+        "total": fresh,
+        "missing": {p: fresh[p] for p in space if p != q},
+        "not-injective": {**fresh, q: fresh[other]},
+    }
+    for bad in RENAME_NON_LABELS:
+        maps[bad] = {**fresh, q: bad}
+    return maps
+
+
 def dump(path: str, seed: int) -> None:
     """Pickle the outputs of the ``onewaylab`` on ``sys.path`` to ``path``."""
     import inspect
@@ -151,7 +209,7 @@ def dump(path: str, seed: int) -> None:
     import numpy as np
     import workloads
     from onewaylab import cli, dsl, library, rewrite, simulate
-    from onewaylab.patterns import Pattern, PatternError
+    from onewaylab.patterns import Pattern, PatternError, compose, rename, tensor
 
     def attempt(fn, *args):
         try:
@@ -187,6 +245,9 @@ def dump(path: str, seed: int) -> None:
             out["paper-order"][key] = attempt(forms, text, True)
             if len(p.commands) <= TRACED_SIZE:
                 out["traces"][key] = attempt(traces, p)
+    composed = _library_patterns(rng)
+    for name, p in composed.items():
+        out["normal-forms"]["library", name] = dsl.serialize(p)
     patterns = {}
     for name, (pattern, _, _) in workloads.UnitaryCheck(seed).cases.items():
         patterns[name, "builder"] = pattern
@@ -195,6 +256,13 @@ def dump(path: str, seed: int) -> None:
         out["unitaries"][key] = tuple(
             attempt(fn, p) for fn in (simulate.extract_unitary, maps, simulate.is_deterministic)
         )
+    for label, (p, _, _) in workloads.RewriteWild(seed).inputs.items():
+        if len(p.space) <= BRUTE_FORCE_QUBITS:
+            out["unitaries"][label, "brute-force"] = (
+                attempt(simulate.is_deterministic, p),
+                attempt(maps, p),
+                attempt(lambda: simulate.extract_unitary(p, check_deterministic=False)),
+            )
     for name, builder in library.BUILDERS.items():
         if all(param.default is not param.empty for param in inspect.signature(builder).parameters.values()):
             patterns[name, "library"] = builder()
@@ -231,6 +299,12 @@ def dump(path: str, seed: int) -> None:
             out["errors"][label, k] = attempt(read, _mutated(text, rng))
         q = sorted(pattern.space, key=repr)[rng.randrange(len(pattern.space))]
         out["errors"][label, "dropped"] = attempt(dropped, pattern, q)
+    for a, p in composed.items():
+        for b, r in composed.items():
+            out["errors"]["compose", a, b] = attempt(lambda: dsl.serialize(compose(p, r)))
+            out["errors"]["tensor", a, b] = attempt(lambda: dsl.serialize(tensor(p, r)))
+        for kind, mapping in _renames(p, rng).items():
+            out["errors"]["rename", a, kind] = attempt(lambda: dsl.serialize(rename(p, mapping)))
     with open(path, "wb") as fh:
         pickle.dump(out, fh)
 
