@@ -108,6 +108,4 @@ def rename_command(cmd: Command, mapping) -> Command:
         return Entangle(mapping[cmd.i], mapping[cmd.j])
     if isinstance(cmd, Measure):
         return Measure(mapping[cmd.qubit], cmd.angle, cmd.s.renamed(mapping), cmd.t.renamed(mapping))
-    if isinstance(cmd, (CorrectX, CorrectZ, Shift)):
-        return type(cmd)(mapping[cmd.qubit], cmd.signal.renamed(mapping))
-    raise TypeError(f"unknown command {cmd!r}")
+    return type(cmd)(mapping[cmd.qubit], cmd.signal.renamed(mapping))

@@ -7,11 +7,13 @@ the first element of ``commands`` runs first.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, get_args
 
 from ._values import Value
 from .commands import Command, Entangle, Measure, Shift, command_signals, rename_command
-from .signals import Qubit, is_label, qubit_key
+from .signals import Qubit, _fixed_key, _in_label_order, is_label, qubit_key
+
+_COMMAND_TYPES = frozenset(get_args(Command))
 
 
 class PatternError(ValueError):
@@ -31,10 +33,12 @@ class Pattern(Value):
     ``Pattern(space, inputs, outputs, commands)`` checks what comes from
     outside the package: every label of the space, no duplicate input or
     output, inputs and outputs in the space, and, in one in-order scan,
-    every qubit a command acts on or a signal names.  A pattern derived
-    inside the package from checked parts is not scanned again: its
-    interface goes through ``Pattern(space, inputs, outputs, ())``, which
-    still checks the labels, duplicates and space membership, and its
+    that each command is one of the five command types, and every qubit it
+    acts on or its signals name.  Where several qubits are at fault, the
+    message names the first in a fixed order (``signals._fixed_key``).  A
+    pattern derived inside the package from checked parts is not scanned
+    again: its interface goes through ``Pattern(space, inputs, outputs, ())``,
+    which still checks the labels, duplicates and space membership, and its
     commands, which name only qubits of that space, join it through
     ``_rebuilt``.  Parsing, the combinators, the rewrite rules, the normal
     forms and ``clifford.pauli_eliminate`` build that way, so each command
@@ -46,12 +50,12 @@ class Pattern(Value):
     def __init__(self, space: Iterable, inputs: Iterable, outputs: Iterable, commands: Iterable):
         space, inputs, outputs = frozenset(space), tuple(inputs), tuple(outputs)
         commands = tuple(commands)
-        for q in space:
-            if not is_label(q):
-                raise PatternError(
-                    f"qubit label {q!r} has no text form: labels are non-negative ints "
-                    "or words of letters, digits, '_' and primes, not all digits"
-                )
+        bad = [q for q in space if not is_label(q)]
+        if bad:
+            raise PatternError(
+                f"qubit label {min(bad, key=_fixed_key)!r} has no text form: labels are non-negative "
+                "ints or words of letters, digits, '_' and primes, not all digits"
+            )
         if len(set(inputs)) != len(inputs):
             raise PatternError("duplicate input qubit")
         if len(set(outputs)) != len(outputs):
@@ -63,17 +67,19 @@ class Pattern(Value):
         # qubit in the space is also tested as a label, since True and 1.0
         # equal 1 and are not labels
         for cmd in commands:
+            if type(cmd) not in _COMMAND_TYPES:
+                raise PatternError(f"a {type(cmd).__name__} is not a command", cmd)
             for q in (cmd.i, cmd.j) if type(cmd) is Entangle else (cmd.qubit,):
                 if q not in space:
                     raise PatternError(f"command {cmd!r} acts outside the space", cmd)
                 if not is_label(q):
                     raise PatternError(f"command {cmd!r} acts on {q!r}, which is not a qubit label", cmd)
             for sig in command_signals(cmd):
-                for q in sig.support:
-                    if q not in space:
-                        raise PatternError(f"signal qubit {q!r} not in space", cmd)
-                    if not is_label(q):
-                        raise PatternError(f"signal qubit {q!r} is not a qubit label", cmd)
+                bad = [q for q in sig.support if q not in space or not is_label(q)]
+                if bad:
+                    q = min(bad, key=_fixed_key)
+                    reason = "is not a qubit label" if q in space else "not in space"
+                    raise PatternError(f"signal qubit {q!r} {reason}", cmd)
         self._set_fields(space, inputs, outputs, commands)
 
     @classmethod
@@ -129,14 +135,8 @@ class ValidityReport(Value):
         return self.d0 is None and self.d1 is None and self.d2 is None
 
     def __repr__(self):
-        qubits = f"frozenset({_in_label_order(self.d2_qubits)})" if self.d2_qubits else "frozenset()"
+        qubits = f"frozenset({_in_label_order(self.d2_qubits, '')})"
         return f"ValidityReport(d0={self.d0!r}, d1={self.d1!r}, d2={self.d2!r}, d2_qubits={qubits})"
-
-
-def _in_label_order(qubits) -> str:
-    """``qubits`` written like a set's repr, but in ``qubit_key`` order rather
-    than hash order, so that no message depends on ``PYTHONHASHSEED``."""
-    return "{" + ", ".join(repr(q) for q in sorted(qubits, key=qubit_key)) + "}" if qubits else "set()"
 
 
 def validate(pattern: Pattern) -> ValidityReport:

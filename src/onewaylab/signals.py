@@ -32,6 +32,19 @@ def qubit_key(q: Qubit):
     return (q.__class__.__name__, q)
 
 
+def _fixed_key(q):
+    """A sort key over any hashable objects: labels in ``qubit_key`` order,
+    then everything else by type name and repr."""
+    return (0, *qubit_key(q)) if is_label(q) else (1, type(q).__name__, repr(q))
+
+
+def _in_label_order(qubits, empty: str = "set()") -> str:
+    """``qubits`` written like a set's repr, but in ``_fixed_key`` order
+    rather than hash order, so that no message depends on
+    ``PYTHONHASHSEED``; ``empty`` is written for no qubits."""
+    return "{" + ", ".join(repr(q) for q in sorted(qubits, key=_fixed_key)) + "}" if qubits else empty
+
+
 class MissingOutcomeError(KeyError):
     """A signal was evaluated against an outcome map missing one of its qubits."""
 
@@ -90,6 +103,9 @@ class Signal(Value):
 
     def renamed(self, mapping: Mapping[Qubit, Qubit]) -> "Signal":
         return Signal(frozenset(mapping[q] for q in self.support), self.constant)
+
+    def __repr__(self) -> str:
+        return f"Signal(support=frozenset({_in_label_order(self.support, '')}), constant={self.constant!r})"
 
     def __str__(self) -> str:
         terms = [f"s[{q}]" for q in sorted(self.support, key=qubit_key)]

@@ -41,8 +41,12 @@ each, cannot underflow, and its check that the branch has probability
 2^-m catches a branch that vanishes.
 ``run_all_branches`` of a large certified pattern builds every branch as
 a phase times that one, the phase read off one amplitude per branch.
-Patterns the certificate does not decide fall back to walking every branch
-and comparing them, the brute force that stays the reference.
+Patterns the certificate does not decide fall back to the brute force that
+stays the reference: one walk of every branch over the input basis, whose
+arrays ``is_deterministic`` and ``extract_unitary`` read directly; only
+``branch_maps`` turns them into per-branch values.  Where branches are put
+in order, by outcome bits over the measured qubits in label order, one
+helper sorts them (``_label_order``).
 
 ``run_branch`` is the eager reference the walk is tested against: it runs
 one branch on a state prepared over the whole space up front, inputs first
@@ -216,10 +220,8 @@ def run_branch(pattern: Pattern, outcomes_plan, input_state=None) -> Branch:
         elif isinstance(cmd, CorrectZ):
             if cmd.signal.evaluate(outcomes):
                 tensor[_ones_at(live.index(cmd.qubit))] *= -1.0
-        elif isinstance(cmd, Shift):
+        else:  # Shift
             outcomes[cmd.qubit] ^= cmd.signal.evaluate(outcomes)
-        else:
-            raise SimulationError(f"cannot execute {cmd!r}")
     prob = float(np.real(np.vdot(tensor, tensor))) / start_norm2
     output = np.transpose(tensor, [live.index(q) for q in pattern.outputs]).reshape(-1)
     return Branch(outcomes, prob, output)
@@ -388,10 +390,8 @@ def _layout(pattern: Pattern, rows: int, close=None, schedule=None) -> _Layout:
                 shifted[q] = column + 1
             elif kind is CorrectX:
                 append((CorrectX, joins, _flip_at(2 + axis), compiled(cmd.signal)))
-            elif kind is CorrectZ:
-                append((CorrectZ, joins, _ones_at(2 + axis), compiled(cmd.signal)))
             else:
-                raise SimulationError(f"cannot execute {cmd!r}")
+                append((CorrectZ, joins, _ones_at(2 + axis), compiled(cmd.signal)))
         if joins and len(live) > peak:
             peak = len(live)
         if kind is Measure:
@@ -633,6 +633,14 @@ def _walk(layout: _Layout, batch: np.ndarray, planned: bool = False):
     return bits, out, norms, start
 
 
+def _label_order(columns: np.ndarray, measured) -> list:
+    """The indices of the branches sorted by ``columns``, which hold one bit
+    per qubit of ``measured``, read with the measured qubits in label order."""
+    labels = sorted(range(len(measured)), key=lambda k: qubit_key(measured[k]), reverse=True)
+    # lexsort is stable and reads its last key first; with no measurement there is one branch
+    return np.lexsort([columns[:, k] for k in labels]).tolist() if labels else [0]
+
+
 def run_all_branches(pattern: Pattern, input_state=None) -> list[Branch]:
     """Explore every measurement branch with nonzero probability.
 
@@ -674,9 +682,7 @@ def run_all_branches(pattern: Pattern, input_state=None) -> list[Branch]:
         bits, out, norms, start = _walk(layout, psi)
     outcomes, outputs = bits[:, 1::2], out[:, 0]
     probabilities = (norms[:, 0] / start[0]).tolist()
-    # lexsort is stable and reads its last key first
-    labels = sorted(range(len(measured)), key=lambda k: qubit_key(measured[k]), reverse=True)
-    order = np.lexsort([outcomes[:, k] for k in labels]).tolist() if labels else [0]
+    order = _label_order(outcomes, measured)
     rows = outcomes.tolist()
     outputs = list(outputs)
     set_outcomes, set_probability, set_output = Branch._setters
@@ -698,15 +704,11 @@ def branch_maps(pattern: Pattern) -> list[BranchMap]:
     when it vanishes on every basis input.
     """
     _check_valid(pattern, "run")
-    return _branch_maps(_layout(pattern, 2 ** len(pattern.inputs)))
-
-
-def _branch_maps(layout: _Layout) -> list[BranchMap]:
-    """``branch_maps`` of a laid-out pattern."""
-    bits, out, _, _ = _walk(layout, np.eye(2**layout.inputs, dtype=complex))
-    measured = layout.measured
+    dim = 2 ** len(pattern.inputs)
+    layout = _layout(pattern, dim)
+    bits, out, _, _ = _walk(layout, np.eye(dim, dtype=complex))
     return [
-        BranchMap(dict(zip(measured, row[::2])), dict(zip(measured, row[1::2])), matrix.T)
+        BranchMap(dict(zip(layout.measured, row[::2])), dict(zip(layout.measured, row[1::2])), matrix.T)
         for row, matrix in zip(bits.tolist(), out)
     ]
 
@@ -724,19 +726,20 @@ def _pseudorandom_states(dim: int) -> tuple[np.ndarray, ...]:
 _COLLINEAR_TOL = 1e-9
 
 
-def _maps_deterministic(maps: list[BranchMap], dim: int) -> bool:
+def _maps_deterministic(out: np.ndarray, dim: int) -> bool:
     """Whether every probe's non-vanishing branch outputs are collinear.
 
-    The probes are every basis input plus a fixed set of pseudorandom ones;
-    an output is dropped, as a vanishing branch, when its squared norm is at
-    most the cutoff times the probe's.  Each probe's kept outputs are
-    compared with its first kept output, all at once: two outputs u, v are
-    collinear when |<u, v>| >= (1 - tol) |u| |v|.  The maps come from a walk
-    whose branch probabilities sum to 1, so every probe keeps an output.
+    ``out`` is a walk's ``out`` over the ``dim`` basis inputs: ``out[k, j]``
+    is branch k's output on basis input j, so ``probe @ out`` holds every
+    branch's output on a probe.  The probes are every basis input plus a
+    fixed set of pseudorandom ones; an output is dropped, as a vanishing
+    branch, when its squared norm is at most the cutoff times the probe's.
+    Each probe's kept outputs are compared with its first kept output, all
+    at once: two outputs u, v are collinear when |<u, v>| >= (1 - tol) |u| |v|.
+    The walk's branch probabilities sum to 1, so every probe keeps an output.
     """
-    stacked = np.stack([m.matrix for m in maps])
     for probe in (*np.eye(dim, dtype=complex), *_pseudorandom_states(dim)):
-        outputs = stacked @ probe
+        outputs = probe @ out
         norms = _row_norms(outputs)
         keep = norms > _BRANCH_CUTOFF * np.vdot(probe, probe).real
         kept, lengths = outputs[keep], np.sqrt(norms[keep])
@@ -876,8 +879,9 @@ def is_deterministic(pattern: Pattern) -> bool:
 
     A certified pattern (see ``_certified``) is deterministic exactly.
     Otherwise this probes every basis input plus a fixed set of
-    pseudorandom inputs, applied to the branch maps of one walk, and asks
-    that on each probe the non-vanishing outputs agree up to a scalar.
+    pseudorandom inputs, each applied to every branch at once through the
+    ``out`` array of one walk over the input basis, and asks that on each
+    probe the non-vanishing outputs agree up to a scalar.
     Collinearity is not linear: two maps can agree up to a scalar on every
     basis input and still disagree on a superposition, when the scalars
     differ.  The pseudorandom probes are what catch that, for all but a
@@ -887,7 +891,8 @@ def is_deterministic(pattern: Pattern) -> bool:
     if _certified(pattern):
         return True
     dim = 2 ** len(pattern.inputs)
-    return _maps_deterministic(_branch_maps(_layout(pattern, dim)), dim)
+    _, out, _, _ = _walk(_layout(pattern, dim), np.eye(dim, dtype=complex))
+    return _maps_deterministic(out, dim)
 
 
 def _is_isometry(u: np.ndarray) -> bool:
@@ -899,44 +904,42 @@ def _is_isometry(u: np.ndarray) -> bool:
 def extract_unitary(pattern: Pattern, check_deterministic: bool = True) -> np.ndarray:
     """The unitary (isometry) a deterministic pattern implements, column by column.
 
-    The columns come from a single branch map: the first, in order of raw
-    outcome bits over the measured qubits in label order, that does not
-    vanish on basis input 0.  Each column is then normalized.  Raises
+    One walk over the input basis answers it.  The columns are one
+    branch's outputs on the basis inputs: the first branch, in order of raw
+    outcome bits over the measured qubits in label order (``_label_order``),
+    that does not vanish on basis input 0.  Each column is normalized by
+    the squared norm the walk returns for it.  Raises
     ``NotDeterministicError`` for patterns that are not deterministic
     (unless the check is skipped), and ``SimulationError`` when the forced
     branch vanishes on some basis input or its columns do not form an
     isometry.
 
-    A certified pattern (see ``_certified``) needs no check, and only its
-    all-zero branch, the first in that order, is walked, with no cutoff:
-    the walk checks that it has probability 2^-m on every basis input, so
-    a branch that vanishes raises ``SimulationError`` there.  The walk's
-    power-of-two scaling cancels in the normalization.
+    A certified pattern (see ``_certified``) needs no check, and the walk is
+    planned: only its all-zero branch, the first in that order, is walked,
+    with no cutoff.  The walk checks that it has probability 2^-m on every
+    basis input, so a branch that vanishes raises ``SimulationError`` there.
+    The walk's power-of-two scaling cancels in the normalization.
     """
     _check_valid(pattern, "run")
     dim_in = 2 ** len(pattern.inputs)
     # laid out first, so an over-wide state fails before the certificate runs
     layout = _layout(pattern, dim_in)
-    if _certified(pattern):
-        _, out, norms, _ = _walk(layout, np.eye(dim_in, dtype=complex), True)
-        matrix, norms = out[0].T, norms[0]
-    else:
-        maps = _branch_maps(layout)
-        if check_deterministic and not _maps_deterministic(maps, dim_in):
+    certified = _certified(pattern)
+    bits, out, norms, _ = _walk(layout, np.eye(dim_in, dtype=complex), certified)
+    k = 0
+    if not certified:
+        if check_deterministic and not _maps_deterministic(out, dim_in):
             raise NotDeterministicError("pattern is not deterministic: no single unitary exists")
-        measured = sorted(pattern.measured, key=qubit_key)
-        for branch in sorted(maps, key=lambda m: tuple(m.raw[q] for q in measured)):
-            norms = _row_norms(branch.matrix.T)
-            if norms[0] > _BRANCH_CUTOFF:
-                break
-        else:
+        alive = [k for k in _label_order(bits[:, ::2], layout.measured) if norms[k, 0] > _BRANCH_CUTOFF]
+        if not alive:
             raise SimulationError("no branch with nonzero probability found")
-        for k in range(dim_in):
-            if norms[k] <= _BRANCH_CUTOFF:
-                raise SimulationError(
-                    f"forced branch vanishes on basis input {k}; pattern not deterministic"
-                )
-        matrix = branch.matrix
+        k = alive[0]
+        vanishing = np.flatnonzero(norms[k] <= _BRANCH_CUTOFF)
+        if len(vanishing):
+            raise SimulationError(
+                f"forced branch vanishes on basis input {vanishing[0]}; pattern not deterministic"
+            )
+    matrix, norms = out[k].T, norms[k]
     u = matrix / np.sqrt(norms)
     if not _is_isometry(u):
         raise SimulationError("extracted columns are not orthonormal")

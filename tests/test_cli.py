@@ -279,19 +279,32 @@ def test_graph_output_does_not_depend_on_the_hash_seed(monkeypatch):
 
 
 # writes the CLI's refusal of the invalid pattern argv[1] to stderr, then
-# the refusals of a composition and a tensor product over str labels
+# refusals over str labels: of a composition, a tensor product, a rename to
+# two non-labels, a signal naming three qubits outside the space and a
+# command outside the space whose signal names two qubits; then the repr of
+# such a command
 _RUN_REFUSALS = """
 import io, sys
 from onewaylab.cli import main
-from onewaylab.patterns import Pattern, PatternError, compose, tensor
+from onewaylab.commands import CorrectX
+from onewaylab.library import h
+from onewaylab.patterns import Pattern, PatternError, compose, rename, tensor
+from onewaylab.signals import signal
 sys.stdin = io.StringIO(sys.argv[1])
 assert main(["standardize"]) == 1
 abc = Pattern("abc", "abc", "abc", ())
-for refuse in (lambda: compose(Pattern("abcd", "d", "abcd", ()), abc), lambda: tensor(abc, abc)):
+for refuse in (
+    lambda: compose(Pattern("abcd", "d", "abcd", ()), abc),
+    lambda: tensor(abc, abc),
+    lambda: rename(h(), {1: "a b", 2: "7"}),
+    lambda: Pattern("ab", "a", "b", (CorrectX("b", signal("c", "d", "e")),)),
+    lambda: Pattern("ab", "a", "b", (CorrectX("c", signal("d", "c")),)),
+):
     try:
         refuse()
     except PatternError as exc:
         print(f"error: {exc}", file=sys.stderr)
+print(repr(CorrectX("b", signal("d", "c"))), file=sys.stderr)
 """
 
 
@@ -309,6 +322,12 @@ def test_refusals_do_not_depend_on_the_hash_seed(monkeypatch):
         "error: composition interface mismatch: need space overlap == outputs of first == inputs "
         "of second, got {'a', 'b', 'c'} / {'a', 'b', 'c'} / {'d'}\n"
         "error: tensor spaces overlap on {'a', 'b', 'c'}\n"
+        "error: qubit label '7' has no text form: labels are non-negative ints or words of letters, "
+        "digits, '_' and primes, not all digits\n"
+        "error: signal qubit 'c' not in space\n"
+        "error: command CorrectX(qubit='c', signal=Signal(support=frozenset({'c', 'd'}), constant=0)) "
+        "acts outside the space\n"
+        "CorrectX(qubit='b', signal=Signal(support=frozenset({'c', 'd'}), constant=0))\n"
     }, errors
 
 

@@ -99,6 +99,27 @@ def test_a_qubit_equal_to_a_label_but_not_one_is_refused(impostor, make, message
     assert info.value.command == first
 
 
+class _LooksLikeACorrection:
+    qubit = 2
+    signal = signal(1)
+
+
+@pytest.mark.parametrize(
+    "impostor, name",
+    [(_LooksLikeACorrection(), "_LooksLikeACorrection"), (None, "NoneType"), ((1, 2), "tuple")],
+    ids=["duck", "None", "tuple"],
+)
+def test_only_the_five_command_types_are_commands(impostor, name):
+    # an object with a ``qubit`` and a ``signal`` is no command: validate,
+    # standardize, serialize and the simulator know only the five types
+    commands = (Entangle(1, 2), Measure(1, Angle.exact(0)), impostor)
+    for build in (lambda: Pattern({1, 2}, (1,), (2,), commands), lambda: h_pattern().with_commands(commands)):
+        with pytest.raises(PatternError) as info:
+            build()
+        assert str(info.value) == f"a {name} is not a command"
+        assert info.value.command is impostor
+
+
 def test_parse_and_normal_forms_bypass_the_checking_constructor(monkeypatch):
     # reading a document and rewriting it build through ``Pattern._rebuilt``,
     # so ``Pattern``'s scan of every command stays off their path

@@ -84,3 +84,22 @@ def test_a_changed_trace_text_is_caught(tmp_path):
     lines = dict(line.split(": ", 1) for line in result.stdout.splitlines())
     assert lines["traces"].startswith("DIFFERS"), lines
     assert lines["normal-forms"].startswith("holds") and lines["paper-order"].startswith("holds"), lines
+
+
+def test_a_tree_that_raises_while_its_corpus_is_built_gives_a_differs_line(tmp_path):
+    src = tmp_path / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    patterns = src / "onewaylab" / "patterns.py"
+    text = patterns.read_text()
+    planted = "Pattern._rebuilt(interface, first.commands + second.commands)"
+    assert text.count(planted) == 1
+    # the composite runs its second operand first, so standardizing the
+    # composed unitary-check patterns raises while the dumper builds them
+    swapped = planted.replace("first.commands + second", "second.commands + first")
+    patterns.write_text(text.replace(planted, swapped))
+    result = _same(src)
+    assert result.returncode == 1, result.stdout + result.stderr
+    assert "Traceback" not in result.stderr, result.stderr
+    lines = dict(line.split(": ", 1) for line in result.stdout.splitlines())
+    assert list(lines) == ["normal-forms", "paper-order", "traces", "unitaries", "branches", "cli", "errors"]
+    assert lines["unitaries"].startswith("DIFFERS"), lines

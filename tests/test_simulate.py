@@ -262,11 +262,10 @@ def test_not_deterministic_error_is_a_simulation_error():
     assert issubclass(simulate.NotDeterministicError, SimulationError)
 
 
-def _loop_deterministic(maps, dim):
+def _loop_deterministic(out, dim):
     """``_maps_deterministic`` as a loop over each probe's outputs, one at a time."""
-    stacked = np.stack([m.matrix for m in maps])
     for probe in (*np.eye(dim, dtype=complex), *simulate._pseudorandom_states(dim)):
-        outputs = stacked @ probe
+        outputs = np.stack([matrix.T @ probe for matrix in out])
         kept = outputs[simulate._row_norms(outputs) > _BRANCH_CUTOFF * np.vdot(probe, probe).real]
         ref = None
         for v in kept:
@@ -282,15 +281,17 @@ def _loop_deterministic(maps, dim):
 
 
 def _collinearity_cases():
-    """Branch maps, input dimension and verdict for the determinism comparison."""
+    """A walk's ``out`` array, input dimension and verdict for the determinism
+    comparison; each case is written as a list of branch matrices, of shape
+    ``(2**outputs, 2**inputs)``, whose transposes ``out`` stacks."""
     rng = np.random.default_rng(5)
 
     def rand(*shape):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
     def case(name, matrices, dim, verdict):
-        maps = [simulate.BranchMap({}, {}, np.asarray(m, dtype=complex)) for m in matrices]
-        return pytest.param(maps, dim, verdict, id=name)
+        out = np.stack([np.asarray(m, dtype=complex).T for m in matrices])
+        return pytest.param(out, dim, verdict, id=name)
 
     for dim_out, dim_in in [(2, 1), (2, 2), (4, 2), (4, 4), (8, 4)]:
         shape = f"{dim_out}x{dim_in}"
@@ -315,9 +316,76 @@ def _collinearity_cases():
         yield case(f"cosine-{factor}-tol", [[[1.0], [0.0]], [[c], [math.sqrt(1.0 - c * c)]]], 1, verdict)
 
 
-@pytest.mark.parametrize("maps, dim, verdict", _collinearity_cases())
-def test_maps_deterministic_matches_per_vector_loop(maps, dim, verdict):
-    assert simulate._maps_deterministic(maps, dim) == _loop_deterministic(maps, dim) == verdict
+@pytest.mark.parametrize("out, dim, verdict", _collinearity_cases())
+def test_maps_deterministic_matches_per_vector_loop(out, dim, verdict):
+    assert simulate._maps_deterministic(out, dim) == _loop_deterministic(out, dim) == verdict
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and text of the ``SimulationError`` it raised."""
+    try:
+        return fn(*args)
+    except SimulationError as exc:
+        return type(exc), str(exc)
+
+
+def _reference_answers(pattern):
+    """``is_deterministic``, ``extract_unitary`` and unchecked ``extract_unitary``
+    from ``branch_maps``: determinism by the per-vector loop, and the forced
+    branch as the first map sorted by a dict tuple of raw bits over the
+    measured qubits in label order that does not vanish on basis input 0."""
+    maps = branch_maps(pattern)
+    dim = 2 ** len(pattern.inputs)
+    deterministic = _loop_deterministic(np.stack([m.matrix.T for m in maps]), dim)
+    measured = sorted(pattern.measured, key=qubit_key)
+
+    def extract(check):
+        if check and not deterministic:
+            raise simulate.NotDeterministicError("pattern is not deterministic: no single unitary exists")
+        for m in sorted(maps, key=lambda m: tuple(m.raw[q] for q in measured)):
+            norms = simulate._row_norms(m.matrix.T)
+            if norms[0] > _BRANCH_CUTOFF:
+                break
+        else:
+            raise SimulationError("no branch with nonzero probability found")
+        for k in range(dim):
+            if norms[k] <= _BRANCH_CUTOFF:
+                raise SimulationError(f"forced branch vanishes on basis input {k}; pattern not deterministic")
+        u = m.matrix / np.sqrt(norms)
+        if not simulate._is_isometry(u):
+            raise SimulationError("extracted columns are not orthonormal")
+        return u
+
+    return deterministic, _outcome(extract, True), _outcome(extract, False)
+
+
+def test_brute_force_answers_read_the_walk_without_branch_maps(monkeypatch):
+    wild = (random_wild_pattern(24, seed) for seed in range(40))
+    cases = [p for p in wild if len(p.space) <= 10 and not simulate._certified(p)]
+    assert len(cases) == 40
+    cases += [truncated_h(), rank_one()]
+    want = [_reference_answers(p) for p in cases]
+    # the cases reach every answer: a refusal of each kind, and unitaries
+    kinds = {a if isinstance(a, tuple) else "unitary" for _, *answers in want for a in answers}
+    assert {
+        (simulate.NotDeterministicError, "pattern is not deterministic: no single unitary exists"),
+        (SimulationError, "extracted columns are not orthonormal"),
+        "unitary",
+    } < kinds
+    assert any("vanishes on basis input" in a[1] for a in kinds if a != "unitary")
+
+    def refuse(*args):
+        raise AssertionError("a BranchMap was built")
+
+    monkeypatch.setattr(simulate.BranchMap, "__init__", refuse)
+    for pattern, expected in zip(cases, want):
+        got = (
+            is_deterministic(pattern),
+            _outcome(extract_unitary, pattern),
+            _outcome(extract_unitary, pattern, False),
+        )
+        for a, b in zip(got, expected):
+            assert np.array_equal(a, b) if isinstance(b, np.ndarray) else a == b, (pattern, a, b)
 
 
 def _raw_plans(pattern):
@@ -357,6 +425,8 @@ def assert_walk_matches_reference(pattern, psi):
     # run_all_branches, matched by shifted outcomes; a shift can give two
     # raw plans the same shifted outcomes
     walked = run_all_branches(pattern, psi)
+    # sorted by shifted outcome bits over the measured qubits in label order
+    assert [_key(b.outcomes) for b in walked] == sorted(_key(b.outcomes) for b in walked)
     keys = {_key(b.outcomes) for b in walked}
     assert keys == {_key(b.outcomes) for _, b in kept}
     for key in keys:
@@ -553,8 +623,8 @@ def test_extract_unitary_checks_the_width_before_certifying(monkeypatch):
 
 
 def brute_deterministic(pattern):
-    dim = 2 ** len(pattern.inputs)
-    return simulate._maps_deterministic(branch_maps(pattern), dim)
+    out = np.stack([m.matrix.T for m in branch_maps(pattern)])
+    return simulate._maps_deterministic(out, 2 ** len(pattern.inputs))
 
 
 def brute_branches(pattern, psi=None):

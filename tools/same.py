@@ -25,8 +25,9 @@ check (default: this checkout's ``src/``).  Seven families are compared:
   ``is_deterministic`` on the ``unitary-check`` corpus, as built and
   standardized; and, on the ``rewrite-wild`` patterns of at most
   ``BRUTE_FORCE_QUBITS`` qubits, which no certificate covers, the
-  brute-force ``is_deterministic``, ``branch_maps`` and
-  ``extract_unitary(p, check_deterministic=False)``;
+  brute-force ``is_deterministic``, ``branch_maps``,
+  ``extract_unitary(p, check_deterministic=False)`` and the checked
+  ``extract_unitary(p)``;
 - ``branches``: ``run_all_branches`` (outcomes, order, probabilities and
   outputs) on that corpus and on every ``library.BUILDERS`` entry that
   takes no argument, on input |0...0> and on a seeded random input;
@@ -41,7 +42,8 @@ check (default: this checkout's ``src/``).  Seven families are compared:
   map that is total, misses a qubit, is not injective, or sends a qubit to
   each of ``RENAME_NON_LABELS``: the ``serialize`` text or the refusal.
 
-An exception is an output too: its type and message are compared.  Each
+An exception is an output too: its type and message are compared, also
+when it is raised while a corpus is built.  Each
 family prints one line with its largest numeric difference and whether
 every output is equal bit for bit.  Texts that differ are compared number
 by number when everything between their decimal numbers is equal.  The
@@ -217,6 +219,9 @@ def dump(path: str, seed: int) -> None:
         except Exception as exc:
             return ("raised", type(exc).__name__, str(exc))
 
+    def raised(result):
+        return isinstance(result, tuple) and result[:1] == ("raised",)
+
     def forms(text, paper_order=False):
         p = dsl.parse(text)
         return tuple(
@@ -245,13 +250,19 @@ def dump(path: str, seed: int) -> None:
             out["paper-order"][key] = attempt(forms, text, True)
             if len(p.commands) <= TRACED_SIZE:
                 out["traces"][key] = attempt(traces, p)
-    composed = _library_patterns(rng)
+    composed = attempt(_library_patterns, rng)
+    if raised(composed):
+        out["normal-forms"]["library"], composed = composed, {}
     for name, p in composed.items():
-        out["normal-forms"]["library", name] = dsl.serialize(p)
+        out["normal-forms"]["library", name] = attempt(dsl.serialize, p)
     patterns = {}
     for name, (pattern, _, _) in workloads.UnitaryCheck(seed).cases.items():
         patterns[name, "builder"] = pattern
-        patterns[name, "standardized"] = rewrite.standardize(pattern)[0]
+        standardized = attempt(lambda: rewrite.standardize(pattern)[0])
+        if raised(standardized):
+            out["unitaries"][name, "standardized"] = standardized
+        else:
+            patterns[name, "standardized"] = standardized
     for key, p in patterns.items():
         out["unitaries"][key] = tuple(
             attempt(fn, p) for fn in (simulate.extract_unitary, maps, simulate.is_deterministic)
@@ -262,6 +273,7 @@ def dump(path: str, seed: int) -> None:
                 attempt(simulate.is_deterministic, p),
                 attempt(maps, p),
                 attempt(lambda: simulate.extract_unitary(p, check_deterministic=False)),
+                attempt(simulate.extract_unitary, p),
             )
     for name, builder in library.BUILDERS.items():
         if all(param.default is not param.empty for param in inspect.signature(builder).parameters.values()):
