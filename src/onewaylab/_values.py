@@ -7,7 +7,11 @@ class Value:
     """An immutable value whose fields are its ``__slots__``, two or more: it
     equals a value of its class with equal fields, hashes as the tuple of its
     fields, prints like a dataclass, pickles through its constructor and
-    refuses assignment, so ``__init__`` sets fields through the slots' ``_setters``."""
+    refuses assignment, so ``__init__`` sets fields through the slots' ``_setters``.
+
+    A ``frozenset`` field prints with its elements in label order
+    (``signals._fixed_key``) rather than hash order, so no value's repr
+    depends on ``PYTHONHASHSEED``."""
 
     __slots__ = ()
 
@@ -28,8 +32,13 @@ class Value:
         return hash(self._fields(self))
 
     def __repr__(self):
+        from .signals import _in_label_order  # signals imports this module
+
+        def text(v):
+            return f"frozenset({_in_label_order(v) if v else ''})" if type(v) is frozenset else repr(v)
+
         fields = zip(self.__slots__, self._fields(self))
-        return f"{type(self).__qualname__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
+        return f"{type(self).__qualname__}({', '.join(f'{n}={text(v)}' for n, v in fields)})"
 
     def __reduce__(self):
         return type(self), self._fields(self)

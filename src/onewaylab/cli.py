@@ -6,12 +6,13 @@ standard input) so they compose with pipes::
     onewaylab library cnot | onewaylab standardize | onewaylab simulate
 
 Exit codes: 0 success, 1 validation/verification failure, 2 usage or parse
-error.
+error, 141 when a reader closes standard output or error early.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 
@@ -170,12 +171,8 @@ def _target_matrix(spec: str) -> np.ndarray:
 
 
 def cmd_graph(args) -> int:
-    doc = _load(args.file)
-    if args.kind == "entanglement":
-        text = library.entanglement_dot(doc.pattern)
-    else:
-        text = library.dependency_dot(doc.pattern)
-    sys.stdout.write(text)
+    dot = library.entanglement_dot if args.kind == "entanglement" else library.dependency_dot
+    sys.stdout.write(dot(_load(args.file).pattern))
     return 0
 
 
@@ -256,7 +253,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so that a reader gone before the exit is caught below
+        return code
+    except BrokenPipeError:
+        # a reader closed its pipe: write nothing more, and let the interpreter's
+        # last flush of either stream go to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        for stream in (sys.stdout, sys.stderr):
+            os.dup2(devnull, stream.fileno())
+        return 141  # the shell's code for a process that SIGPIPE ends
     except dsl.DslError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

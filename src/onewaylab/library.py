@@ -51,14 +51,14 @@ def cz(i: Qubit = 1, k: Qubit = 2) -> Pattern:
     return Pattern(frozenset((i, k)), (i, k), (i, k), (Entangle(i, k),))
 
 
-def j_chain(angles, start: int = 1) -> Pattern:
-    """Sequential composition of J patterns on qubits start, start+1, ...
+def j_chain(angles) -> Pattern:
+    """Sequential composition of J patterns on qubits 1 to n + 1, for n angles.
 
-    ``angles[0]`` is applied first (measured on the first qubit).
+    ``angles[0]`` is applied first (measured on qubit 1).
     """
-    result = identity(start)
-    for offset, alpha in enumerate(angles):
-        result = compose(j(alpha, start + offset, start + offset + 1), result)
+    result = identity(1)
+    for i, alpha in enumerate(angles, 1):
+        result = compose(j(alpha, i, i + 1), result)
     return result
 
 

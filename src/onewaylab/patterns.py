@@ -134,10 +134,6 @@ class ValidityReport(Value):
     def ok(self) -> bool:
         return self.d0 is None and self.d1 is None and self.d2 is None
 
-    def __repr__(self):
-        qubits = f"frozenset({_in_label_order(self.d2_qubits, '')})"
-        return f"ValidityReport(d0={self.d0!r}, d1={self.d1!r}, d2={self.d2!r}, d2_qubits={qubits})"
-
 
 def validate(pattern: Pattern) -> ValidityReport:
     """Check the three definiteness conditions.

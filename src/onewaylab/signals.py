@@ -38,11 +38,11 @@ def _fixed_key(q):
     return (0, *qubit_key(q)) if is_label(q) else (1, type(q).__name__, repr(q))
 
 
-def _in_label_order(qubits, empty: str = "set()") -> str:
+def _in_label_order(qubits) -> str:
     """``qubits`` written like a set's repr, but in ``_fixed_key`` order
     rather than hash order, so that no message depends on
-    ``PYTHONHASHSEED``; ``empty`` is written for no qubits."""
-    return "{" + ", ".join(repr(q) for q in sorted(qubits, key=_fixed_key)) + "}" if qubits else empty
+    ``PYTHONHASHSEED``."""
+    return "{" + ", ".join(repr(q) for q in sorted(qubits, key=_fixed_key)) + "}" if qubits else "set()"
 
 
 class MissingOutcomeError(KeyError):
@@ -103,9 +103,6 @@ class Signal(Value):
 
     def renamed(self, mapping: Mapping[Qubit, Qubit]) -> "Signal":
         return Signal(frozenset(mapping[q] for q in self.support), self.constant)
-
-    def __repr__(self) -> str:
-        return f"Signal(support=frozenset({_in_label_order(self.support, '')}), constant={self.constant!r})"
 
     def __str__(self) -> str:
         terms = [f"s[{q}]" for q in sorted(self.support, key=qubit_key)]

@@ -930,10 +930,8 @@ def extract_unitary(pattern: Pattern, check_deterministic: bool = True) -> np.nd
     if not certified:
         if check_deterministic and not _maps_deterministic(out, dim_in):
             raise NotDeterministicError("pattern is not deterministic: no single unitary exists")
-        alive = [k for k in _label_order(bits[:, ::2], layout.measured) if norms[k, 0] > _BRANCH_CUTOFF]
-        if not alive:
-            raise SimulationError("no branch with nonzero probability found")
-        k = alive[0]
+        # the walk checked that input 0's probabilities sum to 1 over < 2^24 branches, so one passes the cutoff
+        k = next(k for k in _label_order(bits[:, ::2], layout.measured) if norms[k, 0] > _BRANCH_CUTOFF)
         vanishing = np.flatnonzero(norms[k] <= _BRANCH_CUTOFF)
         if len(vanishing):
             raise SimulationError(

@@ -17,7 +17,7 @@ from conftest import TEXT_PIECES, flat_pattern, mutated_texts, run_isolated
 from onewaylab.angles import Angle
 from onewaylab.cli import main
 from onewaylab.dsl import parse, serialize
-from onewaylab.library import BUILDERS, cnot, ghz, h, teleport
+from onewaylab.library import BUILDERS, cnot, ghz, h, j_chain, teleport
 
 
 def run_cli(capsys, monkeypatch, argv, stdin=""):
@@ -281,14 +281,15 @@ def test_graph_output_does_not_depend_on_the_hash_seed(monkeypatch):
 # writes the CLI's refusal of the invalid pattern argv[1] to stderr, then
 # refusals over str labels: of a composition, a tensor product, a rename to
 # two non-labels, a signal naming three qubits outside the space and a
-# command outside the space whose signal names two qubits; then the repr of
-# such a command
+# command outside the space whose signal names two qubits; then the reprs of
+# such a command, a pattern, a pattern document and a validity report
 _RUN_REFUSALS = """
 import io, sys
 from onewaylab.cli import main
 from onewaylab.commands import CorrectX
+from onewaylab.dsl import PatternDocument
 from onewaylab.library import h
-from onewaylab.patterns import Pattern, PatternError, compose, rename, tensor
+from onewaylab.patterns import Pattern, PatternError, compose, rename, tensor, validate
 from onewaylab.signals import signal
 sys.stdin = io.StringIO(sys.argv[1])
 assert main(["standardize"]) == 1
@@ -304,7 +305,9 @@ for refuse in (
         refuse()
     except PatternError as exc:
         print(f"error: {exc}", file=sys.stderr)
-print(repr(CorrectX("b", signal("d", "c"))), file=sys.stderr)
+abcd = Pattern("abcd", "a", "a", ())
+for value in (CorrectX("b", signal("d", "c")), abcd, PatternDocument("p", abcd), validate(abcd)):
+    print(repr(value), file=sys.stderr)
 """
 
 
@@ -328,6 +331,10 @@ def test_refusals_do_not_depend_on_the_hash_seed(monkeypatch):
         "error: command CorrectX(qubit='c', signal=Signal(support=frozenset({'c', 'd'}), constant=0)) "
         "acts outside the space\n"
         "CorrectX(qubit='b', signal=Signal(support=frozenset({'c', 'd'}), constant=0))\n"
+        "Pattern(space=frozenset({'a', 'b', 'c', 'd'}), inputs=('a',), outputs=('a',), commands=())\n"
+        "PatternDocument(name='p', pattern=Pattern(space=frozenset({'a', 'b', 'c', 'd'}), inputs=('a',), "
+        "outputs=('a',), commands=()))\n"
+        "ValidityReport(d0=None, d1=None, d2=-1, d2_qubits=frozenset({'b', 'c', 'd'}))\n"
     }, errors
 
 
@@ -475,6 +482,55 @@ def test_a_ghz_past_the_limit_is_refused_at_once():
     # a wrapper interpreter runs the CLI, so RUSAGE_CHILDREN sees only its run
     result = run_isolated(_GHZ_PAST_THE_LIMIT)
     assert result.returncode == 0, result.stderr
+
+
+# runs the CLI on argv[4:] with argv[3] as its input and stdout
+# block-buffered, as it is by default, and closes the stream argv[1] after
+# one line, or before the CLI can write when argv[2] is 0; prints the exit
+# code, the line read and what the CLI wrote to stderr when stdout is the
+# stream closed
+_CLOSE_EARLY = """
+import os, subprocess, sys
+stream, lines, text, *argv = sys.argv[1:]
+main = "import sys; from onewaylab.cli import main; sys.exit(main(sys.argv[1:]))"
+env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+pipes = {"stdout": subprocess.DEVNULL, "stderr": subprocess.PIPE, stream: subprocess.PIPE}
+cli = subprocess.Popen([sys.executable, "-c", main, *argv], stdin=subprocess.PIPE, text=True, env=env, **pipes)
+reader = getattr(cli, stream)
+if lines == "0":
+    reader.close()
+cli.stdin.write(text)
+cli.stdin.close()
+first = "" if reader.closed else reader.readline()
+reader.close()
+rest = cli.stderr.read() if stream == "stdout" else ""
+print(cli.wait(), repr(first), repr(rest))
+"""
+
+
+@pytest.mark.parametrize(
+    "stream, lines, pattern, argv, first",
+    [
+        ("stdout", 1, ghz(7), ["simulate", "--branches"], "branches: 64  (outcome order: 2, 3, 4, 5, 6, 7)\n"),
+        (
+            "stderr",
+            1,
+            j_chain([Fraction(1, 4)] * 40),
+            ["standardize", "--extended", "--trace"],
+            "EX @ 2: E(2,3) X(2, s[1]) => Z(3, s[1]) X(2, s[1]) E(2,3)\n",
+        ),
+        ("stdout", 0, cnot(), ["standardize"], ""),
+        ("stderr", 0, cnot(), ["standardize", "--trace"], ""),
+    ],
+    ids=["stdout", "stderr", "stdout-before-any-line", "stderr-before-any-line"],
+)
+def test_a_reader_closing_its_pipe_ends_the_cli_with_exit_141(stream, lines, pattern, argv, first):
+    # the first two write over 100 kB to the stream, more than a pipe holds,
+    # so the CLI is still writing when its reader goes; the last two write a
+    # short text, which the interpreter's last flush would write again
+    result = run_isolated(_CLOSE_EARLY, stream, str(lines), serialize(pattern), *argv)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == f"141 {first!r} ''\n"
 
 
 @pytest.mark.parametrize("command", ["validate", "simulate", "standardize"])

@@ -346,8 +346,6 @@ def _reference_answers(pattern):
             norms = simulate._row_norms(m.matrix.T)
             if norms[0] > _BRANCH_CUTOFF:
                 break
-        else:
-            raise SimulationError("no branch with nonzero probability found")
         for k in range(dim):
             if norms[k] <= _BRANCH_CUTOFF:
                 raise SimulationError(f"forced branch vanishes on basis input {k}; pattern not deterministic")

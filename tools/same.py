@@ -3,9 +3,11 @@
     python3 tools/same.py --against <commit> --seed <n> [--src <dir>]
 
 The commit's ``src/`` is exported with ``git archive`` into a temporary
-directory.  One dumper per tree runs in its own interpreter, under
-``PYTHONHASHSEED=0`` and with BLAS pinned to one thread, and pickles that
-tree's outputs; the corpora come from the benchmark's builders in
+directory.  One dumper per tree runs in its own interpreter, both at the
+same time and with BLAS pinned to one thread, and pickles that tree's
+outputs: the commit's under ``PYTHONHASHSEED=0`` and the checked tree's
+under ``PYTHONHASHSEED=1``, so an output that depends on hash order
+differs.  The corpora come from the benchmark's builders in
 ``perfbench/workloads.py`` at ``--seed``.  ``--src`` names the tree to
 check (default: this checkout's ``src/``).  Seven families are compared:
 
@@ -386,19 +388,27 @@ def compare(want: dict, got: dict) -> bool:
     return holds
 
 
-def _dumped(src: Path, seed: int, path: Path) -> dict:
-    env = dict(
-        os.environ,
-        PYTHONHASHSEED="0",
-        OMP_NUM_THREADS="1",
-        OPENBLAS_NUM_THREADS="1",
-        MKL_NUM_THREADS="1",
-        PYTHONPATH=os.pathsep.join(map(str, (src, ROOT / "perfbench", ROOT / "tools"))),
-    )
+def _dumped(trees, seed: int, tmp: Path) -> list[dict]:
+    """Each tree's outputs, from dumpers run side by side, the i-th tree's
+    under ``PYTHONHASHSEED=i``; a dumper that fails raises
+    ``CalledProcessError`` once all have ended."""
     code = "import sys, same; same.dump(sys.argv[1], int(sys.argv[2]))"
-    subprocess.run([sys.executable, "-c", code, str(path), str(seed)], env=env, cwd=ROOT, check=True)
-    with open(path, "rb") as fh:
-        return pickle.load(fh)
+    paths, runs = [], []
+    for hash_seed, src in enumerate(trees):
+        env = dict(
+            os.environ,
+            PYTHONHASHSEED=str(hash_seed),
+            OMP_NUM_THREADS="1",
+            OPENBLAS_NUM_THREADS="1",
+            MKL_NUM_THREADS="1",
+            PYTHONPATH=os.pathsep.join(map(str, (src, ROOT / "perfbench", ROOT / "tools"))),
+        )
+        paths.append(tmp / f"dump{hash_seed}.pkl")
+        runs.append(subprocess.Popen([sys.executable, "-c", code, str(paths[-1]), str(seed)], env=env, cwd=ROOT))
+    failed = [run for run in runs if run.wait()]  # waits for every dumper
+    if failed:
+        raise subprocess.CalledProcessError(failed[0].returncode, failed[0].args)
+    return [pickle.loads(path.read_bytes()) for path in paths]
 
 
 def main(argv=None) -> int:
@@ -416,8 +426,7 @@ def main(argv=None) -> int:
             print(f"error: cannot export {args.against}: {archive.stderr.decode().strip()}", file=sys.stderr)
             return 2
         subprocess.run(["tar", "-x", "-C", str(tmp)], input=archive.stdout, check=True)
-        want = _dumped(tmp / "src", args.seed, tmp / "want.pkl")
-        got = _dumped(args.src.resolve(), args.seed, tmp / "got.pkl")
+        want, got = _dumped((tmp / "src", args.src.resolve()), args.seed, tmp)
     return 0 if compare(want, got) else 1
 
 
