@@ -19,9 +19,10 @@ Qubit labels are integers or words (primed labels like ``2'`` allowed).
 Angles are exact multiples of pi (``0``, ``pi``, ``1/2 pi``) or decimal
 radians; signals are sums like ``1 + s[1] + s[2]``.
 
-``parse_document`` first matches the text one whole command at a time
-(``_fast_document``).  Any text that path does not cover, and any text with
-an error, goes to the token-by-token ``_Parser``, which alone reports
+``parse_document`` first matches the structure of the text one command at
+a time (``_fast_document``), and reads each angle and signal in it with
+``_Parser``'s own rules.  Any text that path does not cover, and any text
+with an error, goes to the token-by-token ``_Parser``, which alone reports
 errors, so every ``DslError`` and its location are the located parser's.
 """
 
@@ -36,7 +37,7 @@ from ._values import Value
 from .angles import Angle
 from .commands import CorrectX, CorrectZ, Entangle, Measure, Shift
 from .patterns import Pattern, PatternError
-from .signals import LABEL_WORD, Qubit, Signal, qubit_key
+from .signals import LABEL_WORD, ZERO, Qubit, Signal, qubit_key
 
 
 class DslError(ValueError):
@@ -322,18 +323,16 @@ class _Parser:
         return PatternDocument(name, pattern)
 
 
-# The fast path builds the same objects through the same constructors as
-# ``_Parser``, on a subset of its grammar: ASCII digits and whitespace
-# (``re.ASCII``), no comments, and angles in the forms ``serialize`` writes
-# plus ``pi/q``.  Labels are ``signals.LABEL_WORD``.  Each piece below
-# ends where a token of ``_TOKEN_RE`` must end, so a match never splits the
-# text into tokens other than the located parser's.
+# The fast path matches only a command's structure: its letter, its qubit
+# labels (``signals.LABEL_WORD``), its punctuation and ``s=`` before ``t=``,
+# in ASCII digits and whitespace (``re.ASCII``).  Each angle or signal is one
+# piece that ``_Parser`` reads whole.  A piece is never empty and holds no
+# ``#``, ``,``, ``(``, ``)`` or ``;``, so it ends where a token of
+# ``_TOKEN_RE`` ends, and a match never splits the text into tokens or
+# comments other than the located parser's.
 _FAST_LABEL = rf"(?:{LABEL_WORD})"
 _FAST_LIST = rf"(?:{_FAST_LABEL}(?:\s*,\s*{_FAST_LABEL})*)?"
-_FAST_TERM = rf"(?:s\s*\[\s*{_FAST_LABEL}\s*\]|[0-9]+)"
-_FAST_SIGNAL = rf"{_FAST_TERM}(?:\s*\+\s*{_FAST_TERM})*"
-_FAST_DECIMAL = r"(?:[0-9]+\.[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|[0-9]+[eE][+-]?[0-9]+"
-_FAST_ANGLE = rf"(?:-\s*)?(?:pi(?:\s*/\s*[0-9]+)?|[0-9]+(?:\s*/\s*[0-9]+)?\s*pi|0+|{_FAST_DECIMAL})"
+_FAST_PIECE = r"\s*([^,()#;\s][^,()#;]*)"
 
 _FAST_HEADER_RE = re.compile(
     rf"""\s*pattern\s+({_FAST_LABEL})\s*\{{
@@ -349,68 +348,52 @@ _FAST_HEADER_RE = re.compile(
 _FAST_COMMAND_RE = re.compile(
     rf"""\s*(?:
         E\s*\(\s*({_FAST_LABEL})\s*,\s*({_FAST_LABEL})\s*\)
-      | M\s*\(\s*({_FAST_LABEL})\s*,\s*({_FAST_ANGLE})
-          (?:\s*,\s*s\s*=\s*({_FAST_SIGNAL}))?(?:\s*,\s*t\s*=\s*({_FAST_SIGNAL}))?\s*\)
-      | ([XZS])\s*\(\s*({_FAST_LABEL})\s*,\s*({_FAST_SIGNAL})\s*\)
+      | M\s*\(\s*({_FAST_LABEL})\s*,{_FAST_PIECE}
+          (?:,\s*s\s*={_FAST_PIECE})?(?:,\s*t\s*={_FAST_PIECE})?\)
+      | ([XZS])\s*\(\s*({_FAST_LABEL})\s*,{_FAST_PIECE}\)
     )\s*;
   | (\s*\S)""",
     re.VERBOSE | re.ASCII,
 )
 _FAST_LABEL_RE = re.compile(_FAST_LABEL, re.ASCII)
-# the pieces of a signal and of an angle that the command matched whole
-_FAST_TERM_RE = re.compile(rf"s\s*\[\s*({_FAST_LABEL})\s*\]|([0-9]+)", re.ASCII)
-_FAST_ANGLE_RE = re.compile(
-    rf"(?:(-)\s*)?(?:pi(?:\s*/\s*([0-9]+))?|([0-9]+)(?:\s*/\s*([0-9]+))?\s*pi|(0+)|({_FAST_DECIMAL}))",
-    re.ASCII,
-)
+
+
+def _read(text: str, piece):
+    """``piece`` (``_Parser.angle`` or ``_Parser.signal``) read from all of
+    ``text``; a ``DslError`` if it is malformed or leaves text unread."""
+    parser = _Parser(text)
+    value = piece(parser)
+    parser.end()
+    return value
 
 
 # Angles and signals are immutable, and a corpus writes few distinct angle
-# and signal texts, so both are interned across documents in bounded caches.
-# A signal's qubits follow from its text alone (an all-digit word is an int),
-# but a document may use only the label words its ``space:`` list writes, so
-# each cached signal keeps the words it names and a document checks them.
+# and signal texts, so each text is read once per process, in bounded caches.
 _ANGLE_CACHE_SIZE = 1024
 _SIGNAL_CACHE_SIZE = 4096
 
 
 @functools.lru_cache(maxsize=_SIGNAL_CACHE_SIZE)
-def _fast_signal(text: str) -> tuple[Signal, frozenset]:
-    """The signal of ``text`` and the label words it names."""
-    support: set = set()
-    words = set()
-    constant = 0
-    for word, digits in _FAST_TERM_RE.findall(text):
-        if word:
-            support ^= {int(word) if word.isdigit() else word}
-            words.add(word)
-        else:
-            constant ^= int(digits) % 2
-    return Signal(frozenset(support), constant), frozenset(words)
+def _fast_signal(text: str) -> Signal:
+    return _read(text, _Parser.signal)
 
 
 @functools.lru_cache(maxsize=_ANGLE_CACHE_SIZE)
 def _fast_angle(text: str) -> Angle:
-    negative, pi_den, num, den, zero, decimal = _FAST_ANGLE_RE.fullmatch(text).groups()
-    if decimal:
-        value = float(decimal)
-        return Angle.from_radians(-value if negative else value)
-    if zero:
-        int(zero)  # refuses as long a run of zeros as the located parser does
-        return Angle.exact(0)
-    frac = Fraction(int(num or 1), int(den or pi_den or 1))
-    return Angle.exact(-frac if negative else frac)
+    return _read(text, _Parser.angle)
 
 
 def _fast_document(text: str) -> PatternDocument | None:
-    """``text``'s document when all of it is in the fast path's subset, else None.
+    """``text``'s document when its structure is in the fast path's subset,
+    else None.
 
-    A label must be written as in the ``space:`` list, so ``01`` for ``1``
-    is declined too.  The interface is checked by ``Pattern``, and the
-    commands join it through ``Pattern._rebuilt``, without a scan for
-    qubits outside the space: every qubit a command acts on was looked up
-    among the ``space:`` labels, where any other is a ``KeyError``, and
-    every label word a signal names is checked to be one of them.
+    A command's qubit must be written as in the ``space:`` list, so ``01``
+    for ``1`` is declined; each angle and signal is read by ``_Parser``.
+    The interface is checked by ``Pattern``, and the commands join it
+    through ``Pattern._rebuilt``, without a scan for qubits outside the
+    space: every qubit a command acts on was looked up among the ``space:``
+    labels, where any other is a ``KeyError``, and every signal's support is
+    checked to lie in the space.
     """
     head = _FAST_HEADER_RE.match(text)
     body = text.rstrip()
@@ -424,7 +407,7 @@ def _fast_document(text: str) -> PatternDocument | None:
         labels = {word: int(word) if word.isdigit() else word for word in words}
         inputs = tuple(labels[word] for word in _FAST_LABEL_RE.findall(inputs))
         outputs = tuple(labels[word] for word in _FAST_LABEL_RE.findall(outputs))
-        words = labels.keys()
+        space = frozenset(labels.values())
         commands = []
         for e1, e2, mq, angle, s, t, kind, q, signal, bad in _FAST_COMMAND_RE.findall(
             text, head.end(), body_end
@@ -432,21 +415,22 @@ def _fast_document(text: str) -> PatternDocument | None:
             if e1:
                 cmd = Entangle(labels[e1], labels[e2])
             elif mq:
-                s, s_words = _fast_signal(s)
-                t, t_words = _fast_signal(t)
-                if not (s_words <= words and t_words <= words):
+                # a piece is never empty, so an empty group is an absent signal
+                s = _fast_signal(s) if s else ZERO
+                t = _fast_signal(t) if t else ZERO
+                if not (s.support <= space and t.support <= space):
                     return None
                 cmd = Measure(labels[mq], _fast_angle(angle), s, t)
             elif kind:
-                signal, named = _fast_signal(signal)
-                if not named <= words:
+                signal = _fast_signal(signal)
+                if not signal.support <= space:
                     return None
                 cmd = _QUBIT_SIGNAL_COMMANDS[kind](labels[q], signal)
             else:
                 return None
             commands.append(cmd)
-        pattern = Pattern._rebuilt(Pattern(frozenset(labels.values()), inputs, outputs, ()), commands)
-    except (KeyError, ValueError, ZeroDivisionError):
+        pattern = Pattern._rebuilt(Pattern(space, inputs, outputs, ()), commands)
+    except (KeyError, ValueError):
         return None
     return PatternDocument(name, pattern)
 
@@ -461,10 +445,7 @@ def parse(text: str) -> Pattern:
 
 def parse_angle(text: str) -> Angle:
     """One angle in the grammar of ``M(q, angle)``, and nothing after it."""
-    parser = _Parser(text)
-    angle = parser.angle()
-    parser.end()
-    return angle
+    return _read(text, _Parser.angle)
 
 
 # serialization ------------------------------------------------------

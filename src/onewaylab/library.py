@@ -258,6 +258,7 @@ def random_wild_pattern(n_commands: int, seed: int) -> Pattern:
     to_measure = [q for q in space if q not in outputs]
     rng.shuffle(to_measure)
     measured: list = []
+    unmeasured = list(space)
     commands = []
 
     def measure(q):
@@ -266,9 +267,9 @@ def random_wild_pattern(n_commands: int, seed: int) -> Pattern:
         t = _random_signal(rng, measured, allow_constant=False)
         commands.append(Measure(q, angle, s, t))
         measured.append(q)
+        unmeasured.remove(q)
 
     while len(commands) < n_commands:
-        unmeasured = [q for q in space if q not in measured]
         kind = rng.choice("EEMMXZS")
         if kind == "E" and len(unmeasured) >= 2:
             a, b = rng.sample(unmeasured, 2)

@@ -215,7 +215,9 @@ def emc_measure_change(seq, position, before, after) -> int:
 
 # pattern text, well formed or not ------------------------------------
 
-_TEXT_CHUNKS = [*"(){}[];:,=/+-.'_#\n 0129EMXZSaest", "pi", "e9", "s[", "space", "input", "output", "seq"]
+_TEXT_CHUNKS = [
+    *"(){}[];:,=/+-.'_#\n 0129EMXZSaest\u0663\u00a0", "pi", "e9", "s[", "space", "input", "output", "seq"
+]
 TEXT_PIECES = st.lists(st.sampled_from(_TEXT_CHUNKS), max_size=4).map("".join)
 """Short strings over the text format's alphabet, empty included."""
 

@@ -447,7 +447,7 @@ _EDGE_CASES = {
     "pi/4": (_document("M(1, pi/4);"), "fast"),
     "2pi": (_document("M(1, 2pi);"), "fast"),
     "-0": (_document("M(1, -0);"), "fast"),
-    "integer radians": (_document("M(1, 3);"), "located"),
+    "integer radians": (_document("M(1, 3);"), "fast"),
     "primed and word labels": (
         _document("E(2',a_1); M(a_1, 0, s=s[2']); X(2', s[a_1]);", "1, 2, 2', a_1"), "fast"
     ),
@@ -457,7 +457,7 @@ _EDGE_CASES = {
     "signal constants from 2": (_document("X(2, 2 + s[1]); Z(2, 3);"), "fast"),
     "t before s": (_document("M(1, 1/4 pi, t=s[2], s=s[2]);"), "located"),
     "label written another way": (_document("E(01,2);"), "located"),
-    "signal label written another way": (_document("X(2, s[01]);"), "located"),
+    "signal label written another way": (_document("X(2, s[01]);"), "fast"),
     "unicode digit label": (_document("E(1,\u0662);"), "located"),
     "E(1,1)": (_document("E(1,1);"), "error"),
     "command outside the space": (_document("E(1,3);"), "error"),
@@ -474,6 +474,8 @@ _EDGE_CASES = {
     "exponents": (_document("M(1, -1e1); M(2, 1e-3);"), "fast"),
     "text after the closing brace": (_document("E(1,2);") + "x", "error"),
     "second closing brace": (_document("E(1,2);") + "}", "error"),
+    "comment inside a command": (_document("M(1, 1/4 pi # c, s=s[2]\n    );"), "located"),
+    "empty signal": (_document("M(1, 1/4 pi, s=);"), "error"),
 }
 
 
@@ -487,19 +489,18 @@ def test_edge_cases_parse_as_located(text, reader):
 def test_no_signal_text_outlives_its_document():
     # the same signal texts read, one after the other, in a document whose
     # space holds their label and in one whose space does not: a cached
-    # signal serves only a document whose space writes the words it names
+    # signal serves only a document whose space holds its qubits
     holds_a = "pattern p { space: 1, a; input: 1; output: a; seq: X(a, s[1]); M(1, 0, s=s[a]); }"
     assert parse(holds_a).space == frozenset((1, "a"))
     lacks_a = _document("E(1,2); X(2, s[a]);")
     with pytest.raises(DslError, match=r"line 6, column 13: command X\(2, s\[a\]\)"):
         parse(lacks_a)
     assert_parses_as_located(lacks_a)
-    # ``01`` is a label of the first space only, so the fast path declines
-    # ``s[01]`` in the second, and the located parser reads it as 1
+    # ``s[01]`` names qubit 1 in either space, however the space writes it
     holds_01 = "pattern p { space: 01, 2; input: 01; output: 2; seq: X(2, s[01]); }"
     assert dsl._fast_document(holds_01) is not None
     lacks_01 = _document("X(2, s[01]);")
-    assert dsl._fast_document(lacks_01) is None
+    assert dsl._fast_document(lacks_01) == _located(lacks_01)
     assert parse(lacks_01).commands == (CorrectX(2, Signal(frozenset((1,)))),)
 
 
@@ -522,7 +523,8 @@ _SIGNAL_DOCUMENTS = [(_WRITTEN_1, True, None), (_WRITTEN_01, True, None), _01_IN
 @pytest.mark.parametrize("order", [1, -1], ids=["written-first", "written-last"])
 def test_cached_signals_keep_the_label_words_of_each_document(order):
     # each signal text is read first in a document whose space writes its
-    # words, or first in one whose space writes the label another way
+    # labels as the signal does, or first in one whose space writes them
+    # another way: a cached signal is checked by its qubits, not its words
     dsl._fast_signal.cache_clear()
     for text, fast, error in _SIGNAL_DOCUMENTS[::order] * 2:
         assert (dsl._fast_document(text) is not None) == fast
@@ -586,15 +588,15 @@ def test_fast_path_leaves_bad_qubits_to_the_located_parser(text, message):
     assert str(info.value) == message
 
 
-def _located_parser_refused(text):
-    raise AssertionError("the located parser ran")
+def _located_parser_refused(self):
+    raise AssertionError("the located parser read a whole document")
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_fast_path_reads_wild_patterns(monkeypatch, seed):
     pattern = random_wild_pattern(200, seed)
     text = serialize(pattern)
-    monkeypatch.setattr(dsl, "_Parser", _located_parser_refused)
+    monkeypatch.setattr(dsl._Parser, "document", _located_parser_refused)
     assert parse(text) == pattern
 
 
@@ -602,7 +604,7 @@ def test_fast_path_reads_wild_patterns(monkeypatch, seed):
 def test_fast_path_reads_every_builder(monkeypatch, name):
     pattern = BUILDERS[name](*BUILDER_ARGS.get(name, ()))
     text = serialize(pattern, name)
-    monkeypatch.setattr(dsl, "_Parser", _located_parser_refused)
+    monkeypatch.setattr(dsl._Parser, "document", _located_parser_refused)
     assert parse_document(text) == dsl.PatternDocument(name, pattern)
 
 
@@ -610,5 +612,5 @@ def test_fast_path_reads_every_builder(monkeypatch, name):
 @given(patterns_with_text_labels())
 def test_fast_path_reads_what_serialize_writes(pattern):
     text = serialize(pattern)
-    with mock.patch.object(dsl, "_Parser", _located_parser_refused):
+    with mock.patch.object(dsl._Parser, "document", _located_parser_refused):
         assert parse(text) == pattern

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from conftest import (
 from onewaylab import rewrite
 from onewaylab.angles import Angle
 from onewaylab.commands import Entangle, Measure
-from onewaylab.dsl import parse
+from onewaylab.dsl import parse, serialize
 from onewaylab.library import (
     BUILDERS,
     PatternError,
@@ -162,6 +163,21 @@ def test_builders_hand_each_command_to_the_checking_constructor_once(monkeypatch
 def test_random_wild_pattern_is_valid():
     for seed in range(10):
         assert validate(random_wild_pattern(25, seed)).ok
+
+
+@pytest.mark.parametrize(
+    "n, seed, digest",
+    [
+        (24, 0, "c20796774009ecaf28ab9aba3dc045ba55101da3c065b0f5b2592c41492cc770"),
+        (80, 7, "daa44986ae9c5e35f201f8a47655c88266d30ace3826782898eb9b5dc294b131"),
+        (200, 1, "36058ac3eb26f7bcb27faa297057e3bd33b43b98a7a4189260c6def31830d060"),
+    ],
+)
+def test_random_wild_pattern_is_pinned(n, seed, digest):
+    # the benchmark's rewrite-wild inputs are these patterns, so a change to
+    # the generator would change what a benchmark compares across commits
+    text = serialize(random_wild_pattern(n, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_random_circuit_pattern_is_valid_and_deterministic():
