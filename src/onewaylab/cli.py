@@ -12,6 +12,7 @@ error, 141 when a reader closes standard output or error early.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 from fractions import Fraction
@@ -81,10 +82,8 @@ def cmd_validate(args) -> int:
 
 def cmd_standardize(args) -> int:
     doc = _load(args.file)
-    if args.extended:
-        result, trace = rewrite.standardize_extended(doc.pattern)
-    else:
-        result, trace = rewrite.standardize(doc.pattern)
+    normal_form = rewrite.standardize_extended if args.extended else rewrite.standardize
+    result, trace = normal_form(doc.pattern)
     if args.trace:
         text = rewrite.format_trace(trace)
         if text:
@@ -207,36 +206,33 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", help="check the runnability conditions")
-    p.add_argument("file", nargs="?", default="-")
-    p.set_defaults(func=cmd_validate)
+    def reads_a_document(name: str, func, summary: str) -> argparse.ArgumentParser:
+        """A subcommand that reads a pattern document from ``file`` (default stdin)."""
+        p = sub.add_parser(name, help=summary)
+        p.add_argument("file", nargs="?", default="-")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("standardize", help="rewrite to normal form")
-    p.add_argument("file", nargs="?", default="-")
+    reads_a_document("validate", cmd_validate, "check the runnability conditions")
+
+    p = reads_a_document("standardize", cmd_standardize, "rewrite to normal form")
     p.add_argument("--extended", action="store_true", help="also shift signals out")
     p.add_argument("--trace", action="store_true", help="print rewrite steps to stderr")
     p.add_argument("--paper-order", action="store_true", help="print commands right-to-left")
-    p.set_defaults(func=cmd_standardize)
 
-    p = sub.add_parser("simulate", help="run all measurement branches")
-    p.add_argument("file", nargs="?", default="-")
+    p = reads_a_document("simulate", cmd_simulate, "run all measurement branches")
     p.add_argument("--input", help="basis bits ('10') or comma-separated amplitudes")
     p.add_argument("--branches", action="store_true", help="print the branch table")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("verify", help="compare the pattern's unitary against a target")
-    p.add_argument("file", nargs="?", default="-")
+    p = reads_a_document("verify", cmd_verify, "compare the pattern's unitary against a target")
     p.add_argument(
         "--against",
         required=True,
         help="builtin name (e.g. 'cnot' or 'j:1/4pi') or a matrix file",
     )
-    p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("graph", help="export entanglement or dependency graph")
-    p.add_argument("file", nargs="?", default="-")
+    p = reads_a_document("graph", cmd_graph, "export entanglement or dependency graph")
     p.add_argument("--kind", choices=("entanglement", "dependency"), required=True)
-    p.set_defaults(func=cmd_graph)
 
     p = sub.add_parser("library", help="emit a builtin pattern")
     p.add_argument("name")
@@ -275,4 +271,9 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    code = main()
+    # the process frees its objects as it ends, so the interpreter's last
+    # collection would only walk them; frozen, they skip it.  Not in main(),
+    # whose in-process callers must go on collecting their cycles.
+    gc.freeze()
+    sys.exit(code)

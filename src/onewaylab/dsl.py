@@ -115,18 +115,27 @@ class _Parser:
     def fail(self, message: str, tok: re.Match):
         raise self.error(message, tok)
 
+    def unexpected(self, what: str, tok: re.Match):
+        found = tok[0] or "end of input"
+        self.fail(f"expected {what}, found {found!r}", tok)
+
     def expect(self, text: str) -> re.Match:
         tok = self.next()
         if tok[0] != text:
-            found = tok[0] or "end of input"
-            self.fail(f"expected {text!r}, found {found!r}", tok)
+            self.unexpected(repr(text), tok)
         return tok
+
+    def accept(self, text: str) -> bool:
+        """Take the next token if it is ``text``."""
+        if self.peek()[0] != text:
+            return False
+        self.next()
+        return True
 
     def word(self, what: str) -> re.Match:
         tok = self.next()
         if tok.lastgroup != "word":
-            found = tok[0] or "end of input"
-            self.fail(f"expected {what}, found {found!r}", tok)
+            self.unexpected(what, tok)
         return tok
 
     def digits(self, tok: re.Match) -> int:
@@ -146,14 +155,17 @@ class _Parser:
 
     def qubit_list(self) -> list[re.Match]:
         """The label tokens of a comma-separated list, possibly empty."""
-        tokens = []
         if self.peek()[0] == ";":
-            return tokens
-        tokens.append(self.word("a qubit label"))
-        while self.peek()[0] == ",":
-            self.next()
+            return []
+        tokens = [self.word("a qubit label")]
+        while self.accept(","):
             tokens.append(self.word("a qubit label"))
         return tokens
+
+    def section(self, name: str):
+        """The ``name :`` that opens a header section."""
+        self.expect(name)
+        self.expect(":")
 
     def interface(self, what: str, space: frozenset) -> tuple:
         """An ``input:`` or ``output:`` list, each label checked where it stands."""
@@ -175,7 +187,7 @@ class _Parser:
     def integer(self) -> int:
         tok = self.word("an integer")
         if not tok[0].isdigit():
-            self.fail(f"expected an integer, found {tok[0]!r}", tok)
+            self.unexpected("an integer", tok)
         return self.digits(tok)
 
     def denominator(self) -> int:
@@ -197,90 +209,62 @@ class _Parser:
     def angle(self) -> Angle:
         """``0`` | ``[-]pi`` | ``[-]p/q pi`` | ``[-]p pi`` | ``[-]pi/q`` | float radians."""
         start = self.peek()
-        negative = start[0] == "-"
-        if negative:
-            self.next()
-        tok = self.peek()
+        negative = self.accept("-")
+        tok = self.next()
         if tok.lastgroup == "float":
-            self.next()
             return self.radians(start, tok)
-        if tok[0] == "pi":
-            self.next()
-            num, den = 1, 1
-            if self.peek()[0] == "/":
-                self.next()
-                den = self.denominator()
+        times_pi = tok[0] == "pi"
+        if not times_pi and not (tok.lastgroup == "word" and tok[0].isdigit()):
+            self.unexpected("an angle", tok)
+        num = 1 if times_pi else self.digits(tok)
+        den = self.denominator() if self.accept("/") else 1
+        if times_pi or self.accept("pi"):
             frac = Fraction(num, den)
             return Angle.exact(-frac if negative else frac)
-        if tok.lastgroup == "word" and tok[0].isdigit():
-            self.next()
-            num = self.digits(tok)
-            den = 1
-            if self.peek()[0] == "/":
-                self.next()
-                den = self.denominator()
-            if self.peek()[0] == "pi":
-                self.next()
-                frac = Fraction(num, den)
-                return Angle.exact(-frac if negative else frac)
-            if den != 1:
-                self.fail("fractional angle must be followed by 'pi'", tok)
-            if num == 0:
-                return Angle.exact(0)
-            return self.radians(start, tok)
-        found = tok[0] or "end of input"
-        self.fail(f"expected an angle, found {found!r}", tok)
+        if den != 1:
+            self.fail("fractional angle must be followed by 'pi'", tok)
+        if num == 0:
+            return Angle.exact(0)
+        return self.radians(start, tok)
 
     def signal(self) -> Signal:
         support: set = set()
         constant = 0
         while True:
-            tok = self.peek()
+            tok = self.next()
             if tok[0] == "s":
-                self.next()
                 self.expect("[")
                 support ^= {self.qubit()}
                 self.expect("]")
             elif tok.lastgroup == "word" and tok[0].isdigit():
-                self.next()
                 constant ^= self.digits(tok) % 2
             else:
-                found = tok[0] or "end of input"
-                self.fail(f"expected a signal term, found {found!r}", tok)
-            if self.peek()[0] != "+":
+                self.unexpected("a signal term", tok)
+            if not self.accept("+"):
                 return Signal(frozenset(support), constant)
-            self.next()
 
     def command(self):
         tok = self.word("a command (E, M, X, Z, S)")
         kind = tok[0]
         self.expect("(")
-        if kind == "E":
-            i = self.qubit()
-            self.expect(",")
-            make, args = Entangle, (i, self.qubit())
-        elif kind == "M":
-            q = self.qubit()
-            self.expect(",")
-            angle = self.angle()
-            s = t = Signal()
-            while self.peek()[0] == ",":
-                self.next()
-                name = self.word("'s' or 't'")
-                if name[0] not in ("s", "t"):
-                    self.fail(f"expected 's' or 't', found {name[0]!r}", name)
-                self.expect("=")
-                if name[0] == "s":
-                    s = self.signal()
-                else:
-                    t = self.signal()
-            make, args = Measure, (q, angle, s, t)
-        elif kind in _QUBIT_SIGNAL_COMMANDS:
-            q = self.qubit()
-            self.expect(",")
-            make, args = _QUBIT_SIGNAL_COMMANDS[kind], (q, self.signal())
-        else:
+        if kind not in ("E", "M", "X", "Z", "S"):
             self.fail(f"unknown command {kind!r}", tok)
+        q = self.qubit()
+        self.expect(",")
+        if kind == "E":
+            make, args = Entangle, (q, self.qubit())
+        elif kind == "M":
+            angle = self.angle()
+            signals = {"s": Signal(), "t": Signal()}
+            while self.accept(","):
+                name = self.word("'s' or 't'")
+                if name[0] not in signals:
+                    self.unexpected("'s' or 't'", name)
+                self.expect("=")
+                signals[name[0]] = self.signal()
+            make, args = Measure, (q, angle, signals["s"], signals["t"])
+        else:
+            make, args = _QUBIT_SIGNAL_COMMANDS[kind], (q, self.signal())
         self.expect(")")
         try:
             return make(*args)
@@ -291,20 +275,16 @@ class _Parser:
         self.expect("pattern")
         name = self.word("a pattern name")[0]
         self.expect("{")
-        self.expect("space")
-        self.expect(":")
+        self.section("space")
         space = frozenset(self.label(tok) for tok in self.qubit_list())
         self.expect(";")
-        self.expect("input")
-        self.expect(":")
+        self.section("input")
         inputs = self.interface("input", space)
         self.expect(";")
-        self.expect("output")
-        self.expect(":")
+        self.section("output")
         outputs = self.interface("output", space)
         self.expect(";")
-        self.expect("seq")
-        self.expect(":")
+        self.section("seq")
         commands, starts = [], []
         while self.peek()[0] not in ("}", ""):
             starts.append(self.peek())

@@ -199,9 +199,7 @@ def controlled_u(alpha, beta, gamma, delta) -> Pattern:
     for step, angle in enumerate(target):
         src, dst = _CU_TARGET_LINE[step], _CU_TARGET_LINE[step + 1]
         result = compose(tensor(identity("A"), j(angle, src, dst)), result)
-        if step == 0:
-            result = compose(cz("A", dst), result)
-        elif step == 4:
+        if step in (0, 4):  # the two cross controlled-Z's
             result = compose(cz("A", dst), result)
     result = compose(tensor(j(alpha_prime, "A", "B"), identity("k")), result)
     result = compose(tensor(j(0, "B", "C"), identity("k")), result)

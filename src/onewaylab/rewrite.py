@@ -453,7 +453,9 @@ def _core_size(commands) -> int:
     return size
 
 
-def _check_size(pattern: Pattern) -> None:
+def _check_standardizable(pattern: Pattern) -> None:
+    """Refuse an invalid pattern, then one whose normal form could exceed ``MAX_COMMANDS``."""
+    _check_valid(pattern, "standardize")
     n = len(pattern.commands)
     # each spawned Z pairs an X with a later E, so there are at most n^2 / 4
     if n + n * n // 4 <= MAX_COMMANDS:
@@ -545,8 +547,7 @@ def standardize(pattern: Pattern) -> tuple[Pattern, Sequence[RewriteStep]]:
     that could exceed ``MAX_COMMANDS`` raises ``RewriteError`` before it
     is built.
     """
-    _check_valid(pattern, "standardize")
-    _check_size(pattern)
+    _check_standardizable(pattern)
     return Pattern._rebuilt(pattern, _core(pattern.commands)), _LazyTrace(pattern.commands, False)
 
 
@@ -559,8 +560,7 @@ def standardize_extended(pattern: Pattern) -> tuple[Pattern, Sequence[RewriteSte
     the result is built directly and the trace is computed when first read,
     and is bounded by ``MAX_COMMANDS`` in the same way.
     """
-    _check_valid(pattern, "standardize")
-    _check_size(pattern)
+    _check_standardizable(pattern)
     return (
         Pattern._rebuilt(pattern, _shift_out(_core(pattern.commands))),
         _LazyTrace(pattern.commands, True),
@@ -572,22 +572,14 @@ def is_standard(pattern: Pattern) -> bool:
     return not applicable_redexes(pattern)
 
 
+# The block of each command type in EMC order; a Shift belongs to none.
+_EMC_BLOCKS = {Entangle: 0, Measure: 1, CorrectX: 2, CorrectZ: 2}
+
+
 def is_emc(pattern: Pattern) -> bool:
     """True when the sequence is an E block, then an M block, then corrections."""
-    phase = 0
-    for cmd in pattern.commands:
-        if isinstance(cmd, Entangle):
-            rank = 0
-        elif isinstance(cmd, Measure):
-            rank = 1
-        elif isinstance(cmd, (CorrectX, CorrectZ)):
-            rank = 2
-        else:
-            return False
-        if rank < phase:
-            return False
-        phase = rank
-    return True
+    blocks = [_EMC_BLOCKS.get(type(cmd)) for cmd in pattern.commands]
+    return None not in blocks and blocks == sorted(blocks)
 
 
 def random_order_standardize(pattern: Pattern, seed: int) -> Pattern:

@@ -58,6 +58,12 @@ def test_double_negation_roundtrip(frac):
     assert a.plus_pi().plus_pi() == a
 
 
+@pytest.mark.parametrize("fields", [{"frac": Fraction(1, 4), "rad": 0.5}, {}], ids=["both", "neither"])
+def test_an_angle_takes_exactly_one_of_frac_and_rad(fields):
+    with pytest.raises(ValueError, match="^exactly one of frac/rad must be given$"):
+        Angle(**fields)
+
+
 def test_fraction_refused_for_inexact():
     with pytest.raises(ValueError):
         Angle.from_radians(1.0).fraction

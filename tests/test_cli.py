@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import importlib
 import io
 import json
@@ -604,6 +605,30 @@ def _distribution(name):
         return metadata.distribution(name)
     except metadata.PackageNotFoundError:
         return None
+
+
+_RUN_AS_MAIN = """
+import gc, runpy, sys
+sys.argv = ["onewaylab", "library", "h"]
+try:
+    runpy.run_module("onewaylab.cli", run_name="__main__")
+except SystemExit as exc:
+    print(repr(exc.code), gc.get_freeze_count() > 0, file=sys.stderr)
+"""
+
+
+def test_the_module_entry_freezes_what_is_left_before_it_exits():
+    # ``python -m onewaylab.cli`` runs the ``__main__`` block, which freezes
+    # every object left so that the interpreter's last collection skips them
+    result = run_isolated(_RUN_AS_MAIN)
+    assert (result.stdout, result.stderr) == (serialize(h(), "h"), "0 True\n")
+
+
+def test_main_in_process_freezes_nothing(capsys, monkeypatch):
+    # an in-process caller keeps collecting its cyclic garbage
+    before = gc.get_freeze_count()
+    assert run_cli(capsys, monkeypatch, ["library", "h"]) == (0, serialize(h(), "h"), "")
+    assert gc.get_freeze_count() == before
 
 
 @pytest.mark.skipif(

@@ -1,6 +1,7 @@
 """tools/codelines.py, the count of code lines without docstrings,
 comments or blank lines."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -30,3 +31,16 @@ def test_code_lines_skip_docstrings_comments_and_blank_lines(tmp_path):
     )
     # import, def, and the two lines of the return
     assert result.stdout.splitlines() == [f"     4  {module}", "     4  total"]
+
+
+def test_a_closed_reader_ends_the_tool_with_exit_141():
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, str(ROOT / "tools" / "codelines.py")],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (141, "")

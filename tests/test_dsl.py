@@ -341,6 +341,16 @@ def test_serialize_parses_back_equal(pattern):
         ),
         ("input: ;\n\n  output: 1, 1;", "input: ;\n\n  output: 1, ", "duplicate output qubit 1"),
         ("input: 1;\n  output: 1;", "input: 1;\n  output: 1;", "expected 'seq', found 'end of input'"),
+        (
+            "input: ; output: ;\n  seq: M(1, 1/x pi);",
+            "input: ; output: ;\n  seq: M(1, 1/",
+            "expected an integer, found 'x'",
+        ),
+        (
+            "input: ; output: ;\n  seq: M(1, 0, u=s[1]);",
+            "input: ; output: ;\n  seq: M(1, 0, ",
+            "expected 's' or 't', found 'u'",
+        ),
         pytest.param(
             f"input: {_LONG};", "input: ", "integer of 5000 digits is too long", id="5000-digit label"
         ),

@@ -384,6 +384,14 @@ def test_is_emc_shapes():
     assert is_emc(seq_pattern([], (1,), (1,), (1,)))
     wild = teleport(0, 0)
     assert not is_emc(wild)
+    e, m = Entangle(1, 2), Measure(1, Angle.exact(0))
+    x, z = CorrectX(2, signal(1)), CorrectZ(2, signal(1))
+    # X and Z share the last block, in either order
+    assert is_emc(seq_pattern([e, m, x, z, x], (1, 2), (1,), (2,)))
+    # a Shift belongs to no block
+    assert not is_emc(seq_pattern([e, m, Shift(1, signal(constant=1)), x], (1, 2), (1,), (2,)))
+    # a Z is a correction, so none may stand before a measurement
+    assert not is_emc(seq_pattern([e, CorrectZ(1, signal()), m, x], (1, 2), (1,), (2,)))
 
 
 def test_extended_removes_pi_signals_and_shifts():
@@ -474,6 +482,16 @@ def test_trace_replays_and_formats():
     text = format_trace(trace)
     assert text.splitlines()[0].startswith("EX @ ")
     assert "=>" in text
+    assert repr(trace) == repr(list(trace))
+
+
+def test_replay_refuses_a_step_whose_window_does_not_match():
+    wild = teleport(Fraction(1, 4), Fraction(1, 3))
+    _, trace = standardize(wild)
+    # once the first step has run, its window holds what it wrote, not what it read
+    with pytest.raises(RewriteError) as err:
+        replay(wild, [trace[0], trace[0]])
+    assert str(err.value) == f"trace mismatch at {trace[0]}"
 
 
 def test_text_is_written_without_the_public_wrapper(monkeypatch):

@@ -8,13 +8,15 @@ this checkout's ``src/``.  One line per module gives its count, then a
 ``total`` line.  A line counts when a token other than a comment or a
 docstring starts on it or runs across it, so a call over two lines counts
 two.  A docstring is a statement that is only a string, wherever it
-stands.
+stands.  A reader that closes the pipe early ends the tool with exit 141.
 """
 
 from __future__ import annotations
 
 import argparse
 import io
+import os
+import sys
 import tokenize
 from pathlib import Path
 
@@ -46,12 +48,21 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("paths", nargs="*", type=Path, default=[ROOT / "src"])
     args = parser.parse_args(argv)
     total = 0
-    for path in args.paths:
-        for module in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
-            count = code_lines(module.read_text(encoding="utf-8"))
-            total += count
-            print(f"{count:6d}  {module}")
-    print(f"{total:6d}  total")
+    try:
+        for path in args.paths:
+            for module in sorted(path.rglob("*.py")) if path.is_dir() else [path]:
+                count = code_lines(module.read_text(encoding="utf-8"))
+                total += count
+                print(f"{count:6d}  {module}")
+        print(f"{total:6d}  total")
+        sys.stdout.flush()  # here, so that a reader gone before the exit is caught below
+    except BrokenPipeError:
+        # as ``onewaylab.cli.main``: write nothing more, and let the interpreter's
+        # last flush of either stream go to the null device
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        for stream in (sys.stdout, sys.stderr):
+            os.dup2(devnull, stream.fileno())
+        return 141  # the shell's code for a process that SIGPIPE ends
     return 0
 
 
